@@ -303,24 +303,3 @@ class QuadraticExtension:
 QQ = Rationals()
 
 Field = Any  # duck-typed strategy object; one of the three classes above
-
-
-def field_to_json(field: Field) -> dict:
-    if isinstance(field, Rationals):
-        return {"kind": "rationals"}
-    if isinstance(field, PrimeField):
-        return {"kind": "prime", "p": field.p}
-    raise PrecondError(f"cannot serialize field {field!r}")
-
-
-def field_from_json(obj: Any) -> Field:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise PrecondError(f"field spec must be an object with a 'kind': {obj!r}")
-    kind = obj["kind"]
-    if kind == "rationals":
-        return QQ
-    if kind == "prime":
-        if "p" not in obj or not isinstance(obj["p"], int):
-            raise PrecondError("prime field spec needs integer 'p'")
-        return PrimeField(obj["p"])
-    raise PrecondError(f"unknown field kind {kind!r}")

@@ -2,15 +2,12 @@
 
 Points and lines are enumerated by canonical representatives: a point scales
 its first nonzero coordinate to 1, a line is the reduced row echelon form of
-its 2x(n+1) basis matrix.  All bulk work is vectorized with numpy and split
-over a thread pool sized by the QPENCIL_THREADS environment variable; results
-are merged in a fixed order, so the output never depends on the threading.
+its 2x(n+1) basis matrix.  All bulk work is vectorized with numpy, and
+results come out in a fixed order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,20 +22,6 @@ from .pencil import Pencil, discriminant_cover, is_smooth
 POINT_SCAN_LIMIT = 10**9
 LINE_SCAN_LIMIT = 5 * 10**7
 _CHUNK = 1 << 19
-
-
-def thread_count() -> int:
-    """Worker count for enumeration scans, from QPENCIL_THREADS (default 1)."""
-    raw = os.environ.get("QPENCIL_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError as exc:
-        raise PrecondError(f"QPENCIL_THREADS must be an integer, got {raw!r}") from exc
-    if k < 1:
-        raise PrecondError("QPENCIL_THREADS must be >= 1")
-    return min(k, 64)
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -230,21 +213,11 @@ def enumerate_lines_of_quadrics(
     work = sum(p ** (2 * nvars - i - j - 3) for i, j in pairs)
     if work > LINE_SCAN_LIMIT:
         raise PrecondError(f"line scan of {work} candidates exceeds {LINE_SCAN_LIMIT}")
-    nthreads = thread_count()
-    if nthreads == 1:
-        chunks = [_lines_for_pivots(p, nvars, i, j, gram_arrays) for i, j in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            futures = [
-                pool.submit(_lines_for_pivots, p, nvars, i, j, gram_arrays)
-                for i, j in pairs
-            ]
-            chunks = [f.result() for f in futures]
-    out = []
-    for chunk in chunks:
-        for rows in chunk:
-            out.append(ProjLine(p, rows))
-    return out
+    return [
+        ProjLine(p, rows)
+        for i, j in pairs
+        for rows in _lines_for_pivots(p, nvars, i, j, gram_arrays)
+    ]
 
 
 def enumerate_lines(pencil: Pencil) -> list[ProjLine]:

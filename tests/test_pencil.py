@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qpencil import univariate as uv
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
 from qpencil.matrices import SymMatrix
@@ -172,12 +173,20 @@ def test_cover_form_sign_depends_on_variable_count():
 
 
 def test_diagonal_pencils_are_smooth():
-    for n in (2, 3, 4, 5):
-        rep = smoothness(diagonal_pencil(QQ, n))
-        assert rep.smooth
-        assert rep.degree == n + 1
-        assert not rep.degenerate
-        assert rep.certificate["gcd_deg_chart_main"] == 0
+    # n >= 8 guards against a determinant size limit read as "not smooth"
+    for field in (QQ, PrimeField(101)):
+        for n in (2, 3, 4, 5, 8, 9):
+            p = diagonal_pencil(field, n)
+            rep = smoothness(p)
+            assert rep.smooth, (field, n)
+            assert rep.degree == n + 1
+            assert not rep.degenerate
+            assert rep.certificate["gcd_deg_chart_main"] == 0
+            expected = [field.one]
+            for i in range(n + 1):  # prod_i (s0 + i s1), ascending in s1
+                expected = uv.mul(field, expected, [field.one, field.from_int(i)])
+            expected += [field.zero] * (n + 2 - len(expected))
+            assert p.discriminant_form().coeffs == tuple(expected)
 
 
 def test_toric_pencil_is_not_smooth():
