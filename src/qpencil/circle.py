@@ -87,7 +87,7 @@ def index_circle(p: Pencil) -> IndexCircle:
     report = smoothness(p)
     if not report.smooth:
         raise PrecondError("the base locus is singular; the index circle is undefined")
-    disc = p.discriminant_form()
+    disc = report.discriminant
     n = p.n
 
     inf_jump = QQ.is_zero(disc.coeffs[-1])  # det(G1) is the s1^(n+1) coefficient

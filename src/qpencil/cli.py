@@ -90,7 +90,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
     if rep.degenerate:
         payload["discriminant"] = None
     else:
-        disc = pencil.discriminant_form()
+        disc = rep.discriminant
         payload["discriminant"] = {
             "degree": disc.degree,
             "coefficients": list(disc.coeffs),

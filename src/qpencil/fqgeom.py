@@ -1,9 +1,10 @@
 """Brute-force projective geometry over small prime fields.
 
-Points and lines are enumerated by canonical representatives: a point scales
-its first nonzero coordinate to 1, a line is the reduced row echelon form of
-its 2x(n+1) basis matrix.  All bulk work is vectorized with numpy, and
-results come out in a fixed order.
+Points are enumerated by canonical representatives, scaled so that the
+first nonzero coordinate is 1; one scan of them finds the common zeros of the
+quadrics.  Lines are read off pairs of common zeros and stored by the reduced
+row echelon form of their 2x(n+1) basis matrix.  All bulk work is vectorized
+with numpy, and results come out in a fixed order.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ import numpy as np
 
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
-from .linalg import rref
+from .linalg import proportional, rref
 from .matrices import SymMatrix
 from .pencil import Pencil, discriminant_cover, is_smooth
 
 POINT_SCAN_LIMIT = 10**9
-LINE_SCAN_LIMIT = 5 * 10**7
 _CHUNK = 1 << 19
 
 
@@ -69,18 +69,20 @@ def _gram_array(g: SymMatrix, p: int) -> np.ndarray:
     return np.array([[int(x) % p for x in row] for row in g.entries], dtype=np.int64)
 
 
-def quadric_values(points: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
-    return np.einsum("nk,kl,nl->n", points, gram, points) % p
+def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray:
+    """The points of `projective_points(p, nvars)` on which every quadric
+    with a Gram matrix in `grams` vanishes."""
+    pts = projective_points(p, nvars)
+    mask = np.ones(pts.shape[0], dtype=bool)
+    for g in grams:
+        mask &= np.einsum("nk,kl,nl->n", pts, g, pts) % p == 0
+    return pts[mask]
 
 
 def points_on_pencil(pencil: Pencil) -> np.ndarray:
     """Canonical representatives of the F_p points of the base locus."""
     p = _require_prime(pencil)
-    pts = projective_points(p, pencil.n + 1)
-    g0 = _gram_array(pencil.g0, p)
-    g1 = _gram_array(pencil.g1, p)
-    mask = (quadric_values(pts, g0, p) == 0) & (quadric_values(pts, g1, p) == 0)
-    return pts[mask]
+    return _common_zeros(p, pencil.n + 1, [_gram_array(g, p) for g in (pencil.g0, pencil.g1)])
 
 
 def count_points(pencil: Pencil) -> int:
@@ -94,11 +96,10 @@ def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
     irrelevant.  Rank < 2 means all 2x2 minors vanish.
     """
     p = _require_prime(pencil)
-    pts = points_on_pencil(pencil)
+    g0, g1 = (_gram_array(g, p) for g in (pencil.g0, pencil.g1))
+    pts = _common_zeros(p, pencil.n + 1, [g0, g1])
     if pts.shape[0] == 0:
         return []
-    g0 = _gram_array(pencil.g0, p)
-    g1 = _gram_array(pencil.g1, p)
     u = (pts @ g0) % p
     v = (pts @ g1) % p
     minors = (u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]) % p
@@ -155,69 +156,35 @@ class ProjLine:
         )
 
 
-def _pivot_pairs(nvars: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(nvars) for j in range(i + 1, nvars)]
-
-
-def _lines_for_pivots(
-    p: int, nvars: int, i: int, j: int, grams: list[np.ndarray]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All RREF line bases with pivot columns (i, j) on which every listed
-    quadric vanishes identically."""
-    gap = list(range(i + 1, j))
-    tail = list(range(j + 1, nvars))
-    nfree = len(gap) + 2 * len(tail)
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    total = p ** nfree
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        free = np.empty((idx.shape[0], max(nfree, 1)), dtype=np.int64)
-        rem = idx
-        for col in range(nfree - 1, -1, -1):
-            free[:, col] = rem % p
-            rem = rem // p
-        u = np.zeros((idx.shape[0], nvars), dtype=np.int64)
-        v = np.zeros((idx.shape[0], nvars), dtype=np.int64)
-        u[:, i] = 1
-        v[:, j] = 1
-        pos = 0
-        for col in gap:
-            u[:, col] = free[:, pos]
-            pos += 1
-        for col in tail:
-            u[:, col] = free[:, pos]
-            pos += 1
-        for col in tail:
-            v[:, col] = free[:, pos]
-            pos += 1
-        mask = np.ones(idx.shape[0], dtype=bool)
-        for g in grams:
-            qu = np.einsum("nk,kl,nl->n", u, g, u) % p
-            qv = np.einsum("nk,kl,nl->n", v, g, v) % p
-            buv = np.einsum("nk,kl,nl->n", u, g, v) % p
-            mask &= (qu == 0) & (qv == 0) & (buv == 0)
-            if not mask.any():
-                break
-        for a, b in zip(u[mask], v[mask]):
-            found.append((tuple(int(x) for x in a), tuple(int(x) for x in b)))
-    return found
-
-
 def enumerate_lines_of_quadrics(
     p: int, nvars: int, grams: Iterable[SymMatrix]
 ) -> list[ProjLine]:
-    """All lines of P^(nvars-1)(F_p) on which every given quadric vanishes."""
+    """All lines of P^(nvars-1)(F_p) on which every given quadric vanishes.
+
+    Since char != 2, Q(ax + by) = a^2 Q(x) + 2ab x^T G y + b^2 Q(y), so two
+    distinct common zeros x, y span such a line exactly when x^T G y = 0 for
+    every Gram matrix G.  Both rows of a line's RREF basis are canonical
+    points, so each line is found once, as the pair (x, y) with
+    lead(x) < lead(y) and x[lead(y)] = 0, where lead is the index of the
+    first nonzero coordinate.  Pairs are tested in blocks of rows, never as
+    one N x N array.  Lines come out sorted by pivot columns, then by rows.
+    """
     gram_arrays = [_gram_array(g, p) for g in grams]
-    pairs = _pivot_pairs(nvars)
-    work = sum(p ** (2 * nvars - i - j - 3) for i, j in pairs)
-    if work > LINE_SCAN_LIMIT:
-        raise PrecondError(f"line scan of {work} candidates exceeds {LINE_SCAN_LIMIT}")
-    return [
-        ProjLine(p, rows)
-        for i, j in pairs
-        for rows in _lines_for_pivots(p, nvars, i, j, gram_arrays)
-    ]
+    pts = _common_zeros(p, nvars, gram_arrays)
+    lead = (pts != 0).argmax(axis=1)
+    step = max(1, _CHUNK // max(pts.shape[0], 1))
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for start in range(0, pts.shape[0], step):
+        block = pts[start:start + step]
+        later = np.searchsorted(lead, lead[start], side="right")  # pts are sorted by lead
+        rest, rest_lead = pts[later:], lead[later:]
+        mask = (rest_lead[None, :] > lead[start:start + step, None]) & (block[:, rest_lead] == 0)
+        for g in gram_arrays:
+            mask &= ((block @ g) % p) @ rest.T % p == 0
+        a, b = np.nonzero(mask)
+        found += zip(map(tuple, block[a].tolist()), map(tuple, rest[b].tolist()))
+    found.sort(key=lambda rows: (rows[0].index(1), rows[1].index(1), rows))
+    return [ProjLine(p, rows) for rows in found]
 
 
 def enumerate_lines(pencil: Pencil) -> list[ProjLine]:
@@ -227,25 +194,12 @@ def enumerate_lines(pencil: Pencil) -> list[ProjLine]:
     (one form a multiple of the other, or zero).
     """
     p = _require_prime(pencil)
-    if _proportional_grams(pencil):
+    fld = pencil.field
+    flat0, flat1 = ([x for row in g.entries for x in row] for g in (pencil.g0, pencil.g1))
+    zero = all(map(fld.is_zero, flat0)) or all(map(fld.is_zero, flat1))
+    if zero or proportional(fld, flat0, flat1):
         raise PrecondError("not a complete intersection: the two forms are proportional")
     return enumerate_lines_of_quadrics(p, pencil.n + 1, [pencil.g0, pencil.g1])
-
-
-def _proportional_grams(pencil: Pencil) -> bool:
-    fld = pencil.field
-    flat0 = [x for row in pencil.g0.entries for x in row]
-    flat1 = [x for row in pencil.g1.entries for x in row]
-    if all(fld.is_zero(x) for x in flat0) or all(fld.is_zero(x) for x in flat1):
-        return True
-    i = next(k for k, x in enumerate(flat0) if not fld.is_zero(x))
-    if fld.is_zero(flat1[i]):
-        ratio = None
-    else:
-        ratio = fld.div(flat1[i], flat0[i])
-    if ratio is None:
-        return False
-    return all(fld.eq(y, fld.mul(ratio, x)) for x, y in zip(flat0, flat1))
 
 
 def count_lines(pencil: Pencil) -> int:

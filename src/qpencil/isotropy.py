@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
+from .fqgeom import _common_zeros, _gram_array
 from .linalg import rank
 from .matrices import SymMatrix, inertia
 
@@ -144,17 +145,10 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
     if not (0 <= degree_bound <= 3):
         raise PrecondError("degree bound must be between 0 and 3")
 
-    gf = np.array([[int(c) for c in row] for row in f.to_lists()], dtype=np.int64) % q
-    gg = np.array([[int(c) for c in row] for row in g.to_lists()], dtype=np.int64) % q
+    gf, gg = _gram_array(f, q), _gram_array(g, q)
 
     # (a) projective common zeros
-    from .fqgeom import projective_points
-
-    pts = projective_points(q, m)
-    both = (np.einsum("nk,kl,nl->n", pts, gf, pts) % q == 0) & (
-        np.einsum("nk,kl,nl->n", pts, gg, pts) % q == 0
-    )
-    zero_pts = pts[both]
+    zero_pts = _common_zeros(q, m, [gf, gg])
     common: tuple[int, ...] | None = None
     if len(zero_pts):
         common = tuple(int(c) for c in zero_pts[0])
@@ -227,7 +221,7 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
         nvars=m,
         degree_bound=degree_bound,
         common_zero=common,
-        common_zero_count=int(both.sum()),
+        common_zero_count=len(zero_pts),
         solution=solution,
         candidates=total,
     )

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 from . import univariate as uv
 from .errors import PrecondError
 from .fields import QQ, Field, PrimeField
-from .linalg import mat_vec
+from .linalg import mat_vec, proportional
 from .matrices import SymMatrix, congruent, det_poly
 from .poly import Poly
 
@@ -77,16 +77,9 @@ class BinaryForm:
         """True when self = c * other for some nonzero scalar c."""
         if self.degree != other.degree or self.field != other.field:
             return False
-        fld = self.field
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
-        i = next(k for k, c in enumerate(other.coeffs) if not fld.is_zero(c))
-        if fld.is_zero(self.coeffs[i]):
-            return False
-        ratio = fld.div(self.coeffs[i], other.coeffs[i])
-        return all(
-            fld.eq(a, fld.mul(ratio, b)) for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return proportional(self.field, self.coeffs, other.coeffs)
 
 
 @dataclass(frozen=True)
@@ -236,11 +229,19 @@ def _gram_from_terms(field: Field, n: int, terms: Iterable[tuple[int, int, Any]]
 @dataclass(frozen=True)
 class SmoothnessReport:
     smooth: bool
-    degree: int
-    degenerate: bool
+    # det(s0 G0 + s1 G1), or None when it vanishes identically
+    discriminant: BinaryForm | None
     # gcd of each chart polynomial with its derivative (monic coeff tuples)
     chart_main_gcd: tuple
     chart_other_gcd: tuple
+
+    @property
+    def degenerate(self) -> bool:
+        return self.discriminant is None
+
+    @property
+    def degree(self) -> int:
+        return -1 if self.discriminant is None else self.discriminant.degree
 
     @property
     def certificate(self) -> dict:
@@ -262,13 +263,13 @@ def smoothness(p: Pencil) -> SmoothnessReport:
     fld = p.field
     disc = _discriminant_or_none(p)
     if disc is None:
-        return SmoothnessReport(False, -1, True, (fld.one,), (fld.one,))
+        return SmoothnessReport(False, None, (fld.one,), (fld.one,))
     a = disc.chart_main()
     b = disc.chart_other()
     ga = uv.gcd_poly(fld, a, uv.derivative(fld, a)) if len(a) > 1 else [fld.one]
     gb = uv.gcd_poly(fld, b, uv.derivative(fld, b)) if len(b) > 1 else [fld.one]
     smooth = len(ga) == 1 and len(gb) == 1
-    return SmoothnessReport(smooth, disc.degree, False, tuple(ga), tuple(gb))
+    return SmoothnessReport(smooth, disc, tuple(ga), tuple(gb))
 
 
 def singular_at(p: Pencil, x: Sequence[Any]) -> bool:

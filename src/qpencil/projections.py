@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import InternalCheckError, PrecondError
-from .fields import Field, PrimeField
-from .linalg import complete_basis, det, mat_mul, mat_vec, nullspace, rank, rref, solve, transpose
+from .fields import PrimeField
+from .linalg import complete_basis, det, mat_mul, mat_vec, nullspace, proportional, rank, solve, transpose
 from .matrices import SymMatrix, congruent, det_poly
 from .pencil import BinaryForm, Pencil, pencil_congruent
 from .poly import Poly
@@ -42,16 +42,6 @@ class RationalMap:
         if all(field.is_zero(v) for v in vals):
             return None
         return vals
-
-
-def proportional(field: Field, u: Sequence[Any], v: Sequence[Any]) -> bool:
-    """Projective equality of two nonzero coordinate tuples."""
-    iu = next((i for i, c in enumerate(u) if not field.is_zero(c)), None)
-    iv = next((i for i, c in enumerate(v) if not field.is_zero(c)), None)
-    if iu is None or iv is None or iu != iv:
-        return False
-    r = field.div(v[iu], u[iu])
-    return all(field.eq(field.mul(r, a), b) for a, b in zip(u, v))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import PrecondError
-from .fields import Field, PrimeField, QQ
+from .fields import Field, PrimeField
 from .matrices import SymMatrix
 from .pencil import Pencil, is_smooth
 

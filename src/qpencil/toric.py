@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ, Field, PrimeField
-from .fqgeom import ProjLine, enumerate_lines, projective_point_count, singular_points
-from .pencil import Pencil, toric_pencil
+from .fqgeom import ProjLine, enumerate_lines, singular_points
+from .pencil import toric_pencil
 from .poly import Poly
 
 BLOCKS = ((0, 1), (2, 3), (4, 5))

@@ -1,5 +1,6 @@
 """Point and line enumeration over prime fields, and the torsor identity."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from qpencil.fqgeom import (
     count_lines,
     count_points,
     enumerate_lines,
+    enumerate_lines_of_quadrics,
     gaussian_binomial,
     points_on_pencil,
     projective_point_count,
@@ -18,6 +20,7 @@ from qpencil.fqgeom import (
     singular_points,
     torsor_check,
 )
+from qpencil.matrices import SymMatrix
 from qpencil.pencil import Pencil, diagonal_pencil, toric_pencil
 from qpencil.samples import random_pencil
 
@@ -150,6 +153,60 @@ def test_lines_on_a_smooth_threefold():
             assert p.eval_form(1, pt) % 3 == 0
 
 
+def _rref_line_scan(p, grams):
+    """Every RREF basis (u, v) of a line, in pivot order, on which each quadric
+    vanishes: Q(u) = Q(v) = B(u, v) = 0 for every Gram matrix."""
+
+    def form(g, u, v):
+        return sum(u[a] * g[a][b] * v[b] for a in range(len(u)) for b in range(len(v))) % p
+
+    m = len(grams[0])
+    found = []
+    for i, j in itertools.combinations(range(m), 2):
+        free_u = [c for c in range(i + 1, m) if c != j]
+        free_v = list(range(j + 1, m))
+        for vals_u in itertools.product(range(p), repeat=len(free_u)):
+            u = [0] * m
+            u[i] = 1
+            for c, val in zip(free_u, vals_u):
+                u[c] = val
+            if any(form(g, u, u) for g in grams):
+                continue
+            for vals_v in itertools.product(range(p), repeat=len(free_v)):
+                v = [0] * m
+                v[j] = 1
+                for c, val in zip(free_v, vals_v):
+                    v[c] = val
+                if not any(form(g, v, v) or form(g, u, v) for g in grams):
+                    found.append((tuple(u), tuple(v)))
+    return found
+
+
+def _line_oracle_cases():
+    rng = random.Random(31)
+    toric = toric_pencil(F3)
+    cases = [(3, [toric.g0, toric.g1])]
+    for _ in range(2):
+        smooth = random_pencil(F3, 5, rng)
+        cases.append((3, [smooth.g0, smooth.g1]))
+    # the cone in P^4 over a curve in P^3, singular at (1:0:0:0:0)
+    curve = random_pencil(F5, 3, rng)
+    cases.append(
+        (5, [SymMatrix.from_rows([[0] * 5] + [[0, *row] for row in g.entries]) for g in (curve.g0, curve.g1)])
+    )
+    # one quadric in P^3, as in residual_line
+    cases.append((3, [SymMatrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])]))
+    return cases
+
+
+def test_lines_from_point_pairs_match_the_rref_scan():
+    for p, grams in _line_oracle_cases():
+        lines = enumerate_lines_of_quadrics(p, grams[0].size, grams)
+        expected = _rref_line_scan(p, [[[int(e) for e in row] for row in g.entries] for g in grams])
+        assert [line.rows for line in lines] == expected
+        assert lines
+
+
 def test_line_enumeration_rejects_proportional_grams():
     g = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     doubled = [[2 * e for e in row] for row in g]
@@ -178,3 +235,11 @@ def test_torsor_check_guards():
         torsor_check(diagonal_pencil(F3, 4))
     with pytest.raises(PrecondError, match="smooth"):
         torsor_check(toric_pencil(F3))
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_torsor_identity_at_larger_q(q):
+    p = random_pencil(PrimeField(q), 5, random.Random(q))
+    rep = torsor_check(p)
+    assert rep.consistent
+    assert rep.line_count == rep.jacobian_order == sum(rep.lpoly)

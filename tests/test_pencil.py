@@ -110,6 +110,9 @@ def test_toric_discriminant_shape():
     )  # -s0^2 (s1 - s0)^2 s1^2
     assert disc.proportional_to(reference)
     assert not disc.is_squarefree()
+    zero = BinaryForm(QQ, (Fraction(0),) * 7)
+    assert zero.proportional_to(zero)
+    assert not zero.proportional_to(reference) and not reference.proportional_to(zero)
 
 
 def test_degenerate_pencil_rejected():
@@ -187,6 +190,7 @@ def test_diagonal_pencils_are_smooth():
                 expected = uv.mul(field, expected, [field.one, field.from_int(i)])
             expected += [field.zero] * (n + 2 - len(expected))
             assert p.discriminant_form().coeffs == tuple(expected)
+            assert rep.discriminant == p.discriminant_form()
 
 
 def test_toric_pencil_is_not_smooth():
@@ -201,6 +205,7 @@ def test_smoothness_of_degenerate_pencil():
     g = SymMatrix.diagonal(QQ, [Fraction(1)] * 3 + [Fraction(0)])
     rep = smoothness(Pencil(QQ, 3, g, g))
     assert rep.degenerate and not rep.smooth and rep.degree == -1
+    assert rep.discriminant is None
 
 
 # -- singular points ----------------------------------------------------

@@ -8,12 +8,12 @@ import pytest
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
 from qpencil.fqgeom import points_on_pencil
+from qpencil.linalg import proportional
 from qpencil.pencil import Pencil, diagonal_pencil
 from qpencil.projections import (
     DoubleProjection,
     double_projection,
     project_from_line,
-    proportional,
     residual_line,
     round_trip,
     to_projection_coordinates,

@@ -57,6 +57,13 @@ def test_line_census_over_f5():
     assert census.consistent
 
 
+def test_line_census_over_f7():
+    census = toric_line_census(7)
+    assert census.total == 588  # 12 q^2
+    assert census.nonplanar == 144  # 4 (q-1)^2
+    assert census.consistent
+
+
 def test_classify_line_sees_plane_membership():
     from qpencil.fqgeom import ProjLine
 
