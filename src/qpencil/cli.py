@@ -31,8 +31,7 @@ from .isotropy import amer_harness
 from .latticegroups import torus_rationality
 from .pencil import (
     Pencil,
-    discriminant_cover,
-    is_smooth,
+    _signed_discriminant,
     reduce_pencil,
     singular_at,
     smoothness,
@@ -154,9 +153,10 @@ def _cmd_zeta(args: argparse.Namespace) -> tuple[dict, str | None]:
     pencil = _over_q(pencil, args.q)
     if pencil.n != 5:
         raise PrecondError("the zeta report needs a threefold pencil (n = 5)")
-    if not is_smooth(pencil):
+    rep = smoothness(pencil)
+    if not rep.smooth:
         raise PrecondError("the zeta report needs a smooth base locus")
-    cover = discriminant_cover(pencil)
+    cover = _signed_discriminant(rep.discriminant, pencil.n + 1)
     f = [int(c) for c in cover.chart_main()]
     data = curve_data(f, pencil.field.p)
     return {

@@ -9,24 +9,61 @@ the same univariate/matrix code run over any of them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
 from .errors import InternalCheckError, PrecondError
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+# string coefficients: an integer or a fraction of integers, each at most
+# _MAX_DIGITS digits, so parsing cost is bounded before any arithmetic
+_MAX_DIGITS = 100
+_COEFF_RE = re.compile(rf"-?[0-9]{{1,{_MAX_DIGITS}}}(/[0-9]{{1,{_MAX_DIGITS}}})?")
+
 
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin primality test for m < 3.3e24."""
+    if m >= _MR_EXACT_BELOW:
+        raise PrecondError(f"primality of {m} is not decided above {_MR_EXACT_BELOW}")
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _parse_fraction(raw: str) -> Fraction:
+    """A coefficient string ``-?d+(/d+)?`` (surrounding blanks ignored)."""
+    text = raw.strip()
+    if not _COEFF_RE.fullmatch(text):
+        raise PrecondError(
+            f"cannot parse coefficient {raw!r}: expected an integer or a fraction "
+            f"n/d of integers with at most {_MAX_DIGITS} digits each"
+        )
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise PrecondError(f"cannot parse coefficient {raw!r}: zero denominator")
+    return Fraction(int(num), int(den or 1))
 
 
 def legendre(a: int, p: int) -> int:
@@ -91,10 +128,7 @@ class Rationals:
         if isinstance(raw, (int, Fraction)):
             return Fraction(raw)
         if isinstance(raw, str):
-            try:
-                return Fraction(raw.strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise PrecondError(f"cannot parse rational {raw!r}: {exc}") from exc
+            return _parse_fraction(raw)
         raise PrecondError(f"not a rational coefficient: {raw!r}")
 
     def fmt(self, a: Fraction) -> str:
@@ -166,10 +200,7 @@ class PrimeField:
         if isinstance(raw, int):
             return raw % self.p
         if isinstance(raw, str):
-            try:
-                frac = Fraction(raw.strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise PrecondError(f"cannot parse coefficient {raw!r}: {exc}") from exc
+            frac = _parse_fraction(raw)
             if frac.denominator % self.p == 0:
                 raise PrecondError(
                     f"coefficient {raw!r} has denominator divisible by {self.p}"

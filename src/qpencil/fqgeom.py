@@ -18,7 +18,7 @@ from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
 from .linalg import proportional, rref
 from .matrices import SymMatrix
-from .pencil import Pencil, discriminant_cover, is_smooth
+from .pencil import Pencil, _signed_discriminant, smoothness
 
 POINT_SCAN_LIMIT = 10**9
 _CHUNK = 1 << 19
@@ -237,10 +237,11 @@ def torsor_check(pencil: Pencil) -> TorsorReport:
     q = _require_prime(pencil)
     if pencil.n != 5:
         raise PrecondError("the torsor comparison needs a threefold pencil (n = 5)")
-    if not is_smooth(pencil):
+    rep = smoothness(pencil)
+    if not rep.smooth:
         raise PrecondError("the torsor comparison needs a smooth base locus")
     lines = enumerate_lines(pencil)
-    cover = discriminant_cover(pencil)
+    cover = _signed_discriminant(rep.discriminant, pencil.n + 1)
     f = [int(c) for c in cover.chart_main()]
     data = curve_data(f, q)
     if len(lines) != data.jacobian_order:

@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
-from .fqgeom import _common_zeros, _gram_array
+from .fqgeom import _common_zeros, _free_grid, _gram_array
 from .linalg import rank
 from .matrices import SymMatrix, inertia
 
 AMER_SEARCH_LIMIT = 5 * 10**7
+_FIRST_CHUNK = 64
 _CHUNK = 1 << 17
 
 
@@ -106,9 +107,9 @@ class AmerReport:
 
 
 def _affine_zero_vectors(gram: np.ndarray, q: int, m: int) -> np.ndarray:
-    grid = np.indices((q,) * m).reshape(m, -1).T % q
-    vals = np.einsum("nk,kl,nl->n", grid, gram, grid) % q
-    return np.ascontiguousarray(grid[vals == 0])
+    grid = _free_grid(q, m)
+    vals = ((grid @ gram) * grid).sum(axis=1) % q
+    return grid[vals == 0]
 
 
 def _vandermonde_inverse(points: Sequence[int], field: PrimeField) -> np.ndarray:
@@ -131,6 +132,12 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
     the pruning are verified coefficient by coefficient; a found solution is
     re-verified in exact arithmetic.  Both implications of the equivalence
     are asserted; a violation in either direction is an internal error.
+
+    Candidates are visited in one fixed mixed-radix order and evaluated in
+    consecutive chunks of 64, 128, 256, ... candidates, doubling up to
+    ``_CHUNK``; the search stops at the first chunk holding a solution.  The
+    reported solution is the first one in candidate order, so it does not
+    depend on the chunk schedule, which only bounds the work spent past it.
     """
     if not isinstance(field, PrimeField):
         raise PrecondError("the harness runs over prime fields")
@@ -172,9 +179,9 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
     sizes = [len(vs) for vs in value_sets] + [len(corr_set)]
 
     solution: tuple[tuple[int, ...], ...] | None = None
-    start = 0
+    start, chunk = 0, _FIRST_CHUNK
     while start < total and solution is None:
-        stop = min(start + _CHUNK, total)
+        stop = min(start + chunk, total)
         idx = np.arange(start, stop, dtype=np.int64)
         digits = []
         rest = idx
@@ -186,15 +193,15 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
             [value_sets[i][digits[i]] for i in range(npoints)], axis=1
         )  # (N, npoints, m)
         coeffs = np.zeros((len(idx), ncoef, m), dtype=np.int64)
-        interp = np.einsum("kj,njv->nkv", vinv, values) % q
-        coeffs[:, :npoints, :] = interp
+        coeffs[:, :npoints, :] = (vinv @ values) % q
         if ncorr:
             corr = corr_set[digits[-1]]  # (N, m)
             # x(t) += (t^q - t) * c
             coeffs[:, q, :] = (coeffs[:, q, :] + corr) % q
             coeffs[:, 1, :] = (coeffs[:, 1, :] - corr) % q
-        bf = np.einsum("nkv,vw,nlw->nkl", coeffs, gf, coeffs) % q
-        bg = np.einsum("nkv,vw,nlw->nkl", coeffs, gg, coeffs) % q
+        coeffs_t = coeffs.transpose(0, 2, 1)
+        bf = ((coeffs @ gf) @ coeffs_t) % q
+        bg = ((coeffs @ gg) @ coeffs_t) % q
         good = np.ones(len(idx), dtype=bool)
         for s in range(2 * degree_bound + 2):
             acc = np.zeros(len(idx), dtype=np.int64)
@@ -211,7 +218,7 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
         if len(hits):
             sol = coeffs[hits[0]]
             solution = tuple(tuple(int(c) for c in row) for row in sol)
-        start = stop
+        start, chunk = stop, min(2 * chunk, _CHUNK)
 
     if solution is not None:
         _verify_polynomial_solution(f, g, solution, field)

@@ -303,11 +303,14 @@ def discriminant_cover(p: Pencil) -> BinaryForm:
     cover, and with the unsigned determinant the F_q point counts disagree
     with the line geometry whenever -1 is a non-square (q ≡ 3 mod 4).
     """
-    form = p.discriminant_form()
-    m = p.n + 1
+    return _signed_discriminant(p.discriminant_form(), p.n + 1)
+
+
+def _signed_discriminant(form: BinaryForm, m: int) -> BinaryForm:
+    """(-1)^(m(m-1)/2) times the determinant form of m-variable Grams."""
     if (m * (m - 1) // 2) % 2 == 0:
         return form
-    fld = p.field
+    fld = form.field
     return BinaryForm(fld, tuple(fld.neg(c) for c in form.coeffs))
 
 

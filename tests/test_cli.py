@@ -142,6 +142,16 @@ def test_duplicate_term_is_reported_with_position(tmp_path):
     assert "q0[1]: duplicate term (0, 0)" in err
 
 
+@pytest.mark.parametrize("coeff", ["1e1000000", "1.5", "1_0"])
+def test_coefficient_outside_the_grammar_exits_2(tmp_path, coeff):
+    doc = {"field": {"kind": "rationals"}, "n": 2, "q0": [[0, 0, coeff]], "q1": [[1, 1, 1]]}
+    path = tmp_path / "coeff.json"
+    path.write_text(json.dumps(doc))
+    code, _, _, err = _run(["analyze", str(path)])
+    assert code == 2
+    assert "q0[0]: cannot parse coefficient" in err
+
+
 def test_rational_pencil_needs_q_for_counting(monkeypatch):
     monkeypatch.chdir(REPO)
     code, _, _, err = _run(["lines", "inputs/toric.json"])

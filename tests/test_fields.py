@@ -21,6 +21,37 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+def _trial_division(m):
+    if m < 2:
+        return False
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [m for m in range(-3, 10**5) if is_prime(m)] == [
+        m for m in range(-3, 10**5) if _trial_division(m)
+    ]
+
+
+def test_is_prime_on_hard_cases():
+    assert is_prime(2**61 - 1)
+    assert not is_prime(8191 * (2**61 - 1))
+    # Carmichael numbers fool the Fermat test but not Miller-Rabin
+    for carmichael in (561, 1105, 41041, 825265):
+        assert not is_prime(carmichael)
+    for p in (3, 41, 43, 65537, 2**31 - 1, 1000000007):
+        assert not is_prime(p * p)
+    # strong pseudoprime to the bases 2..37, caught by the base 41
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(PrecondError, match="not decided"):
+        is_prime(10**25)
+
+
 @given(st.sampled_from([3, 5, 11, 13]), st.integers(-50, 50), st.integers(-50, 50))
 def test_prime_field_ring_laws(p, a, b):
     f = PrimeField(p)
@@ -66,6 +97,27 @@ def test_rational_parse():
         QQ.parse(True)
     with pytest.raises(PrecondError):
         QQ.parse(0.5)
+
+
+@pytest.mark.parametrize("raw", ["1e1000000", "1.5", "1_0", "+3", "0x10", "1/-2", "", "-", "3/", "1" * 101])
+def test_coefficient_strings_outside_the_grammar_are_refused(raw):
+    for field in (QQ, PrimeField(5)):
+        with pytest.raises(PrecondError):
+            field.parse(raw)
+
+
+@given(st.text(alphabet="0123456789-/ .e_+", max_size=12))
+def test_coefficient_grammar_is_exactly_signed_digits_over_digits(raw):
+    text = raw.strip()
+    sign, body = ("-", text[1:]) if text.startswith("-") else ("", text)
+    parts = body.split("/")
+    if len(parts) <= 2 and all(part.isdigit() for part in parts):
+        den = int(parts[1]) if len(parts) == 2 else 1
+        if den:
+            assert QQ.parse(raw) == Fraction(int(sign + parts[0]), den)
+            return
+    with pytest.raises(PrecondError):
+        QQ.parse(raw)
 
 
 def test_prime_parse_fractions():

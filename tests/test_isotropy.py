@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from qpencil import isotropy
 from qpencil.errors import PrecondError
 from qpencil.fields import PrimeField, QQ
 from qpencil.isotropy import (
@@ -121,6 +123,90 @@ def test_amer_harness_on_seeded_pairs():
         assert rep.q == q and rep.nvars == m and rep.degree_bound == d
         if rep.solution is not None:
             assert len(rep.solution) == d + 1
+
+
+def _first_polynomial_solution(f, g, d, q):
+    """Plain-Python reference for the harness's search when d < q.
+
+    Candidates are the value tuples (x(0), ..., x(d)) with each x(a) an
+    affine zero of f + a·g, in lexicographic order with x(0) the most
+    significant digit; the first one whose interpolating x(t) is nonzero and
+    satisfies (f + t·g)(x(t)) = 0 is returned as coefficient rows a_0..a_d."""
+    m = f.size
+    fr = [[int(c) for c in row] for row in f.to_lists()]
+    gr = [[int(c) for c in row] for row in g.to_lists()]
+
+    def value(rows, x):
+        return sum(x[i] * rows[i][j] * x[j] for i in range(m) for j in range(m))
+
+    def polymul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] = (out[i + j] + u * v) % q
+        return out
+
+    # Lagrange basis on the nodes 0..d
+    basis = []
+    for a in range(d + 1):
+        poly, denom = [1], 1
+        for b in range(d + 1):
+            if b != a:
+                poly = polymul(poly, [-b % q, 1])
+                denom = denom * (a - b) % q
+        inv = pow(denom, q - 2, q)
+        basis.append([c * inv % q for c in poly])
+
+    zero_sets = [
+        [x for x in product(range(q), repeat=m) if (value(fr, x) + a * value(gr, x)) % q == 0]
+        for a in range(d + 1)
+    ]
+    for values in product(*zero_sets):
+        coeffs = [
+            [sum(values[a][i] * basis[a][k] for a in range(d + 1)) % q for i in range(m)]
+            for k in range(d + 1)
+        ]
+        if not any(any(row) for row in coeffs):
+            continue
+        total = [0] * (2 * d + 2)
+        for i in range(m):
+            for j in range(m):
+                xij = polymul([coeffs[k][i] for k in range(d + 1)], [coeffs[k][j] for k in range(d + 1)])
+                for e, c in enumerate(xij):
+                    total[e] += c * fr[i][j]
+                    total[e + 1] += c * gr[i][j]
+        if all(c % q == 0 for c in total):
+            return tuple(tuple(row) for row in coeffs)
+    return None
+
+
+def test_amer_harness_returns_the_first_solution_in_candidate_order():
+    rng = random.Random(4)
+    outcomes = set()
+    for m, d in product((1, 2, 3), (0, 1, 2)):
+        for _ in range(4):
+            f = random_symmetric(F3, m, rng)
+            g = random_symmetric(F3, m, rng)
+            expected = _first_polynomial_solution(f, g, d, 3)
+            assert amer_harness(f, g, d, F3).solution == expected
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_chunk_schedule_does_not_change_the_report(monkeypatch):
+    # criterion 11's pairs; they include m=4, d=3 pairs with no common zero,
+    # which run the search to the end through many chunks
+    rng = random.Random(20240917)
+    pairs = []
+    for _ in range(200):
+        m = rng.choice([2, 3, 4])
+        d = rng.randrange(4)
+        pairs.append((random_symmetric(F3, m, rng), random_symmetric(F3, m, rng), d))
+    default = [amer_harness(f, g, d, F3) for f, g, d in pairs]
+    assert any(r.nvars == 4 and r.degree_bound == 3 and r.common_zero is None for r in default)
+    monkeypatch.setattr(isotropy, "_FIRST_CHUNK", 1)
+    monkeypatch.setattr(isotropy, "_CHUNK", 8)
+    assert [amer_harness(f, g, d, F3) for f, g, d in pairs] == default
 
 
 def test_amer_harness_finds_the_planted_zero():
