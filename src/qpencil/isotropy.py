@@ -8,6 +8,7 @@ checked degree by degree on polynomial vectors x(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Sequence
@@ -22,7 +23,10 @@ from .matrices import SymMatrix, inertia
 
 AMER_SEARCH_LIMIT = 5 * 10**7
 _FIRST_CHUNK = 64
-_CHUNK = 1 << 17
+# A chunk's arrays hold a few entries per candidate and table, so the cap
+# bounds the harness's working memory (under 1 MB at 4096, whatever the
+# pair); a full search runs no slower than with larger chunks.
+_CHUNK = 1 << 12
 
 
 class _RealField:
@@ -86,7 +90,7 @@ def isotropic_witness(form: SymMatrix, field: PrimeField) -> tuple[int, ...] | N
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmerReport:
     """Witness data from one run of the polynomial-solution harness.
 
@@ -107,6 +111,7 @@ class AmerReport:
 
 
 def _affine_zero_vectors(gram: np.ndarray, q: int, m: int) -> np.ndarray:
+    """The zeros of the form in F_q^m, in lexicographic order (zero first)."""
     grid = _free_grid(q, m)
     vals = ((grid @ gram) * grid).sum(axis=1) % q
     return grid[vals == 0]
@@ -121,6 +126,47 @@ def _vandermonde_inverse(points: Sequence[int], field: PrimeField) -> np.ndarray
     return np.array([[int(c) for c in row] for row in inv], dtype=np.int64)
 
 
+def _coefficient_tables(
+    sets: Sequence[np.ndarray], gf: np.ndarray, gg: np.ndarray, mix: np.ndarray
+) -> list[tuple[int, int, np.ndarray]]:
+    """Lookup tables for the coefficients of (f + t·g)(x(t)) over candidates.
+
+    A candidate picks w_j = sets[j][i_j] and has x(t) = sum_k a_k t^k with
+    a = mix · w.  The t^s coefficient is then a sum over pairs j <= k of
+    multiples of w_j^T F w_k and w_j^T G w_k.  One table per pair j < k
+    holds these terms for all (i_j, i_k) at row i_j · len(sets[k]) + i_k,
+    one column per s, not reduced mod q; the j = k terms are folded into a
+    neighbouring pair's table, so the coefficients of a candidate are the sum
+    of one row from each table.  With q <= 5, m <= 5 and degree <= 3 every
+    entry is an integer below 10^6 and a row sum below 10^7, so the float
+    products are exact and int32 holds the sums.
+    """
+    nsets, ncoef = len(sets), mix.shape[0]
+    # conv[s, j, k]: the t^s coefficient of (basis poly j)·(basis poly k)
+    degree = np.add.outer(np.arange(ncoef), np.arange(ncoef)).ravel()
+    products = (mix[:, None, :, None] * mix[None, :, None, :]).reshape(ncoef * ncoef, -1)
+    conv = ((np.arange(2 * ncoef)[:, None] == degree) @ products).reshape(2 * ncoef, nsets, nsets)
+    # weights[j, k] takes (w_j^T F w_k, w_j^T G w_k) to the coefficients: t·g
+    # raises the degree by one, and a pair j < k also stands for (k, j)
+    weights = np.stack([conv, np.roll(conv, 1, axis=0)]).transpose(2, 3, 0, 1).astype(float)
+    weights *= 2 - np.eye(nsets)[:, :, None, None]
+    every = np.concatenate(sets)
+    images = np.stack([every @ gf, every @ gg]).astype(float)
+    starts = np.cumsum([0] + [len(vs) for vs in sets])
+    images = [images[:, starts[j] : starts[j + 1]] for j in range(nsets)]
+    tables = {}
+    for j in range(nsets):
+        for k in range(j + 1, nsets):
+            tables[j, k] = (images[j] @ sets[k].T).transpose(1, 2, 0) @ weights[j, k]
+    for j in range(nsets):
+        diag = (images[j] * sets[j]).sum(axis=2).T @ weights[j, j]
+        if j + 1 < nsets:
+            tables[j, j + 1] += diag[:, None, :]
+        else:
+            tables[j - 1, j] += diag[None, :, :]
+    return [(j, k, t.reshape(-1, 2 * ncoef).astype(np.int32)) for (j, k), t in tables.items()]
+
+
 def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeField) -> AmerReport:
     """Exhaustively confront common zeros of (f, g) with polynomial solutions
     of (f + t·g)(x(t)) = 0 of degree <= degree_bound.
@@ -128,8 +174,9 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
     Candidates x(t) are parametrized by their values at the field points
     (each value forced into the zero set of the corresponding specialization
     f + a·g) plus, when degree_bound >= q, a top correction c·(t^q - t) whose
-    vector must kill the leading coefficient, i.e. g(c) = 0.  Survivors of
-    the pruning are verified coefficient by coefficient; a found solution is
+    vector must kill the leading coefficient, i.e. g(c) = 0.  The
+    coefficients of (f + t·g)(x(t)) for a candidate are the sum of one row
+    from each lookup table of `_coefficient_tables`; a found solution is
     re-verified in exact arithmetic.  Both implications of the equivalence
     are asserted; a violation in either direction is an internal error.
 
@@ -160,24 +207,26 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
     if len(zero_pts):
         common = tuple(int(c) for c in zero_pts[0])
 
-    # (b) polynomial solutions by value parametrization
+    # (b) polynomial solutions by value parametrization: a candidate picks one
+    # vector w_j from each set, and x(t) = sum_k a_k t^k with a = mix · w
     npoints = min(degree_bound + 1, q)
-    points = list(range(npoints))
-    ncorr = max(0, degree_bound + 1 - q)
-    value_sets = []
-    for a in points:
-        spec = (gf + a * gg) % q
-        value_sets.append(_affine_zero_vectors(spec, q, m))
-    corr_set = _affine_zero_vectors(gg, q, m) if ncorr else np.zeros((1, m), dtype=np.int64)
-
-    total = int(np.prod([len(vs) for vs in value_sets], dtype=np.int64)) * len(corr_set)
+    ncoef = degree_bound + 1
+    sets = [_affine_zero_vectors((gf + a * gg) % q, q, m) for a in range(npoints)]
+    mix = np.zeros((ncoef, npoints + 1), dtype=np.int64)
+    mix[:npoints, :npoints] = _vandermonde_inverse(range(npoints), field)
+    if degree_bound >= q:  # x(t) += (t^q - t) * c with g(c) = 0
+        sets.append(_affine_zero_vectors(gg, q, m))
+        mix[q, npoints] += 1
+        mix[1, npoints] -= 1
+    if len(sets) == 1:  # a one-vector set {0}, so that the one set has a partner
+        sets.append(np.zeros((1, m), dtype=np.int64))
+    mix = mix[:, : len(sets)] % q
+    sizes = [len(vs) for vs in sets]
+    total = math.prod(sizes)
     if total > AMER_SEARCH_LIMIT:
         raise PrecondError(f"{total} candidates exceed the search budget")
 
-    vinv = _vandermonde_inverse(points, field)  # npoints x npoints
-    ncoef = degree_bound + 1
-    sizes = [len(vs) for vs in value_sets] + [len(corr_set)]
-
+    terms = _coefficient_tables(sets, gf, gg, mix)
     solution: tuple[tuple[int, ...], ...] | None = None
     start, chunk = 0, _FIRST_CHUNK
     while start < total and solution is None:
@@ -189,35 +238,12 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
             digits.append(rest % size)
             rest = rest // size
         digits.reverse()
-        values = np.stack(
-            [value_sets[i][digits[i]] for i in range(npoints)], axis=1
-        )  # (N, npoints, m)
-        coeffs = np.zeros((len(idx), ncoef, m), dtype=np.int64)
-        coeffs[:, :npoints, :] = (vinv @ values) % q
-        if ncorr:
-            corr = corr_set[digits[-1]]  # (N, m)
-            # x(t) += (t^q - t) * c
-            coeffs[:, q, :] = (coeffs[:, q, :] + corr) % q
-            coeffs[:, 1, :] = (coeffs[:, 1, :] - corr) % q
-        coeffs_t = coeffs.transpose(0, 2, 1)
-        bf = ((coeffs @ gf) @ coeffs_t) % q
-        bg = ((coeffs @ gg) @ coeffs_t) % q
-        good = np.ones(len(idx), dtype=bool)
-        for s in range(2 * degree_bound + 2):
-            acc = np.zeros(len(idx), dtype=np.int64)
-            for k in range(ncoef):
-                l = s - k
-                if 0 <= l < ncoef:
-                    acc += bf[:, k, l]
-                l = s - 1 - k
-                if 0 <= l < ncoef:
-                    acc += bg[:, k, l]
-            good &= acc % q == 0
-        good &= coeffs.any(axis=(1, 2))
-        hits = np.flatnonzero(good)
+        h = sum(np.take(table, digits[j] * sizes[k] + digits[k], axis=0) for j, k, table in terms) % q
+        # index 0 picks the zero vector of every set, i.e. x(t) = 0
+        hits = np.flatnonzero(~h.any(axis=1) & (idx != 0))
         if len(hits):
-            sol = coeffs[hits[0]]
-            solution = tuple(tuple(int(c) for c in row) for row in sol)
+            w = np.array([vs[d[hits[0]]] for vs, d in zip(sets, digits)])
+            solution = tuple(tuple(int(c) for c in row) for row in (mix @ w) % q)
         start, chunk = stop, min(2 * chunk, _CHUNK)
 
     if solution is not None:

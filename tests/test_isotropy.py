@@ -1,6 +1,7 @@
 """Isotropy verdicts over the reals and prime fields, and the t-line audit."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -126,13 +127,17 @@ def test_amer_harness_on_seeded_pairs():
 
 
 def _first_polynomial_solution(f, g, d, q):
-    """Plain-Python reference for the harness's search when d < q.
+    """Plain-Python reference for the harness's search.
 
-    Candidates are the value tuples (x(0), ..., x(d)) with each x(a) an
-    affine zero of f + a·g, in lexicographic order with x(0) the most
-    significant digit; the first one whose interpolating x(t) is nonzero and
-    satisfies (f + t·g)(x(t)) = 0 is returned as coefficient rows a_0..a_d."""
+    Candidates are the tuples (x(0), ..., x(n-1), c) with n = min(d + 1, q),
+    each x(a) an affine zero of f + a·g, and c an affine zero of g when
+    d >= q (else c = 0), in lexicographic order with x(0) the most
+    significant digit.  The candidate's x(t) interpolates the values on the
+    nodes 0..n-1 and adds c·(t^q - t).  The first one whose x(t) is nonzero
+    and satisfies (f + t·g)(x(t)) = 0 is returned as coefficient rows
+    a_0..a_d."""
     m = f.size
+    n = min(d + 1, q)
     fr = [[int(c) for c in row] for row in f.to_lists()]
     gr = [[int(c) for c in row] for row in g.to_lists()]
 
@@ -146,11 +151,11 @@ def _first_polynomial_solution(f, g, d, q):
                 out[i + j] = (out[i + j] + u * v) % q
         return out
 
-    # Lagrange basis on the nodes 0..d
+    # Lagrange basis on the nodes 0..n-1
     basis = []
-    for a in range(d + 1):
+    for a in range(n):
         poly, denom = [1], 1
-        for b in range(d + 1):
+        for b in range(n):
             if b != a:
                 poly = polymul(poly, [-b % q, 1])
                 denom = denom * (a - b) % q
@@ -159,13 +164,17 @@ def _first_polynomial_solution(f, g, d, q):
 
     zero_sets = [
         [x for x in product(range(q), repeat=m) if (value(fr, x) + a * value(gr, x)) % q == 0]
-        for a in range(d + 1)
+        for a in range(n)
     ]
-    for values in product(*zero_sets):
+    corrections = [x for x in product(range(q), repeat=m) if value(gr, x) % q == 0] if d >= q else [(0,) * m]
+    for *values, corr in product(*zero_sets, corrections):
         coeffs = [
-            [sum(values[a][i] * basis[a][k] for a in range(d + 1)) % q for i in range(m)]
+            [sum(values[a][i] * basis[a][k] for a in range(n)) % q if k < n else 0 for i in range(m)]
             for k in range(d + 1)
         ]
+        if d >= q:
+            coeffs[q] = [(u + v) % q for u, v in zip(coeffs[q], corr)]
+            coeffs[1] = [(u - v) % q for u, v in zip(coeffs[1], corr)]
         if not any(any(row) for row in coeffs):
             continue
         total = [0] * (2 * d + 2)
@@ -183,30 +192,55 @@ def _first_polynomial_solution(f, g, d, q):
 def test_amer_harness_returns_the_first_solution_in_candidate_order():
     rng = random.Random(4)
     outcomes = set()
-    for m, d in product((1, 2, 3), (0, 1, 2)):
-        for _ in range(4):
-            f = random_symmetric(F3, m, rng)
-            g = random_symmetric(F3, m, rng)
-            expected = _first_polynomial_solution(f, g, d, 3)
-            assert amer_harness(f, g, d, F3).solution == expected
-            outcomes.add(expected is None)
+    for q, ms, ds in ((3, (1, 2, 3), (0, 1, 2, 3)), (5, (1, 2), (0, 1, 2, 3))):
+        field = PrimeField(q)
+        for m, d in product(ms, ds):
+            for _ in range(4):
+                f = random_symmetric(field, m, rng)
+                g = random_symmetric(field, m, rng)
+                expected = _first_polynomial_solution(f, g, d, q)
+                assert amer_harness(f, g, d, field).solution == expected
+                outcomes.add(expected is None)
     assert outcomes == {True, False}
 
 
-def test_chunk_schedule_does_not_change_the_report(monkeypatch):
-    # criterion 11's pairs; they include m=4, d=3 pairs with no common zero,
-    # which run the search to the end through many chunks
+def _criterion_11_pairs():
     rng = random.Random(20240917)
     pairs = []
     for _ in range(200):
         m = rng.choice([2, 3, 4])
         d = rng.randrange(4)
         pairs.append((random_symmetric(F3, m, rng), random_symmetric(F3, m, rng), d))
+    return pairs
+
+
+def test_chunk_schedule_does_not_change_the_report(monkeypatch):
+    # criterion 11's pairs; they include m=4, d=3 pairs with no common zero,
+    # which run the search to the end through many chunks
+    pairs = _criterion_11_pairs()
     default = [amer_harness(f, g, d, F3) for f, g, d in pairs]
     assert any(r.nvars == 4 and r.degree_bound == 3 and r.common_zero is None for r in default)
     monkeypatch.setattr(isotropy, "_FIRST_CHUNK", 1)
     monkeypatch.setattr(isotropy, "_CHUNK", 8)
     assert [amer_harness(f, g, d, F3) for f, g, d in pairs] == default
+
+
+def test_full_search_memory_is_bounded_by_the_chunk_cap():
+    # a pair with no common zero runs all of its candidates; the chunk cap
+    # keeps its numpy arrays under 2 MiB however many candidates there are
+    f, g = next(
+        (f, g)
+        for f, g, d in _criterion_11_pairs()
+        if f.size == 4 and d == 3 and amer_harness(f, g, d, F3).common_zero is None
+    )
+    tracemalloc.start()
+    try:
+        rep = amer_harness(f, g, 3, F3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.solution is None and rep.candidates > 10 * isotropy._CHUNK
+    assert peak < 2 * 2**20
 
 
 def test_amer_harness_finds_the_planted_zero():
