@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import univariate as uv
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ
-from .matrices import SymMatrix, signature_pair
+from .matrices import signature_pair
 from .pencil import Pencil, smoothness
 
 
@@ -99,15 +99,8 @@ def index_circle(p: Pencil) -> IndexCircle:
     if (k - (n + 1)) % 2:
         raise InternalCheckError("root count has the wrong parity")
 
-    def member(rho: Fraction) -> SymMatrix:
-        return p.member(Fraction(1), rho)
-
-    def neg_member(rho: Fraction) -> SymMatrix:
-        g = member(rho)
-        return g.map(lambda e: -Fraction(e))
-
-    sigs_plus = [signature_pair(member(t)) for t in samples]
-    sigs_minus = [signature_pair(neg_member(t)) for t in samples]
+    sigs_plus = [signature_pair(p.member(Fraction(1), t)) for t in samples]
+    sigs_minus = [signature_pair(p.member(Fraction(-1), -t)) for t in samples]
     for sp, sm in zip(sigs_plus, sigs_minus):
         if sm != _swap(sp):
             raise InternalCheckError("antipodal signatures disagree at a sample")

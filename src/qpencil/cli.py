@@ -17,10 +17,10 @@ from typing import Any, Callable, Sequence, TextIO
 from . import io
 from .bundlecalc import hpt_check, poly_from_grid
 from .circle import enumerate_classes, pencil_decomposition, real_line_exists, real_verdict
-from .curvecounts import curve_data
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
 from .fqgeom import (
+    _genus2_cover,
     count_points,
     enumerate_lines,
     points_on_pencil,
@@ -29,20 +29,8 @@ from .fqgeom import (
 )
 from .isotropy import amer_harness
 from .latticegroups import torus_rationality
-from .pencil import (
-    Pencil,
-    _signed_discriminant,
-    reduce_pencil,
-    singular_at,
-    smoothness,
-)
+from .pencil import Pencil, reduce_pencil, singular_at, smoothness
 from .projections import double_projection, project_from_line, round_trip
-
-
-def _field_doc(pencil: Pencil) -> dict:
-    if isinstance(pencil.field, PrimeField):
-        return {"kind": "prime", "p": pencil.field.p}
-    return {"kind": "rationals"}
 
 
 def _over_q(pencil: Pencil, q: int | None) -> Pencil:
@@ -81,7 +69,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
     pencil, digest = io.load_pencil(args.file)
     rep = smoothness(pencil)
     payload: dict[str, Any] = {
-        "field": _field_doc(pencil),
+        "field": io._field_doc(pencil.field),
         "n": pencil.n,
         "smooth": rep.smooth,
         "smoothness_certificate": rep.certificate,
@@ -150,20 +138,12 @@ def _cmd_lines(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _cmd_zeta(args: argparse.Namespace) -> tuple[dict, str | None]:
     pencil, digest = io.load_pencil(args.file)
-    pencil = _over_q(pencil, args.q)
-    if pencil.n != 5:
-        raise PrecondError("the zeta report needs a threefold pencil (n = 5)")
-    rep = smoothness(pencil)
-    if not rep.smooth:
-        raise PrecondError("the zeta report needs a smooth base locus")
-    cover = _signed_discriminant(rep.discriminant, pencil.n + 1)
-    f = [int(c) for c in cover.chart_main()]
-    data = curve_data(f, pencil.field.p)
+    data = _genus2_cover(_over_q(pencil, args.q), "the zeta report")
     return {
         "q": data.q,
         "curve": "y^2 = c(t), the double cover branched over the degenerate members",
         "model_note": "c is the signed determinant -det(G0 + t G1); the sign is the rank-6 discriminant normalization",
-        "cover_coefficients_ascending": f,
+        "cover_coefficients_ascending": list(data.f),
         "n1": data.n1,
         "n2": data.n2,
         "lpoly_ascending": list(data.lpoly),
@@ -194,7 +174,7 @@ def _cmd_project_line(args: argparse.Namespace) -> tuple[dict, str | None]:
     proj = project_from_line(pencil, rows)
     fld = pencil.field
     payload: dict[str, Any] = {
-        "field": _field_doc(pencil),
+        "field": io._field_doc(pencil.field),
         "n": pencil.n,
         "line": [[fld.fmt(c) for c in r] for r in rows],
         "curve_equations": [str(eq) for eq in proj.curve_equations],
@@ -221,7 +201,7 @@ def _cmd_double_project(args: argparse.Namespace) -> tuple[dict, str | None]:
     dp = double_projection(pencil, point)
     fld = pencil.field
     return {
-        "field": _field_doc(pencil),
+        "field": io._field_doc(pencil.field),
         "point": [fld.fmt(c) for c in point],
         "degeneracy_coefficients_ascending": [fld.fmt(c) for c in dp.degeneracy.chart_main()],
         "twist_factor": fld.fmt(dp.twist_factor),
@@ -233,7 +213,6 @@ def _cmd_double_project(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_toric(args: argparse.Namespace) -> tuple[dict, str | None]:
-    from .fields import PrimeField as PF
     from .toric import (
         component_count_identity,
         dp6_point_count,
@@ -244,7 +223,7 @@ def _cmd_toric(args: argparse.Namespace) -> tuple[dict, str | None]:
 
     q = args.q
     census = toric_line_census(q)
-    sing = toric_singular_points(PF(q))
+    sing = toric_singular_points(PrimeField(q))
     comp = line_scheme_components()
     by_components, by_strata = component_count_identity(q)
     return {

@@ -79,7 +79,6 @@ def legendre(a: int, p: int) -> int:
 class Rationals:
     """The field of rational numbers; elements are ``Fraction`` values."""
 
-    kind = "rationals"
     characteristic = 0
 
     @property
@@ -143,8 +142,6 @@ class PrimeField:
     """F_p for an odd prime p; elements are ints in ``range(p)``."""
 
     p: int
-
-    kind = "prime"
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
@@ -242,8 +239,6 @@ class QuadraticExtension:
 
     base: PrimeField
     nu: int
-
-    kind = "prime_square"
 
     @classmethod
     def of(cls, base: PrimeField) -> "QuadraticExtension":

@@ -14,11 +14,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .curvecounts import CurveData, curve_data
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
-from .linalg import proportional, rref
+from .linalg import rref
 from .matrices import SymMatrix
-from .pencil import Pencil, _signed_discriminant, smoothness
+from .pencil import Pencil, _independent, _signed_discriminant, smoothness
 
 POINT_SCAN_LIMIT = 10**9
 _CHUNK = 1 << 19
@@ -69,13 +70,18 @@ def _gram_array(g: SymMatrix, p: int) -> np.ndarray:
     return np.array([[int(x) % p for x in row] for row in g.entries], dtype=np.int64)
 
 
+def _quadric_values(pts: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """x^T G x mod p for each row x of `pts`."""
+    return ((pts @ g) * pts).sum(axis=1) % p
+
+
 def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray:
     """The points of `projective_points(p, nvars)` on which every quadric
     with a Gram matrix in `grams` vanishes."""
     pts = projective_points(p, nvars)
     mask = np.ones(pts.shape[0], dtype=bool)
     for g in grams:
-        mask &= np.einsum("nk,kl,nl->n", pts, g, pts) % p == 0
+        mask &= _quadric_values(pts, g, p) == 0
     return pts[mask]
 
 
@@ -194,10 +200,7 @@ def enumerate_lines(pencil: Pencil) -> list[ProjLine]:
     (one form a multiple of the other, or zero).
     """
     p = _require_prime(pencil)
-    fld = pencil.field
-    flat0, flat1 = ([x for row in g.entries for x in row] for g in (pencil.g0, pencil.g1))
-    zero = all(map(fld.is_zero, flat0)) or all(map(fld.is_zero, flat1))
-    if zero or proportional(fld, flat0, flat1):
+    if not _independent(pencil.field, pencil.g0, pencil.g1):
         raise PrecondError("not a complete intersection: the two forms are proportional")
     return enumerate_lines_of_quadrics(p, pencil.n + 1, [pencil.g0, pencil.g1])
 
@@ -232,26 +235,30 @@ def torsor_check(pencil: Pencil) -> TorsorReport:
     cardinalities must agree.  Lines are enumerated one by one; the Jacobian
     order comes from the zeta function of C, so the routes are independent.
     """
-    from .curvecounts import curve_data
-
-    q = _require_prime(pencil)
-    if pencil.n != 5:
-        raise PrecondError("the torsor comparison needs a threefold pencil (n = 5)")
-    rep = smoothness(pencil)
-    if not rep.smooth:
-        raise PrecondError("the torsor comparison needs a smooth base locus")
+    data = _genus2_cover(pencil, "the torsor comparison")
     lines = enumerate_lines(pencil)
-    cover = _signed_discriminant(rep.discriminant, pencil.n + 1)
-    f = [int(c) for c in cover.chart_main()]
-    data = curve_data(f, q)
     if len(lines) != data.jacobian_order:
         raise InternalCheckError(
             f"line count {len(lines)} differs from Jacobian order {data.jacobian_order}"
         )
     return TorsorReport(
-        q=q,
+        q=data.q,
         line_count=len(lines),
         jacobian_order=data.jacobian_order,
         curve_counts=(data.n1, data.n2),
         lpoly=data.lpoly,
     )
+
+
+def _genus2_cover(pencil: Pencil, what: str) -> CurveData:
+    """Counting data of the genus-2 cover y² = c(t) of a smooth threefold
+    pencil over F_q, where c = (signed discriminant)(1, t); `what` names the
+    caller in the precondition errors."""
+    q = _require_prime(pencil)
+    if pencil.n != 5:
+        raise PrecondError(f"{what} needs a threefold pencil (n = 5)")
+    rep = smoothness(pencil)
+    if not rep.smooth:
+        raise PrecondError(f"{what} needs a smooth base locus")
+    cover = _signed_discriminant(rep.discriminant, pencil.n + 1)
+    return curve_data([int(c) for c in cover.chart_main()], q)

@@ -27,7 +27,7 @@ from typing import Any
 
 from .errors import PrecondError
 from .fields import QQ, Field, PrimeField
-from .pencil import Pencil
+from .pencil import Pencil, _gram_from_terms
 
 
 def parse_field_spec(spec: Any, where: str = "field") -> Field:
@@ -48,32 +48,26 @@ def parse_field_spec(spec: Any, where: str = "field") -> Field:
     raise PrecondError(f"{where}.kind: expected 'rationals' or 'prime', got {kind!r}")
 
 
-def _parse_terms(field: Field, n: int, raw: Any, where: str) -> list[tuple[int, int, Any]]:
+def _field_doc(field: Field) -> dict:
+    """The field spec that `parse_field_spec` reads back as `field`."""
+    if isinstance(field, PrimeField):
+        return {"kind": "prime", "p": field.p}
+    return {"kind": "rationals"}
+
+
+def _term_list(raw: Any, where: str) -> list[list[Any]]:
+    """The JSON shape of a term list; ranges, duplicates and coefficients are
+    checked where the terms become a Gram matrix."""
     if not isinstance(raw, list):
         raise PrecondError(f"{where}: expected a list of [i, j, coefficient] terms")
-    out = []
-    seen: set[tuple[int, int]] = set()
     for k, term in enumerate(raw):
         spot = f"{where}[{k}]"
         if not isinstance(term, list) or len(term) != 3:
             raise PrecondError(f"{spot}: expected [i, j, coefficient]")
-        i, j, c = term
-        for name, idx in (("i", i), ("j", j)):
+        for name, idx in (("i", term[0]), ("j", term[1])):
             if not isinstance(idx, int) or isinstance(idx, bool):
                 raise PrecondError(f"{spot}: index {name} must be an integer, got {idx!r}")
-        if not 0 <= i <= j <= n:
-            raise PrecondError(f"{spot}: need 0 <= i <= j <= {n}, got ({i}, {j})")
-        if (i, j) in seen:
-            raise PrecondError(f"{spot}: duplicate term ({i}, {j})")
-        seen.add((i, j))
-        if isinstance(c, float):
-            raise PrecondError(f"{spot}: coefficients must be exact (integer or 'num/den' string)")
-        try:
-            val = field.parse(c)
-        except PrecondError as exc:
-            raise PrecondError(f"{spot}: {exc}") from exc
-        out.append((i, j, val))
-    return out
+    return raw
 
 
 def parse_pencil(doc: Any) -> Pencil:
@@ -92,9 +86,8 @@ def parse_pencil(doc: Any) -> Pencil:
         raise PrecondError(f"n: expected an integer, got {n!r}")
     if n < 2:
         raise PrecondError(f"n: need n >= 2, got {n}")
-    terms0 = _parse_terms(field, n, doc["q0"], "q0")
-    terms1 = _parse_terms(field, n, doc["q1"], "q1")
-    return Pencil.from_quadric_terms(field, n, terms0, terms1)
+    g0, g1 = (_gram_from_terms(field, n, _term_list(doc[k], k), k) for k in ("q0", "q1"))
+    return Pencil(field, n, g0, g1)
 
 
 def load_pencil(path: str) -> tuple[Pencil, str]:

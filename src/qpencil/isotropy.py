@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
-from .fqgeom import _common_zeros, _free_grid, _gram_array
+from .fqgeom import _common_zeros, _free_grid, _gram_array, _quadric_values
 from .linalg import rank
 from .matrices import SymMatrix, inertia
 
@@ -113,8 +113,7 @@ class AmerReport:
 def _affine_zero_vectors(gram: np.ndarray, q: int, m: int) -> np.ndarray:
     """The zeros of the form in F_q^m, in lexicographic order (zero first)."""
     grid = _free_grid(q, m)
-    vals = ((grid @ gram) * grid).sum(axis=1) % q
-    return grid[vals == 0]
+    return grid[_quadric_values(grid, gram, q) == 0]
 
 
 def _vandermonde_inverse(points: Sequence[int], field: PrimeField) -> np.ndarray:

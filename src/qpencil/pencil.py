@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 from . import univariate as uv
 from .errors import PrecondError
 from .fields import QQ, Field, PrimeField
-from .linalg import mat_vec, proportional
+from .linalg import mat_vec, proportional, rank
 from .matrices import SymMatrix, congruent, det_poly
 from .poly import Poly
 
@@ -119,8 +119,8 @@ class Pencil:
         return cls(
             field,
             n,
-            _gram_from_terms(field, n, terms0),
-            _gram_from_terms(field, n, terms1),
+            _gram_from_terms(field, n, terms0, "terms0"),
+            _gram_from_terms(field, n, terms1, "terms1"),
         )
 
     # -- the two forms as polynomials ------------------------------------
@@ -129,32 +129,11 @@ class Pencil:
         return tuple(f"x{i}" for i in range(self.n + 1))
 
     def form(self, which: int) -> Poly:
-        g = (self.g0, self.g1)[which]
-        vars_ = self.variables()
-        fld = self.field
-        acc: dict[tuple, Any] = {}
-        m = self.n + 1
-        for i in range(m):
-            for j in range(i, m):
-                c = g[i, j] if i == j else fld.mul(fld.from_int(2), g[i, j])
-                if fld.is_zero(c):
-                    continue
-                exp = tuple(
-                    (2 if k == i else 0) if i == j else (1 if k in (i, j) else 0)
-                    for k in range(m)
-                )
-                acc[exp] = c
-        return Poly(fld, vars_, acc)
+        return _quadric_poly(self.field, (self.g0, self.g1)[which].entries, self.variables())
 
     def eval_form(self, which: int, x: Sequence[Any]) -> Any:
         """Q(x) = x^T G x."""
-        g = (self.g0, self.g1)[which]
-        fld = self.field
-        total = fld.zero
-        for i, row in enumerate(g.entries):
-            for j, e in enumerate(row):
-                total = fld.add(total, fld.mul(fld.mul(x[i], e), x[j]))
-        return total
+        return self.eval_bilinear(which, x, x)
 
     def eval_bilinear(self, which: int, x: Sequence[Any], y: Sequence[Any]) -> Any:
         """The polarization B(x, y) = x^T G y (so Q(x+y) = Q(x)+2B(x,y)+Q(y))."""
@@ -207,23 +186,57 @@ def _discriminant_or_none(p: Pencil) -> BinaryForm | None:
     return BinaryForm(fld, tuple(d + [fld.zero] * (m + 1 - len(d))))
 
 
-def _gram_from_terms(field: Field, n: int, terms: Iterable[tuple[int, int, Any]]) -> SymMatrix:
+def _quadric_poly(field: Field, gram: Sequence[Sequence[Any]], vars_: tuple[str, ...]) -> Poly:
+    """x^T G x as a polynomial in `vars_`: the Gram entry G[i][j] with i < j
+    is half the coefficient of x_i x_j, so that coefficient is 2 G[i][j]."""
+    m = len(vars_)
+    two = field.from_int(2)
+    terms: dict[tuple[int, ...], Any] = {}
+    for i in range(m):
+        for j in range(i, m):
+            c = gram[i][j] if i == j else field.mul(two, gram[i][j])
+            if not field.is_zero(c):
+                exp = [0] * m
+                exp[i] += 1
+                exp[j] += 1
+                terms[tuple(exp)] = c
+    return Poly(field, vars_, terms)
+
+
+def _gram_from_terms(field: Field, n: int, terms: Iterable[tuple[int, int, Any]], where: str) -> SymMatrix:
+    """The Gram matrix of sum c x_i x_j over the terms (i, j, c); diagnostics
+    name the offending term as `where[k]`."""
     m = n + 1
     g = [[field.zero] * m for _ in range(m)]
     seen: set[tuple[int, int]] = set()
     half = field.inv(field.from_int(2))
-    for i, j, raw in terms:
-        if not (0 <= i <= j <= m - 1):
-            raise PrecondError(f"monomial index ({i},{j}) out of range for n={n}")
+    for k, (i, j, raw) in enumerate(terms):
+        spot = f"{where}[{k}]"
+        if not 0 <= i <= j <= n:
+            raise PrecondError(
+                f"{spot}: monomial index ({i}, {j}) out of range, need 0 <= i <= j <= {n}"
+            )
         if (i, j) in seen:
-            raise PrecondError(f"duplicate monomial ({i},{j})")
+            raise PrecondError(f"{spot}: duplicate term ({i}, {j})")
         seen.add((i, j))
-        c = field.parse(raw) if isinstance(raw, (int, str)) else raw
+        if isinstance(raw, float):
+            raise PrecondError(f"{spot}: coefficients must be exact (integer or 'num/den' string)")
+        try:
+            c = field.parse(raw)
+        except PrecondError as exc:
+            raise PrecondError(f"{spot}: {exc}") from exc
         if i == j:
             g[i][i] = c
         else:
             g[i][j] = g[j][i] = field.mul(c, half)
     return SymMatrix.from_rows(g)
+
+
+def _independent(field: Field, g0: SymMatrix, g1: SymMatrix) -> bool:
+    """Whether the two forms are linearly independent, i.e. span a pencil
+    (neither is zero and neither is a multiple of the other)."""
+    flat = [[x for row in g.entries for x in row] for g in (g0, g1)]
+    return rank(field, flat) == 2
 
 
 @dataclass(frozen=True)
@@ -276,22 +289,14 @@ def singular_at(p: Pencil, x: Sequence[Any]) -> bool:
     """Whether the point x of the base locus is a singular point of it.
 
     Singularity means the two gradients G0 x and G1 x are linearly dependent
-    (all 2x2 minors of the Jacobian vanish).  Requires x on both quadrics.
+    (the Jacobian has rank < 2).  Requires x on both quadrics.
     """
     fld = p.field
     if all(fld.is_zero(c) for c in x):
         raise PrecondError("not a projective point")
     if not (fld.is_zero(p.eval_form(0, x)) and fld.is_zero(p.eval_form(1, x))):
         raise PrecondError("point is not on the base locus")
-    m = p.n + 1
-    u = mat_vec(fld, p.g0.entries, x)
-    v = mat_vec(fld, p.g1.entries, x)
-    for i in range(m):
-        for j in range(i + 1, m):
-            minor = fld.sub(fld.mul(u[i], v[j]), fld.mul(u[j], v[i]))
-            if not fld.is_zero(minor):
-                return False
-    return True
+    return rank(fld, [mat_vec(fld, g.entries, x) for g in (p.g0, p.g1)]) < 2
 
 
 def discriminant_cover(p: Pencil) -> BinaryForm:

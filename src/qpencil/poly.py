@@ -164,9 +164,6 @@ class Poly:
     def coeff(self, exp: Sequence[int]) -> Any:
         return self.terms.get(tuple(exp), self.field.zero)
 
-    def constant_term(self) -> Any:
-        return self.coeff((0,) * len(self.vars))
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

@@ -15,7 +15,7 @@ from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
 from .linalg import complete_basis, det, mat_mul, mat_vec, nullspace, proportional, rank, solve, transpose
 from .matrices import SymMatrix, congruent, det_poly
-from .pencil import BinaryForm, Pencil, pencil_congruent
+from .pencil import BinaryForm, Pencil, _independent, _quadric_poly, pencil_congruent
 from .poly import Poly
 
 
@@ -113,26 +113,12 @@ def project_from_line(pencil: Pencil, line_rows: Sequence[Sequence[Any]]) -> Lin
                 terms[exp] = c
         return Poly(fld, target_vars, terms)
 
-    def tail_form(g: SymMatrix) -> Poly:
-        terms = {}
-        for i in range(2, n + 1):
-            for j in range(i, n + 1):
-                c = g[i, j] if i == j else fld.mul(fld.from_int(2), g[i, j])
-                if fld.is_zero(c):
-                    continue
-                exp = tuple(
-                    (2 if k + 2 == i else 0) if i == j else (1 if k + 2 in (i, j) else 0)
-                    for k in range(n - 1)
-                )
-                terms[exp] = c
-        return Poly(fld, target_vars, terms)
-
     l00 = linear_form(norm.g0, 0)
     l01 = linear_form(norm.g0, 1)
     l10 = linear_form(norm.g1, 0)
     l11 = linear_form(norm.g1, 1)
-    t0 = tail_form(norm.g0)
-    t1 = tail_form(norm.g1)
+    t0 = _quadric_poly(fld, [row[2:] for row in norm.g0.entries[2:]], target_vars)
+    t1 = _quadric_poly(fld, [row[2:] for row in norm.g1.entries[2:]], target_vars)
 
     d = l00 * l11 - l01 * l10
     m1 = l01 * t1 - l11 * t0
@@ -206,8 +192,7 @@ def residual_line(pencil: Pencil, plane_rows: Sequence[Sequence[Any]]):
     basis_cols = transpose(rows)
     r0 = congruent(fld, pencil.g0, basis_cols)
     r1 = congruent(fld, pencil.g1, basis_cols)
-    flat = [[x for row in r.entries for x in row] for r in (r0, r1)]
-    if rank(fld, flat) != 2:
+    if not _independent(fld, r0, r1):
         raise PrecondError(
             "the 3-plane section is not a curve: the restricted pencil is degenerate"
         )

@@ -14,7 +14,7 @@ from typing import Any
 from .errors import PrecondError
 from .fields import Field, PrimeField
 from .matrices import SymMatrix
-from .pencil import Pencil, is_smooth
+from .pencil import Pencil, is_smooth, singular_at
 
 
 def random_element(field: Field, rng: random.Random, span: int = 9) -> Any:
@@ -74,7 +74,6 @@ def random_pencil_through_line(
 def random_point_on_pencil(pencil: Pencil, rng: random.Random) -> tuple[int, ...]:
     """A uniformly random smooth F_p point of the base locus."""
     from .fqgeom import points_on_pencil
-    from .linalg import rank, mat_vec
 
     if not isinstance(pencil.field, PrimeField):
         raise PrecondError("point sampling needs a prime field")
@@ -83,11 +82,8 @@ def random_point_on_pencil(pencil: Pencil, rng: random.Random) -> tuple[int, ...
         raise PrecondError("the base locus has no F_p points")
     order = list(range(pts.shape[0]))
     rng.shuffle(order)
-    fld = pencil.field
     for i in order:
         x = [int(c) for c in pts[i]]
-        a = mat_vec(fld, pencil.g0.to_lists(), x)
-        b = mat_vec(fld, pencil.g1.to_lists(), x)
-        if rank(fld, [a, b]) == 2:
+        if not singular_at(pencil, x):
             return tuple(x)
     raise PrecondError("every F_p point of the base locus is singular")

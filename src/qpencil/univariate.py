@@ -154,11 +154,6 @@ def resultant(field: Field, a: Sequence[Any], b: Sequence[Any]) -> Any:
 # ----------------------------------------------------------------------
 
 
-def _require_rationals(field: Field) -> None:
-    if field != QQ:
-        raise PrecondError("real-root counting requires rational coefficients")
-
-
 def sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 

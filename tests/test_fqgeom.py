@@ -21,7 +21,7 @@ from qpencil.fqgeom import (
     torsor_check,
 )
 from qpencil.matrices import SymMatrix
-from qpencil.pencil import Pencil, diagonal_pencil, toric_pencil
+from qpencil.pencil import Pencil, diagonal_pencil, singular_at, toric_pencil
 from qpencil.samples import random_pencil
 
 F3 = PrimeField(3)
@@ -108,6 +108,23 @@ def test_toric_singular_points_over_f3():
 
 def test_smooth_pencil_has_no_singular_points():
     assert singular_points(diagonal_pencil(F5, 3)) == []
+
+
+def _cone_over_curve(fld, rng):
+    """The cone in P^4 over a smooth curve in P^3, with vertex (1:0:0:0:0)."""
+    curve = random_pencil(fld, 3, rng)
+    cone = [SymMatrix.from_rows([[0] * 5] + [[0, *row] for row in g.entries]) for g in (curve.g0, curve.g1)]
+    return Pencil(fld, 4, *cone)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_singular_at_agrees_with_the_singular_point_scan(q):
+    fld = PrimeField(q)
+    for p in (toric_pencil(fld), _cone_over_curve(fld, random.Random(q))):
+        zeros = [[int(c) for c in row] for row in points_on_pencil(p)]
+        by_point = [tuple(x) for x in zeros if singular_at(p, x)]
+        assert by_point == singular_points(p)
+        assert by_point
 
 
 # -- lines ----------------------------------------------------------------
@@ -213,6 +230,10 @@ def test_line_enumeration_rejects_proportional_grams():
     p = Pencil.from_gram(F5, g, doubled)
     with pytest.raises(PrecondError):
         enumerate_lines(p)
+    zero = [[0] * 4 for _ in range(4)]
+    for g0, g1 in ((g, zero), (zero, g)):
+        with pytest.raises(PrecondError, match="not a complete intersection"):
+            enumerate_lines(Pencil.from_gram(F5, g0, g1))
 
 
 # -- the torsor identity ---------------------------------------------------

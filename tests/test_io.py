@@ -7,7 +7,7 @@ import pytest
 
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
-from qpencil.io import Report, jsonable, load_json, load_pencil, parse_field_spec, parse_pencil
+from qpencil.io import Report, _field_doc, jsonable, load_json, load_pencil, parse_field_spec, parse_pencil
 
 GOOD_DOC = {
     "field": {"kind": "rationals"},
@@ -134,3 +134,8 @@ def test_report_json_is_deterministic():
     assert doc["payload"] == {"z": 1, "a": "1/3"}
     assert list(doc) == sorted(doc)
     assert out.endswith("\n")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)])
+def test_field_doc_round_trips(field):
+    assert parse_field_spec(_field_doc(field)) == field

@@ -1,5 +1,6 @@
 """Pencil construction, discriminants, smoothness, and reductions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from qpencil.pencil import (
     smoothness,
     toric_pencil,
 )
+from qpencil.projections import project_from_line
+from qpencil.samples import random_pencil_through_line
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -75,6 +78,13 @@ def test_form_matches_eval_form():
     x = [Fraction(k) for k in (1, 2, 3, 4, 5, 6)]
     for which in (0, 1):
         assert p.form(which).evaluate(x) == p.eval_form(which, x)
+    # the projection tails are the forms of the Gram blocks on x2..x5, i.e.
+    # the normalized forms evaluated with x0 = x1 = 0
+    through_line = random_pencil_through_line(QQ, 5, random.Random(3))
+    proj = project_from_line(through_line, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])
+    y = [Fraction(k) for k in (2, -3, 5, 7)]
+    for which in (0, 1):
+        assert proj.tails[which].evaluate(y) == proj.pencil.eval_form(which, [0, 0, *y])
 
 
 @given(st.lists(st.integers(0, 4), min_size=4, max_size=4))

@@ -9,7 +9,7 @@ from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
 from qpencil.fqgeom import points_on_pencil
 from qpencil.linalg import proportional
-from qpencil.pencil import Pencil, diagonal_pencil
+from qpencil.pencil import Pencil, diagonal_pencil, toric_pencil
 from qpencil.projections import (
     DoubleProjection,
     double_projection,
@@ -118,6 +118,10 @@ def test_residual_line_guards():
         residual_line(p, [[1, 0, 0, 0, 0, 0]] * 4)
     with pytest.raises(PrecondError, match="prime"):
         residual_line(diagonal_pencil(QQ, 5), [[0] * 6] * 4)
+    # on span(e0, e2, e3, e4) the toric forms restrict to -x2 x3 and x2 x3
+    plane = [[1 if j == i else 0 for j in range(6)] for i in (0, 2, 3, 4)]
+    with pytest.raises(PrecondError, match="not a curve"):
+        residual_line(toric_pencil(PrimeField(5)), plane)
 
 
 # -- double projection -----------------------------------------------------

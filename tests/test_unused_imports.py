@@ -1,6 +1,8 @@
-"""Lint step: every name a library module imports is referenced in it.
+"""Lint steps: every name a library module imports is referenced in it, and
+every module-level private function is referenced somewhere in the package.
 
-The package `__init__.py` is skipped, because its imports are re-exports.
+The package `__init__.py` is skipped by the import check, because its imports
+are re-exports.
 """
 
 import ast
@@ -30,3 +32,30 @@ def test_module_has_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = _unused_imports(tree)
     assert not unused, f"imported but never referenced: {unused}"
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_function_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC.glob("*.py")}
+    referenced = set().union(*(_referenced_names(t) for t in trees.values()))
+    unreferenced = [
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not unreferenced, f"private functions never referenced: {unreferenced}"
