@@ -8,6 +8,7 @@ checked degree by degree on polynomial vectors x(t).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -116,13 +117,16 @@ def _affine_zero_vectors(gram: np.ndarray, q: int, m: int) -> np.ndarray:
     return grid[_quadric_values(grid, gram, q) == 0]
 
 
-def _vandermonde_inverse(points: Sequence[int], field: PrimeField) -> np.ndarray:
-    k = len(points)
-    rows = [[pow(a, j, field.p) for j in range(k)] for a in points]
+@functools.lru_cache(maxsize=16)
+def _vandermonde_inverse(npoints: int, p: int) -> np.ndarray:
+    """Inverse mod p of the Vandermonde matrix of the points 0..npoints-1,
+    read-only because every caller shares it."""
     from .linalg import invert
 
-    inv = invert(field, [[field.from_int(x) for x in row] for row in rows])
-    return np.array([[int(c) for c in row] for row in inv], dtype=np.int64)
+    rows = [[pow(a, j, p) for j in range(npoints)] for a in range(npoints)]
+    inv = np.array(invert(PrimeField(p), rows), dtype=np.int64)
+    inv.setflags(write=False)
+    return inv
 
 
 def _coefficient_tables(
@@ -212,7 +216,7 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
     ncoef = degree_bound + 1
     sets = [_affine_zero_vectors((gf + a * gg) % q, q, m) for a in range(npoints)]
     mix = np.zeros((ncoef, npoints + 1), dtype=np.int64)
-    mix[:npoints, :npoints] = _vandermonde_inverse(range(npoints), field)
+    mix[:npoints, :npoints] = _vandermonde_inverse(npoints, q)
     if degree_bound >= q:  # x(t) += (t^q - t) * c with g(c) = 0
         sets.append(_affine_zero_vectors(gg, q, m))
         mix[q, npoints] += 1

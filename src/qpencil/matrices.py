@@ -3,20 +3,22 @@ square matrices over F[t].
 
 The inertia routine is classical symmetric reduction: split off one square at
 a time at a nonzero diagonal entry, or a hyperbolic pair when the whole
-remaining diagonal vanishes.  The determinant over F[t] is fraction-free
-Bareiss elimination on dense coefficient lists, for any size.  No
-eigenvalues, no floats.
+remaining diagonal vanishes.  The determinant over F[t], for F the rationals
+or a prime field, is fraction-free Bareiss elimination over Z[t] on dense
+lists of Python ints, for any size: over the rationals after clearing all
+denominators, over F_p after lifting the representatives in range(p) to Z.
+No eigenvalues, no floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import univariate as uv
 from .errors import InternalCheckError, PrecondError
-from .fields import Field
+from .fields import Field, PrimeField, Rationals
 
 
 @dataclass(frozen=True)
@@ -133,21 +135,48 @@ def signature_pair(g: SymMatrix) -> tuple[int, int]:
 
 
 def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]]) -> list:
-    """Determinant of a square matrix over F[t] by fraction-free (Bareiss)
-    elimination.
+    """Determinant of a square matrix over F[t], for F the rationals or a
+    prime field, by fraction-free (Bareiss) elimination over Z[t].
 
-    Entries and result are ascending coefficient lists; a singular matrix
-    gives the zero polynomial ``[]``.  Step k replaces each entry below and
-    right of the pivot by (a_kk a_ij - a_ik a_kj) / (previous pivot), a
-    division that is exact because every intermediate entry is a minor of
-    the input.  A zero pivot is swapped with a nonzero entry below it.
+    Entries and result are ascending coefficient lists of field elements; a
+    singular matrix gives the zero polynomial ``[]``.  Over the rationals
+    every entry is multiplied by the lcm L of all coefficient denominators
+    and the integer determinant is divided by L^m; over F_p the
+    representatives in ``range(p)`` are lifted to Z and the integer
+    determinant is reduced mod p.
     """
     m = len(rows)
     if m == 0 or any(len(row) != m for row in rows):
         raise PrecondError("determinant needs a nonempty square matrix")
-    a = [[uv.trim(field, e) for e in row] for row in rows]
+    if isinstance(field, Rationals):
+        scale = math.lcm(*(c.denominator for row in rows for e in row for c in e))
+        ints = [[_trim([c.numerator * (scale // c.denominator) for c in e]) for e in row] for row in rows]
+        den = scale**m
+        return [Fraction(c, den) for c in _bareiss_zt(ints)]
+    if isinstance(field, PrimeField):
+        p = field.p
+        ints = [[_trim([c % p for c in e]) for e in row] for row in rows]
+        return _trim([c % p for c in _bareiss_zt(ints)])
+    raise PrecondError(f"det_poly works over the rationals or a prime field, not {field!r}")
+
+
+def _trim(c: list[int]) -> list[int]:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _bareiss_zt(a: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[t]; `a` is overwritten.
+
+    Step k replaces each entry below and right of the pivot by
+    (a_kk a_ij - a_ik a_kj) / (previous pivot), a division that is exact
+    because every intermediate entry is a minor of the input (Sylvester's
+    identity).  A zero pivot is swapped with a nonzero entry below it.
+    """
+    m = len(a)
     negate = False
-    prev = [field.one]
+    prev = [1]
     for k in range(m - 1):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, m) if a[i][k]), None)
@@ -155,12 +184,48 @@ def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]]) -> list:
                 return []
             a[k], a[swap] = a[swap], a[k]
             negate = not negate
-        for i in range(k + 1, m):
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, m):
-                num = uv.sub(field, uv.mul(field, a[k][k], a[i][j]), uv.mul(field, a[i][k], a[k][j]))
-                a[i][j], rem = uv.divmod_poly(field, num, prev)
-                if rem:
-                    raise InternalCheckError("Bareiss division left a remainder")
-        prev = a[k][k]
+                row[j] = _exact_quotient(_cross(pivot, row[j], lead, row_k[j]), prev, k)
+        prev = pivot
     det = a[m - 1][m - 1]
-    return uv.neg(field, det) if negate else det
+    return [-c for c in det] if negate else det
+
+
+def _cross(a: list[int], b: list[int], c: list[int], d: list[int]) -> list[int]:
+    """a·b - c·d in Z[t]."""
+    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
+    if b:
+        for i, x in enumerate(a):
+            if x:
+                for s, y in enumerate(b, i):
+                    out[s] += x * y
+    if c and d:
+        for i, x in enumerate(c):
+            if x:
+                for s, y in enumerate(d, i):
+                    out[s] -= x * y
+    return _trim(out)
+
+
+def _exact_quotient(num: list[int], den: list[int], step: int) -> list[int]:
+    """num / den in Z[t] for a division of Bareiss step `step` that must be
+    exact; each quotient coefficient comes from `divmod` by den's lead."""
+    rem = list(num)
+    dd, lead = len(den) - 1, den[-1]
+    quo = [0] * max(len(rem) - dd, 0)
+    for s in reversed(range(len(quo))):
+        quo[s], r = divmod(rem[s + dd], lead)
+        if r:
+            break
+        for i in range(dd):
+            rem[s + i] -= quo[s] * den[i]
+        rem[s + dd] = 0
+    if any(rem):
+        raise InternalCheckError(
+            f"Bareiss step {step}: division by the previous pivot {den} left the "
+            f"remainder {_trim(rem)} (ascending coefficients over Z)"
+        )
+    return quo

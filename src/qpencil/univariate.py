@@ -3,11 +3,13 @@
 Polynomials are plain ascending coefficient lists ``[c0, c1, ...]``; the zero
 polynomial is ``[]`` (or any all-zero list).  The first half is field-generic
 (works over the rationals, prime fields, and quadratic extensions); the Sturm
-machinery at the bottom needs an ordered field and is rationals-only.
+machinery at the bottom needs an ordered field and is rationals-only, with
+chains scaled to integer coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -151,16 +153,17 @@ def resultant(field: Field, a: Sequence[Any], b: Sequence[Any]) -> Any:
 
 # ----------------------------------------------------------------------
 # Sturm machinery (rationals only: needs an ordering)
+#
+# A chain is kept integer-scaled: each member is a positive multiple of the
+# rational Sturm polynomial, as a list of ints, so a sign at x = num/den
+# (den > 0) is the sign of den^d·p(num/den), found by integer Horner.
 # ----------------------------------------------------------------------
 
 
-def sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def sturm_chain(c: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Sturm chain p0, p1, -rem(p0,p1), ... of a nonzero rational polynomial."""
-    p0 = trim(QQ, list(c))
+def sturm_chain(c: Sequence[Fraction]) -> list[list[int]]:
+    """Sturm chain p0, p1, -rem(p0,p1), ... of a nonzero rational polynomial,
+    each member scaled by the positive lcm of its coefficient denominators."""
+    p0 = trim(QQ, [Fraction(x) for x in c])
     if not p0:
         raise PrecondError("Sturm chain of the zero polynomial")
     chain = [p0]
@@ -172,16 +175,31 @@ def sturm_chain(c: Sequence[Fraction]) -> list[list[Fraction]]:
             if not r:
                 break
             chain.append(neg(QQ, r))
-    return chain
+    return [_integer_multiple(p) for p in chain]
 
 
-def sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    signs = [sign(evaluate(QQ, p, x)) for p in chain]
-    signs = [s for s in signs if s != 0]
+def _integer_multiple(p: Sequence[Fraction]) -> list[int]:
+    scale = math.lcm(*(x.denominator for x in p))
+    return [x.numerator * (scale // x.denominator) for x in p]
+
+
+def _sign_at(p: Sequence[int], x: Fraction) -> int:
+    """Sign of p(x) for an integer polynomial p: the sign of den^d·p(num/den)
+    with x = num/den, den > 0, by homogeneous Horner."""
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_in(chain: Sequence[Sequence[Fraction]], a: Fraction, b: Fraction) -> int:
+def count_roots_in(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in the half-open interval (a, b]."""
     if a >= b:
         raise PrecondError("need a < b")
@@ -220,8 +238,8 @@ def isolate_real_roots(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]
     def count(a: Fraction, b: Fraction) -> int:
         return count_roots_in(chain, a, b)
 
-    def fval(x: Fraction) -> Fraction:
-        return evaluate(QQ, f, x)
+    def fsign(x: Fraction) -> int:
+        return _sign_at(chain[0], x)
 
     bound = cauchy_bound(f)
     lo0, hi0 = -bound - 1, bound + 1  # f is nonzero at both
@@ -234,14 +252,14 @@ def isolate_real_roots(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]
     def nonroot_below(r: Fraction, floor: Fraction) -> Fraction:
         """A point m in (floor, r) with f(m) != 0 and no root in (m, r)."""
         m = (floor + r) / 2
-        while fval(m) == 0 or count(m, r) > 1:
+        while fsign(m) == 0 or count(m, r) > 1:
             m = (m + r) / 2
         return m
 
     def nonroot_above(r: Fraction, ceil: Fraction) -> Fraction:
         """A point m in (r, ceil) with f(m) != 0 and no root in (r, m]."""
         m = (r + ceil) / 2
-        while fval(m) == 0 or count(r, m) > 0:
+        while fsign(m) == 0 or count(r, m) > 0:
             m = (r + m) / 2
         return m
 
@@ -254,7 +272,7 @@ def isolate_real_roots(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        if fval(mid) == 0:
+        if fsign(mid) == 0:
             ml = nonroot_below(mid, lo)
             mr = nonroot_above(mid, hi)
             split(lo, ml)

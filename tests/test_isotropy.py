@@ -10,6 +10,7 @@ import pytest
 from qpencil import isotropy
 from qpencil.errors import PrecondError
 from qpencil.fields import PrimeField, QQ
+from qpencil.linalg import invert
 from qpencil.isotropy import (
     REALS,
     amer_harness,
@@ -274,3 +275,15 @@ def test_amer_harness_guards():
         amer_harness(f, SymMatrix.diagonal(F3, [1, 2]), -1, F3)
     with pytest.raises(PrecondError, match="same number"):
         amer_harness(f, SymMatrix.diagonal(F3, [1, 1, 1]), 1, F3)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_cached_vandermonde_inverse_is_exact_and_read_only(q):
+    field = PrimeField(q)
+    for k in range(1, q + 1):
+        cached = isotropy._vandermonde_inverse(k, q)
+        fresh = invert(field, [[pow(a, j, q) for j in range(k)] for a in range(k)])
+        assert cached.tolist() == fresh
+        assert isotropy._vandermonde_inverse(k, q) is cached
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpencil import univariate as uv
-from qpencil.errors import PrecondError
-from qpencil.fields import QQ, PrimeField
+from qpencil.errors import InternalCheckError, PrecondError
+from qpencil.fields import QQ, PrimeField, QuadraticExtension
 from qpencil.linalg import det, identity, is_invertible, mat_mul
-from qpencil.matrices import SymMatrix, congruent, det_poly, inertia, signature_pair
+from qpencil.matrices import SymMatrix, _exact_quotient, congruent, det_poly, inertia, signature_pair
 
 
 def test_symmetry_enforced():
@@ -92,19 +92,27 @@ def test_det_block_multiplicative():
     assert det(QQ, big.to_lists()) == det(QQ, a.to_lists()) * det(QQ, b.to_lists())
 
 
-def _poly_matrix(field, rng, size, degree):
-    return [
-        [[field.from_int(rng.randint(-4, 4)) for _ in range(degree + 1)] for _ in range(size)]
-        for _ in range(size)
-    ]
+def _poly_matrix(field, rng, size, degree, coeff=None):
+    coeff = coeff or (lambda: field.from_int(rng.randint(-4, 4)))
+    return [[[coeff() for _ in range(degree + 1)] for _ in range(size)] for _ in range(size)]
 
 
 def test_det_poly_matches_pointwise_evaluation():
     rng = random.Random(5)
     f5 = PrimeField(5)
-    cases = [(f5, _poly_matrix(f5, rng, size, 2)) for size in (3, 9, 12)]
+    cases = [(f5, _poly_matrix(f5, rng, size, 2), range(5)) for size in (3, 9, 12)]
     # linear entries over Q: det has degree <= size, so t = 0..size pins it down
-    cases += [(QQ, _poly_matrix(QQ, rng, size, 1)) for size in (3, 9, 12)]
+    cases += [(QQ, _poly_matrix(QQ, rng, size, 1), range(size + 1)) for size in (3, 9, 12)]
+    # rational entries of both signs with denominators 2, 3 and 7, so the
+    # denominators are cleared before the elimination over Z[t]
+    fraction = lambda: Fraction(rng.randint(-9, 9), rng.choice((2, 3, 7)))
+    cases += [(QQ, _poly_matrix(QQ, rng, size, 1, fraction), range(size + 1)) for size in (3, 6, 9)]
+    # large primes: representatives lifted to Z grow far beyond a machine word;
+    # quadratic entries give degree <= 2 size, pinned down by 2 size + 1 points
+    for p in (10**9 + 7, 2**61 - 1):
+        fp = PrimeField(p)
+        residue = lambda: rng.randrange(p)
+        cases += [(fp, _poly_matrix(fp, rng, size, 2, residue), range(2 * size + 1)) for size in (3, 6, 12)]
     for field in (f5, QQ):
         # the zero (0,0) entry forces a row swap at the first pivot
         zero_pivot = [
@@ -112,19 +120,43 @@ def test_det_poly_matches_pointwise_evaluation():
             [[field.one], [field.from_int(2), field.one], [field.from_int(3)]],
             [[field.zero, field.one], [field.from_int(3)], []],
         ]
-        cases.append((field, zero_pivot))
-    for field, rows in cases:
+        cases.append((field, zero_pivot, range(5) if field is f5 else range(4)))
+    for field, rows, points in cases:
         d = det_poly(field, rows)
-        points = range(5) if field is f5 else range(len(rows) + 1)
         for tv in points:
             t = field.from_int(tv)
             values = [[uv.evaluate(field, e, t) for e in row] for row in rows]
             assert uv.evaluate(field, d, t) == det(field, values), (field, len(rows), tv)
+        # the report formats these values, so the element types are part of the result
+        assert d and d[-1] != field.zero
+        if field is QQ:
+            assert all(type(c) is Fraction for c in d)
+        else:
+            assert all(type(c) is int and 0 <= c < field.p for c in d)
     # a singular matrix: row 2 = t * row 0 + row 1
     for field in (f5, QQ):
         rows = _poly_matrix(field, rng, 4, 1)
         rows[2] = [uv.add(field, uv.mul(field, [field.zero, field.one], a), b) for a, b in zip(rows[0], rows[1])]
         assert det_poly(field, rows) == []
+
+
+def test_det_poly_needs_the_rationals_or_a_prime_field():
+    f9 = QuadraticExtension.of(PrimeField(3))
+    with pytest.raises(PrecondError, match="rationals or a prime field"):
+        det_poly(f9, [[[f9.one]]])
+
+
+def test_inexact_bareiss_division_names_divisor_and_remainder():
+    # (t^2 + 1) / (2t): the lead coefficient 1 is not a multiple of 2
+    with pytest.raises(InternalCheckError) as err:
+        _exact_quotient([1, 0, 1], [0, 2], 3)
+    message = str(err.value)
+    assert "step 3" in message and "[0, 2]" in message and "remainder [1, 0, 1]" in message
+    # (t^2 + 2t + 1) / t: the quotient t + 2 leaves the remainder 1
+    with pytest.raises(InternalCheckError) as err:
+        _exact_quotient([1, 2, 1], [0, 1], 1)
+    assert "[0, 1]" in str(err.value) and "remainder [1]" in str(err.value)
+    assert _exact_quotient([-2, 0, 2], [2, 2], 1) == [-1, 1]
 
 
 def test_map_and_indexing():

@@ -1,5 +1,6 @@
 """Dense univariate arithmetic; coefficients ascending."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,40 @@ def test_sturm_counts_match_known_roots(roots):
     for r in distinct:
         assert uv.count_roots_in(chain, lo, r) == sum(1 for x in distinct if lo < x <= r)
         assert uv.count_roots_in(chain, r, hi) == sum(1 for x in distinct if r < x <= hi)
+
+
+def test_integer_sturm_counts_at_large_denominators():
+    """-(t - 1/3)(t + 5/7)(3t^2 - 2): non-integral coefficients, a negative
+    lead and two irrational roots +-s, s = sqrt(2/3).  Each root is counted
+    on (r - 2^-40, r + 2^-40] around a rational r within 2^-50 of it, so the
+    endpoints have denominators near 2^40 and the chain members are
+    evaluated far from their integer scaling."""
+    f = uv.mul(QQ, _from_roots([Fraction(1, 3), Fraction(-5, 7)]), [Fraction(-2), Fraction(0), Fraction(3)])
+    f = uv.neg(QQ, f)
+    assert f[-1] == -3 and any(c.denominator > 1 for c in f)
+    chain = uv.sturm_chain(f)
+    assert all(type(c) is int for p in chain for c in p)
+    s = Fraction(math.isqrt(2 * 2**100 // 3), 2**50)  # s <= sqrt(2/3) < s + 2^-50
+    near = [-s, Fraction(-5, 7), Fraction(1, 3), s]
+    eps = Fraction(1, 2**40)
+    for r in near:
+        assert uv.count_roots_in(chain, r - eps, r + eps) == 1
+    for a, b in zip(near, near[1:]):
+        assert uv.count_roots_in(chain, a + eps, b - eps) == 0
+    assert uv.count_roots_in(chain, near[0] - eps, near[-1] + eps) == 4
+    # exact rational roots: (a, b] holds b but not a
+    for r in (Fraction(-5, 7), Fraction(1, 3)):
+        assert uv.count_roots_in(chain, r - eps, r) == 1
+        assert uv.count_roots_in(chain, r, r + eps) == 0
+
+    intervals = uv.isolate_real_roots(f)
+    assert len(intervals) == 4
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = intervals
+    two_thirds = Fraction(2, 3)
+    assert a0 < 0 and a0 * a0 > two_thirds and (b0 >= 0 or b0 * b0 < two_thirds)  # a0 < -s < b0
+    assert (a3 < 0 or a3 * a3 < two_thirds) and b3 > 0 and b3 * b3 > two_thirds  # a3 < s < b3
+    for (a, b), r in (((a1, b1), Fraction(-5, 7)), ((a2, b2), Fraction(1, 3))):
+        assert a == b == r or a < r < b
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
