@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import univariate as uv
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ
-from .matrices import signature_pair
+from .matrices import SymMatrix, _integer_grams, signature_pair
 from .pencil import Pencil, smoothness
 
 
@@ -99,20 +99,32 @@ def index_circle(p: Pencil) -> IndexCircle:
     if (k - (n + 1)) % 2:
         raise InternalCheckError("root count has the wrong parity")
 
-    sigs_plus = [signature_pair(p.member(Fraction(1), t)) for t in samples]
-    sigs_minus = [signature_pair(p.member(Fraction(-1), -t)) for t in samples]
-    for sp, sm in zip(sigs_plus, sigs_minus):
+    # the members (1, t) and (-1, -t) at t = num/den are positive multiples
+    # of ±(den·Z0 + num·Z1), with Z0, Z1 the Grams scaled to integers
+    z0, z1 = _integer_grams(p.g0.entries, p.g1.entries)
+
+    def member(s0: int, s1: int) -> SymMatrix:
+        return SymMatrix.from_rows([[s0 * a + s1 * b for a, b in zip(r0, r1)] for r0, r1 in zip(z0, z1)])
+
+    sigs_plus = [signature_pair(member(t.denominator, t.numerator)) for t in samples]
+    sigs_minus = [signature_pair(member(-t.denominator, -t.numerator)) for t in samples]
+    for t, sp, sm in zip(samples, sigs_plus, sigs_minus):
         if sm != _swap(sp):
-            raise InternalCheckError("antipodal signatures disagree at a sample")
+            raise InternalCheckError(
+                f"antipodal signatures disagree at the sample t = {t}: "
+                f"(1, t) has {sp}, (-1, -t) has {sm}, expected {_swap(sp)}"
+            )
 
     jumps: list[JumpPoint] = []
     arcs: list[tuple[int, int]] = []
 
     if m == 0 and not inf_jump:
         # constant circle
-        sig = sigs_plus[0]
-        if sig != signature_pair(p.g1):
-            raise InternalCheckError("constant circle disagrees at (0, 1)")
+        sig, sig_north = sigs_plus[0], signature_pair(p.g1)
+        if sig != sig_north:
+            raise InternalCheckError(
+                f"constant circle disagrees at (0, 1): (1, 0) has {sig}, (0, 1) has {sig_north}"
+            )
         if sig[0] != sig[1]:
             raise InternalCheckError("jump-free circle must be antipodally balanced")
         return IndexCircle(n, (), (sig,), ())
@@ -131,9 +143,17 @@ def index_circle(p: Pencil) -> IndexCircle:
         # three routes onto it agree
         sig_north = signature_pair(p.g1)
         if not (sigs_plus[m] == sig_north == sigs_minus[0]):
-            raise InternalCheckError("arc through (0,1) is inconsistent")
+            raise InternalCheckError(
+                f"arc through (0,1) is inconsistent: (1, t) at t = {samples[m]} has "
+                f"{sigs_plus[m]}, (0, 1) has {sig_north}, (-1, -t) at t = {samples[0]} has "
+                f"{sigs_minus[0]}"
+            )
         if not (sigs_minus[m] == _swap(sig_north) == sigs_plus[0]):
-            raise InternalCheckError("arc through (0,-1) is inconsistent")
+            raise InternalCheckError(
+                f"arc through (0,-1) is inconsistent: (-1, -t) at t = {samples[m]} has "
+                f"{sigs_minus[m]}, (0, -1) has {_swap(sig_north)}, (1, t) at t = {samples[0]} "
+                f"has {sigs_plus[0]}"
+            )
         arcs = sigs_plus[1:] + sigs_minus[1:]
 
     if len(arcs) != len(jumps) or len(arcs) != 2 * k:
@@ -142,7 +162,10 @@ def index_circle(p: Pencil) -> IndexCircle:
     for i, sig in enumerate(arcs):
         anti = arcs[(i + k) % (2 * k)]
         if anti != _swap(sig) or sig[0] + sig[1] != n + 1:
-            raise InternalCheckError("antipodal arc identity fails")
+            raise InternalCheckError(
+                f"antipodal arc identity fails at arc {i}: it has {sig}, its antipode "
+                f"(arc {(i + k) % (2 * k)}) has {anti}; need swapped pairs summing to {n + 1}"
+            )
 
     signs = []
     for i in range(len(arcs)):

@@ -4,15 +4,13 @@ Points are enumerated by canonical representatives, scaled so that the
 first nonzero coordinate is 1; one scan of them finds the common zeros of the
 quadrics.  Lines are read off pairs of common zeros and stored by the reduced
 row echelon form of their 2x(n+1) basis matrix.  All bulk work is vectorized
-with numpy, and results come out in a fixed order.
+with numpy, imported on first use, and results come out in a fixed order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .curvecounts import CurveData, curve_data
 from .errors import InternalCheckError, PrecondError
@@ -20,6 +18,9 @@ from .fields import PrimeField
 from .linalg import rref
 from .matrices import SymMatrix
 from .pencil import Pencil, _independent, _signed_discriminant, smoothness
+
+if TYPE_CHECKING:
+    import numpy as np
 
 POINT_SCAN_LIMIT = 10**9
 _CHUNK = 1 << 19
@@ -44,6 +45,8 @@ def projective_point_count(q: int, dim: int) -> int:
 def projective_points(p: int, nvars: int) -> np.ndarray:
     """All points of P^(nvars-1)(F_p), first nonzero coordinate 1, as an
     (N, nvars) int64 array in a fixed order."""
+    import numpy as np
+
     if p ** nvars > POINT_SCAN_LIMIT:
         raise PrecondError(f"point scan {p}^{nvars} exceeds {POINT_SCAN_LIMIT}")
     blocks = []
@@ -60,6 +63,8 @@ def projective_points(p: int, nvars: int) -> np.ndarray:
 
 def _free_grid(p: int, free: int) -> np.ndarray:
     """All tuples in range(p)^free as an (p^free, free) array, lexicographic."""
+    import numpy as np
+
     if free == 0:
         return np.zeros((1, 0), dtype=np.int64)
     grid = np.indices((p,) * free, dtype=np.int64)
@@ -67,6 +72,8 @@ def _free_grid(p: int, free: int) -> np.ndarray:
 
 
 def _gram_array(g: SymMatrix, p: int) -> np.ndarray:
+    import numpy as np
+
     return np.array([[int(x) % p for x in row] for row in g.entries], dtype=np.int64)
 
 
@@ -78,6 +85,8 @@ def _quadric_values(pts: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
 def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray:
     """The points of `projective_points(p, nvars)` on which every quadric
     with a Gram matrix in `grams` vanishes."""
+    import numpy as np
+
     pts = projective_points(p, nvars)
     mask = np.ones(pts.shape[0], dtype=bool)
     for g in grams:
@@ -175,6 +184,8 @@ def enumerate_lines_of_quadrics(
     first nonzero coordinate.  Pairs are tested in blocks of rows, never as
     one N x N array.  Lines come out sorted by pivot columns, then by rows.
     """
+    import numpy as np
+
     gram_arrays = [_gram_array(g, p) for g in grams]
     pts = _common_zeros(p, nvars, gram_arrays)
     lead = (pts != 0).argmax(axis=1)

@@ -12,15 +12,16 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
 from .fqgeom import _common_zeros, _free_grid, _gram_array, _quadric_values
 from .linalg import rank
 from .matrices import SymMatrix, inertia
+
+if TYPE_CHECKING:
+    import numpy as np
 
 AMER_SEARCH_LIMIT = 5 * 10**7
 _FIRST_CHUNK = 64
@@ -121,6 +122,8 @@ def _affine_zero_vectors(gram: np.ndarray, q: int, m: int) -> np.ndarray:
 def _vandermonde_inverse(npoints: int, p: int) -> np.ndarray:
     """Inverse mod p of the Vandermonde matrix of the points 0..npoints-1,
     read-only because every caller shares it."""
+    import numpy as np
+
     from .linalg import invert
 
     rows = [[pow(a, j, p) for j in range(npoints)] for a in range(npoints)]
@@ -144,6 +147,8 @@ def _coefficient_tables(
     entry is an integer below 10^6 and a row sum below 10^7, so the float
     products are exact and int32 holds the sums.
     """
+    import numpy as np
+
     nsets, ncoef = len(sets), mix.shape[0]
     # conv[s, j, k]: the t^s coefficient of (basis poly j)·(basis poly k)
     degree = np.add.outer(np.arange(ncoef), np.arange(ncoef)).ravel()
@@ -189,6 +194,8 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
     reported solution is the first one in candidate order, so it does not
     depend on the chunk schedule, which only bounds the work spent past it.
     """
+    import numpy as np
+
     if not isinstance(field, PrimeField):
         raise PrecondError("the harness runs over prime fields")
     q = field.p

@@ -1,11 +1,13 @@
 """Symmetric matrices: exact inertia over the rationals, and determinants of
 square matrices over F[t].
 
-The inertia routine is classical symmetric reduction: split off one square at
-a time at a nonzero diagonal entry, or a hyperbolic pair when the whole
-remaining diagonal vanishes.  The determinant over F[t], for F the rationals
-or a prime field, is fraction-free Bareiss elimination over Z[t] on dense
-lists of Python ints, for any size: over the rationals after clearing all
+The inertia routine is classical symmetric reduction, fraction-free over Z
+after clearing denominators: split off one square at a time at a nonzero
+diagonal entry, or a hyperbolic pair when the whole remaining diagonal
+vanishes, keeping each remaining block a positive integer multiple of the
+rational one.  The determinant over F[t], for F the rationals or a prime
+field, is fraction-free Bareiss elimination over Z[t] on dense lists of
+Python ints, for any size: over the rationals after clearing all
 denominators, over F_p after lifting the representatives in range(p) to Z.
 No eigenvalues, no floats.
 """
@@ -74,56 +76,63 @@ def congruent(field: Field, g: SymMatrix, m_rows: Sequence[Sequence[Any]]) -> Sy
 def inertia(g: SymMatrix) -> tuple[int, int, int]:
     """Exact (positive, negative, zero) inertia of a rational symmetric matrix.
 
-    Entries may be ints or Fractions.  Uses symmetric elimination; when the
-    remaining diagonal is identically zero a nonzero off-diagonal entry a at
-    (i, j) contributes a hyperbolic pair (+1, -1), and the complement is
-    updated by  A'[k][l] = A[k][l] - (A[k][i]*A[l][j] + A[k][j]*A[l][i]) / a.
+    Entries may be ints or Fractions.  The matrix is scaled to integers by
+    the positive lcm of its denominators and reduced symmetrically over Z.
+    A nonzero diagonal entry d at i splits off one square of the sign of d,
+    and the remaining block becomes
+        sign(d)·(d·A[k][l] - A[k][i]·A[i][l]);
+    when the remaining diagonal is identically zero, a nonzero off-diagonal
+    entry d at (i, j) splits off a hyperbolic pair (+1, -1), and the block
+    becomes  sign(d)·(d·A[k][l] - A[k][i]·A[l][j] - A[k][j]·A[l][i]).
+    Divided by its positive content, each block is a positive multiple of
+    the rational Schur complement, so every pivot sign is the rational one.
     """
-    n = g.size
-    a = [[Fraction(x) for x in row] for row in g.entries]
-    pos = neg = zero = 0
-    active = list(range(n))
-    while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
+    a = _integer_grams(g.entries)[0]
+    pos = neg = 0
+    while a:
+        m = len(a)
+        piv = next((i for i in range(m) if a[i][i]), None)
         if piv is not None:
-            d = a[piv][piv]
+            d, p_row = a[piv][piv], a[piv]
             if d > 0:
                 pos += 1
             else:
                 neg += 1
-            rest = [i for i in active if i != piv]
-            col = {i: a[i][piv] for i in rest}
-            for i in rest:
-                if col[i] == 0:
-                    continue
-                f = col[i] / d
-                for j in rest:
-                    a[i][j] -= f * a[piv][j]
-            active = rest
+                d, p_row = -d, [-x for x in p_row]
+            rest = [k for k in range(m) if k != piv]
+            a = _primitive([[d * row[l] - row[piv] * p_row[l] for l in rest] for row in (a[k] for k in rest)])
             continue
-        pair = None
-        for u, i in enumerate(active):
-            for j in active[u + 1:]:
-                if a[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
         if pair is None:
-            zero += len(active)
-            break
+            return pos, neg, m
         i, j = pair
-        d = a[i][j]
+        d, ri, rj = a[i][j], a[i], a[j]
         pos += 1
         neg += 1
-        rest = [k for k in active if k not in (i, j)]
-        ci = {k: a[k][i] for k in rest}
-        cj = {k: a[k][j] for k in rest}
-        for k in rest:
-            for l in rest:
-                a[k][l] -= (ci[k] * cj[l] + cj[k] * ci[l]) / d
-        active = rest
-    return pos, neg, zero
+        if d < 0:
+            d, ri, rj = -d, [-x for x in ri], [-x for x in rj]
+        rest = [k for k in range(m) if k != i and k != j]
+        a = _primitive(
+            [[d * row[l] - row[i] * rj[l] - row[j] * ri[l] for l in rest] for row in (a[k] for k in rest)]
+        )
+    return pos, neg, 0
+
+
+def _integer_grams(*grams: Sequence[Sequence[Any]]) -> list[list[list[int]]]:
+    """The rational matrices `grams` (entries int or Fraction), each times the
+    positive lcm of the denominators of all their entries, as int lists."""
+    scale = math.lcm(*(x.denominator for g in grams for row in g for x in row))
+    return [[[x.numerator * (scale // x.denominator) for x in row] for row in g] for g in grams]
+
+
+def _primitive(block: list[list[int]]) -> list[list[int]]:
+    """The integer matrix (or, as one row, polynomial) divided by its
+    content, the positive gcd of its entries; a zero or empty one is
+    returned as it is."""
+    content = math.gcd(*(x for row in block for x in row))
+    if content > 1:
+        return [[x // content for x in row] for row in block]
+    return block
 
 
 def signature_pair(g: SymMatrix) -> tuple[int, int]:

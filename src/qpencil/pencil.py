@@ -136,13 +136,17 @@ class Pencil:
         return self.eval_bilinear(which, x, x)
 
     def eval_bilinear(self, which: int, x: Sequence[Any], y: Sequence[Any]) -> Any:
-        """The polarization B(x, y) = x^T G y (so Q(x+y) = Q(x)+2B(x,y)+Q(y))."""
+        """The polarization B(x, y) = x^T G y (so Q(x+y) = Q(x)+2B(x,y)+Q(y)),
+        summed over the nonzero coordinates of x and y only."""
         g = (self.g0, self.g1)[which]
         fld = self.field
+        ys = [(j, c) for j, c in enumerate(y) if not fld.is_zero(c)]
         total = fld.zero
         for i, row in enumerate(g.entries):
-            for j, e in enumerate(row):
-                total = fld.add(total, fld.mul(fld.mul(x[i], e), y[j]))
+            if fld.is_zero(x[i]):
+                continue
+            for j, c in ys:
+                total = fld.add(total, fld.mul(fld.mul(x[i], row[j]), c))
         return total
 
     def member(self, s0: Any, s1: Any) -> SymMatrix:

@@ -2,9 +2,11 @@
 
 Polynomials are plain ascending coefficient lists ``[c0, c1, ...]``; the zero
 polynomial is ``[]`` (or any all-zero list).  The first half is field-generic
-(works over the rationals, prime fields, and quadratic extensions); the Sturm
-machinery at the bottom needs an ordered field and is rationals-only, with
-chains scaled to integer coefficients.
+(works over the rationals, prime fields, and quadratic extensions), except
+that the gcd over the rationals is fraction-free: a primitive
+pseudo-remainder sequence on Python ints.  The Sturm machinery at the bottom
+needs an ordered field and is rationals-only; its chains come from the same
+pseudo-remainders, as positive integer multiples of the rational chain.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import InternalCheckError, PrecondError
-from .fields import QQ, Field
+from .fields import QQ, Field, Rationals
+from .matrices import _primitive, _trim
 
 
 def trim(field: Field, c: Sequence[Any]) -> list:
@@ -105,7 +108,15 @@ def monic(field: Field, a: Sequence[Any]) -> list:
 
 
 def gcd_poly(field: Field, a: Sequence[Any], b: Sequence[Any]) -> list:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd.  Over the rationals it comes from a primitive
+    pseudo-remainder sequence on integer coefficients (Brown and Traub, J.
+    ACM 18, 1971) and is returned with ``Fraction`` coefficients; over any
+    other field it is the Euclidean algorithm."""
+    if isinstance(field, Rationals):
+        a, b = _primitive_multiple(a), _primitive_multiple(b)
+        while b:
+            a, b = b, _primitive([_prem(a, b)])[0]
+        return [Fraction(c, a[-1]) for c in a] if a else []
     a = trim(field, a)
     b = trim(field, b)
     while b:
@@ -162,25 +173,50 @@ def resultant(field: Field, a: Sequence[Any], b: Sequence[Any]) -> Any:
 
 def sturm_chain(c: Sequence[Fraction]) -> list[list[int]]:
     """Sturm chain p0, p1, -rem(p0,p1), ... of a nonzero rational polynomial,
-    each member scaled by the positive lcm of its coefficient denominators."""
-    p0 = trim(QQ, [Fraction(x) for x in c])
+    each member a positive multiple of the rational one, with coprime
+    integer coefficients."""
+    p0 = _primitive_multiple(c)
     if not p0:
         raise PrecondError("Sturm chain of the zero polynomial")
     chain = [p0]
-    p1 = derivative(QQ, p0)
+    p1 = [i * x for i, x in enumerate(p0)][1:]
     if p1:
         chain.append(p1)
         while True:
-            _, r = divmod_poly(QQ, chain[-2], chain[-1])
+            r = _prem(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(neg(QQ, r))
-    return [_integer_multiple(p) for p in chain]
+            chain.append(_primitive([[-x for x in r]])[0])
+    return chain
 
 
-def _integer_multiple(p: Sequence[Fraction]) -> list[int]:
+def _primitive_multiple(p: Sequence[Any]) -> list[int]:
+    """A rational polynomial (ints or Fractions) times a positive rational:
+    integer coefficients with no common factor and no trailing zeros."""
     scale = math.lcm(*(x.denominator for x in p))
-    return [x.numerator * (scale // x.denominator) for x in p]
+    return _primitive([_trim([x.numerator * (scale // x.denominator) for x in p])])[0]
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive multiple of rem(a, b) over the rationals, for integer
+    polynomials a and b != 0 without trailing zeros.  Each step cancels the
+    lead of the remainder r by  (|lead b|/g)·r - sign(lead b)·(lead r/g)·t^s·b
+    with g = gcd(lead b, lead r), so the multiplier stays positive."""
+    r = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    while len(r) > db:
+        g = math.gcd(lead, r[-1])
+        keep, cancel = abs(lead) // g, r[-1] // g
+        if lead < 0:
+            cancel = -cancel
+        shift = len(r) - 1 - db
+        if keep != 1:
+            r = [keep * x for x in r]
+        for i, y in enumerate(b, shift):
+            r[i] -= cancel * y
+        r = _trim(r)
+    return r
 
 
 def _sign_at(p: Sequence[int], x: Fraction) -> int:

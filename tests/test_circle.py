@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qpencil import circle as circle_mod, univariate as uv
 from qpencil.circle import (
     IndexCircle,
     OddDecomposition,
@@ -17,7 +18,7 @@ from qpencil.circle import (
     real_verdict,
     signature_walk,
 )
-from qpencil.errors import PrecondError
+from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ
 from qpencil.pencil import Pencil, diagonal_pencil, pencil_congruent, pencil_recombined
 
@@ -175,6 +176,53 @@ def test_index_circle_guards():
         index_circle(diagonal_pencil(PrimeField(5), 3))
     with pytest.raises(PrecondError, match="singular"):
         index_circle(toric_pencil(QQ))
+
+
+def _faulty_signatures(monkeypatch, wrong):
+    """Make circle.signature_pair return wrong(g, call number, true value);
+    the true values are recorded in the returned list."""
+    real, truth = circle_mod.signature_pair, []
+
+    def fake(g):
+        truth.append(real(g))
+        return wrong(g, len(truth) - 1, truth[-1])
+
+    monkeypatch.setattr(circle_mod, "signature_pair", fake)
+    return truth
+
+
+def test_antipodal_sample_check_names_the_sample_and_both_signatures(monkeypatch):
+    p = _block_pencil()
+    t0 = uv.sample_points_between(uv.isolate_real_roots(p.discriminant_form().chart_main()))[0]
+    # the first call is the member (1, t0)
+    truth = _faulty_signatures(monkeypatch, lambda g, call, sig: (sig[0] + 1, sig[1] - 1) if call == 0 else sig)
+    with pytest.raises(InternalCheckError, match="antipodal signatures disagree") as err:
+        index_circle(p)
+    pos, neg = truth[0]
+    msg = str(err.value)
+    assert f"t = {t0}" in msg and str((pos + 1, neg - 1)) in msg and str((neg, pos)) in msg
+
+
+def test_arc_check_through_the_pole_names_all_three_signatures(monkeypatch):
+    p = _block_pencil()  # det(G1) != 0, so the arc through (0, 1) is checked
+    truth = _faulty_signatures(monkeypatch, lambda g, call, sig: (sig[1], sig[0]) if g is p.g1 else sig)
+    with pytest.raises(InternalCheckError, match=r"arc through \(0,1\) is inconsistent") as err:
+        index_circle(p)
+    north, msg = truth[-1], str(err.value)
+    assert north[0] != north[1] and str((north[1], north[0])) in msg and str(north) in msg
+
+
+def test_antipodal_arc_check_names_the_arc_and_both_signatures(monkeypatch):
+    p = diagonal_pencil(QQ, 5)
+    circle = index_circle(p)
+    (a, b), k = circle.arc_signatures[0], circle.root_count
+    # every signature off by (+1, +1): each antipodal pair still swaps, but
+    # no pair sums to n + 1 = 6
+    _faulty_signatures(monkeypatch, lambda g, call, sig: (sig[0] + 1, sig[1] + 1))
+    with pytest.raises(InternalCheckError, match="antipodal arc identity fails at arc 0") as err:
+        index_circle(p)
+    msg = str(err.value)
+    assert str((a + 1, b + 1)) in msg and str((b + 1, a + 1)) in msg and f"arc {k}" in msg
 
 
 def test_class_is_a_pencil_invariant():

@@ -11,6 +11,8 @@ and review the diff before committing.
 import io as _io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -189,3 +191,20 @@ def test_zeta_needs_a_threefold(monkeypatch, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, _, err = _run(["zeta", str(path)])
     assert code == 2
+
+
+def test_rational_analyze_does_not_load_numpy():
+    """numpy is imported only by the finite-field scans that use it, so a
+    fresh interpreter that imports the package, the CLI and both numpy users
+    and runs an analyze over Q never loads it."""
+    code = (
+        "import io, sys\n"
+        "import qpencil, qpencil.cli, qpencil.fqgeom, qpencil.isotropy\n"
+        "status, _ = qpencil.cli.run(['analyze', 'inputs/diagonal.json', '--json'], out=io.StringIO())\n"
+        "assert status == 0, status\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

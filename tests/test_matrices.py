@@ -64,6 +64,85 @@ def test_inertia_congruence_invariant(seed):
     assert inertia(congruent(QQ, g, m)) == inertia(g)
 
 
+def _fraction_inertia(rows):
+    """Reference inertia: plain symmetric elimination on Fractions, a square
+    at a nonzero diagonal entry, else a hyperbolic pair."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = 0
+    while a:
+        m = len(a)
+        piv = next((i for i in range(m) if a[i][i]), None)
+        if piv is not None:
+            d = a[piv][piv]
+            pos, neg = pos + (d > 0), neg + (d < 0)
+            rest = [k for k in range(m) if k != piv]
+            a = [[a[k][l] - a[k][piv] * a[piv][l] / d for l in rest] for k in rest]
+            continue
+        pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+        if pair is None:
+            return pos, neg, m
+        i, j = pair
+        d = a[i][j]
+        pos, neg = pos + 1, neg + 1
+        rest = [k for k in range(m) if k not in pair]
+        a = [[a[k][l] - (a[k][i] * a[l][j] + a[k][j] * a[l][i]) / d for l in rest] for k in rest]
+    return pos, neg, 0
+
+
+def _rational(rng, bound=4):
+    return Fraction(rng.randint(-bound, bound), rng.choice([1, 2, 3, 7]))
+
+
+def test_integer_inertia_matches_fraction_elimination():
+    """B^T D B with D diagonal of known signs and denominators 2, 3, 7: for
+    invertible B the inertia is D's (Sylvester); for singular B the
+    reference elimination on Fractions decides."""
+    rng = random.Random(7)
+    for trial in range(240):
+        size = trial % 9 + 1
+        d = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([2, 3, 7])) for _ in range(size)]
+        d[rng.randrange(size)] *= trial % 3  # a zero entry in one trial of three
+        b = [[_rational(rng) for _ in range(size)] for _ in range(size)]
+        if trial % 4 == 0 and size > 1:
+            b[-1] = [2 * x - y for x, y in zip(b[0], b[1 % (size - 1)])]
+        rows = [
+            [sum(b[k][i] * d[k] * b[k][j] for k in range(size)) for j in range(size)]
+            for i in range(size)
+        ]
+        got = inertia(SymMatrix.from_rows(rows))
+        assert got == _fraction_inertia(rows), (trial, rows)
+        if is_invertible(QQ, b):
+            assert got == (sum(x > 0 for x in d), sum(x < 0 for x in d), sum(x == 0 for x in d))
+
+
+def test_integer_inertia_of_zero_diagonal_matrices():
+    """A zero diagonal forces hyperbolic pairs: [[0, A], [A^T, 0]] with A
+    invertible has inertia (k, k, 0), and random zero-diagonal matrices
+    (some with a zero row) agree with the reference elimination."""
+    rng = random.Random(11)
+    for trial in range(120):
+        k = trial % 4 + 1
+        a = [[_rational(rng) for _ in range(k)] for _ in range(k)]
+        while not is_invertible(QQ, a):
+            a = [[_rational(rng) for _ in range(k)] for _ in range(k)]
+        rows = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
+        for i in range(k):
+            for j in range(k):
+                rows[i][k + j] = rows[k + j][i] = a[i][j]
+        assert inertia(SymMatrix.from_rows(rows)) == (k, k, 0)
+        size = trial % 9 + 1
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                if rng.random() < 0.6:
+                    rows[i][j] = rows[j][i] = _rational(rng, 9)
+        if trial % 5 == 0:
+            zero = rng.randrange(size)
+            for i in range(size):
+                rows[i][zero] = rows[zero][i] = Fraction(0)
+        assert inertia(SymMatrix.from_rows(rows)) == _fraction_inertia(rows), (trial, rows)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_congruence_determinant_square_factor(seed):

@@ -26,7 +26,7 @@ from qpencil.pencil import (
     toric_pencil,
 )
 from qpencil.projections import project_from_line
-from qpencil.samples import random_pencil_through_line
+from qpencil.samples import random_pencil, random_pencil_through_line
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -85,6 +85,23 @@ def test_form_matches_eval_form():
     y = [Fraction(k) for k in (2, -3, 5, 7)]
     for which in (0, 1):
         assert proj.tails[which].evaluate(y) == proj.pencil.eval_form(which, [0, 0, *y])
+    # random vectors with zero coordinates, over Q and F_p: the form, and the
+    # bilinear form against the full double sum, with the field's types
+    rng = random.Random(5)
+    draws = {QQ: lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)), PrimeField(7): lambda: rng.randrange(7)}
+    for fld, draw in draws.items():
+        p = random_pencil(fld, 4, rng, smooth=False)
+        for _ in range(30):
+            x, y = ([draw() if rng.random() < 0.5 else fld.zero for _ in range(5)] for _ in range(2))
+            for which in (0, 1):
+                g = (p.g0, p.g1)[which].entries
+                full = fld.zero
+                for i in range(5):
+                    for j in range(5):
+                        full = fld.add(full, fld.mul(fld.mul(x[i], g[i][j]), y[j]))
+                got = p.eval_bilinear(which, x, y)
+                assert got == full and type(got) is type(full)
+                assert p.form(which).evaluate(x) == p.eval_form(which, x)
 
 
 @given(st.lists(st.integers(0, 4), min_size=4, max_size=4))

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import qpencil.univariate as uv
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
+from qpencil.matrices import SymMatrix
+from qpencil.pencil import Pencil, smoothness
 
 F5 = PrimeField(5)
 
@@ -123,6 +125,61 @@ def test_integer_sturm_counts_at_large_denominators():
     assert (a3 < 0 or a3 * a3 < two_thirds) and b3 > 0 and b3 * b3 > two_thirds  # a3 < s < b3
     for (a, b), r in (((a1, b1), Fraction(-5, 7)), ((a2, b2), Fraction(1, 3))):
         assert a == b == r or a < r < b
+
+
+def test_rational_gcd_of_multiples_is_the_monic_common_factor():
+    """gcd(g·a, g·b) = monic(g) with Fraction coefficients, for coprime a, b
+    with non-integral coefficients and negative leads."""
+    g = uv.mul(QQ, _from_roots([Fraction(2, 3), Fraction(-1, 2)]), [Fraction(5, 7), Fraction(0), Fraction(-3, 2)])
+    a = [Fraction(1, 3), Fraction(-2, 5), Fraction(-7, 4)]  # no rational roots, lead -7/4
+    b = uv.neg(QQ, _from_roots([Fraction(3, 11), Fraction(-4, 9), Fraction(5, 2)]))
+    assert uv.gcd_poly(QQ, a, b) == [Fraction(1)]
+    for x, y, common in ((a, b, g), (b, a, g), (a, a, uv.mul(QQ, g, a)), (b, [], uv.mul(QQ, g, b))):
+        got = uv.gcd_poly(QQ, uv.mul(QQ, g, x), uv.mul(QQ, g, y))
+        assert got == uv.monic(QQ, common) and all(type(c) is Fraction for c in got)
+    assert uv.gcd_poly(QQ, [], []) == []
+
+
+@pytest.mark.parametrize(
+    "diag1, main_gcd, other_gcd",
+    [
+        ([Fraction(1, 2), Fraction(1, 2), Fraction(3), Fraction(-5, 3)], (2, 1), (Fraction(1, 2), 1)),
+        ([Fraction(1, 2)] * 3 + [Fraction(3), Fraction(-5, 3)], (4, 4, 1), (Fraction(1, 4), 1, 1)),
+    ],
+)
+def test_chart_gcds_of_a_repeated_root(diag1, main_gcd, other_gcd):
+    """G0 = I, G1 = diag(diag1): the root s0 + s1/2 = 0 is repeated, so each
+    chart gcd is a power of it, monic, with Fraction coefficients."""
+    n = len(diag1) - 1
+    p = Pencil(QQ, n, SymMatrix.diagonal(QQ, [Fraction(1)] * (n + 1)), SymMatrix.diagonal(QQ, diag1))
+    rep = smoothness(p)
+    assert not rep.smooth
+    assert rep.chart_main_gcd == main_gcd and rep.chart_other_gcd == other_gcd
+    assert all(type(c) is Fraction for c in rep.chart_main_gcd + rep.chart_other_gcd)
+
+
+def _rational_sturm_chain(f):
+    chain = [uv.trim(QQ, f), uv.derivative(QQ, f)]
+    while True:
+        _, r = uv.divmod_poly(QQ, chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append(uv.neg(QQ, r))
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)), min_size=2, max_size=7))
+@settings(max_examples=80)
+def test_sturm_members_are_positive_multiples_of_the_rational_chain(coeffs):
+    f = uv.trim(QQ, coeffs)
+    if len(f) < 2:
+        return
+    chain = uv.sturm_chain(f)
+    want = _rational_sturm_chain(f)
+    assert len(chain) == len(want)
+    for member, ref in zip(chain, want):
+        assert all(type(c) is int for c in member) and len(member) == len(ref)
+        ratio = Fraction(member[-1]) / ref[-1]
+        assert ratio > 0 and [ratio * c for c in ref] == member
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
