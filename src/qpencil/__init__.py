@@ -18,7 +18,6 @@ from .fields import QQ, PrimeField, QuadraticExtension, Rationals
 from .fqgeom import (
     ProjLine,
     TorsorReport,
-    count_lines,
     count_points,
     enumerate_lines,
     singular_points,
@@ -64,7 +63,6 @@ __all__ = [
     "SmoothnessReport",
     "SymMatrix",
     "TorsorReport",
-    "count_lines",
     "count_points",
     "decomposition",
     "diagonal_pencil",

@@ -22,7 +22,7 @@ from . import univariate as uv
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ
 from .matrices import SymMatrix, _integer_grams, signature_pair
-from .pencil import Pencil, smoothness
+from .pencil import Pencil, SmoothnessReport, smoothness
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,12 @@ def _swap(sig: tuple[int, int]) -> tuple[int, int]:
     return (sig[1], sig[0])
 
 
-def index_circle(p: Pencil) -> IndexCircle:
-    """Compute the index circle of a smooth pencil over the rationals."""
+def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCircle:
+    """Compute the index circle of a smooth pencil over the rationals;
+    `report` is `smoothness(p)` when the caller already holds it."""
     if p.field != QQ:
         raise PrecondError("the index circle needs rational coefficients")
-    report = smoothness(p)
+    report = smoothness(p) if report is None else report
     if not report.smooth:
         raise PrecondError("the base locus is singular; the index circle is undefined")
     disc = report.discriminant
@@ -248,8 +249,8 @@ def decomposition(circle: IndexCircle) -> OddDecomposition:
     return OddDecomposition(canonical_parts(tuple(parts)))
 
 
-def pencil_decomposition(p: Pencil) -> OddDecomposition:
-    return decomposition(index_circle(p))
+def pencil_decomposition(p: Pencil, report: SmoothnessReport | None = None) -> OddDecomposition:
+    return decomposition(index_circle(p, report))
 
 
 def enumerate_classes(n: int) -> list[OddDecomposition]:

@@ -85,7 +85,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
         }
     payload["singular_points"] = _singular_scan(pencil)
     if pencil.field.characteristic == 0 and rep.smooth:
-        dec = pencil_decomposition(pencil)
+        dec = pencil_decomposition(pencil, rep)
         payload["isotopy_class"] = {"parts": list(dec.parts), "label": dec.label()}
         if pencil.n == 5:
             v = real_verdict(dec, 5)

@@ -149,11 +149,3 @@ def mumford_order(f: Sequence[int], field: Field) -> int:
                 if not r:
                     total += 1
     return total
-
-
-def jacobian_order_two_ways(f: Sequence[int], q: int) -> tuple[int, int]:
-    """(L(1) from counts, brute-force Mumford order) — they must agree; both
-    are returned so callers can assert the agreement explicitly."""
-    data = curve_data(f, q)
-    brute = mumford_order(f, PrimeField(q))
-    return data.jacobian_order, brute

@@ -216,10 +216,6 @@ def enumerate_lines(pencil: Pencil) -> list[ProjLine]:
     return enumerate_lines_of_quadrics(p, pencil.n + 1, [pencil.g0, pencil.g1])
 
 
-def count_lines(pencil: Pencil) -> int:
-    return len(enumerate_lines(pencil))
-
-
 @dataclass(frozen=True)
 class TorsorReport:
     """Two independent computations of one cardinality: lines on the base

@@ -10,8 +10,9 @@ Input files are UTF-8 JSON of the shape
 where ``field`` is either ``{"kind": "rationals"}`` or
 ``{"kind": "prime", "p": 11}``, and each term ``[i, j, c]`` with ``i <= j``
 gives the coefficient of ``x_i x_j``.  Coefficients are integers or exact
-``"num/den"`` strings; floats are rejected.  Parse diagnostics name the
-offending field (and the line for malformed JSON).
+``"num/den"`` strings; floats are rejected.  The dimension n runs from 2 to
+`MAX_N`, checked before any matrix is allocated.  Parse diagnostics name
+the offending field (and the line for malformed JSON).
 
 Reports are serialized with sorted keys and no timestamps, so a fixed input
 produces byte-identical output across runs.
@@ -19,7 +20,6 @@ produces byte-identical output across runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +28,10 @@ from typing import Any
 from .errors import PrecondError
 from .fields import QQ, Field, PrimeField
 from .pencil import Pencil, _gram_from_terms
+
+# the largest n an input may declare: an analyze over Q at n = 24 takes about
+# a second, and the dense (n+1)x(n+1) Grams are built only below this bound
+MAX_N = 24
 
 
 def parse_field_spec(spec: Any, where: str = "field") -> Field:
@@ -86,18 +90,24 @@ def parse_pencil(doc: Any) -> Pencil:
         raise PrecondError(f"n: expected an integer, got {n!r}")
     if n < 2:
         raise PrecondError(f"n: need n >= 2, got {n}")
+    if n > MAX_N:
+        raise PrecondError(f"n: at most {MAX_N} is supported, got {n}")
     g0, g1 = (_gram_from_terms(field, n, _term_list(doc[k], k), k) for k in ("q0", "q1"))
     return Pencil(field, n, g0, g1)
 
 
 def load_pencil(path: str) -> tuple[Pencil, str]:
     """Read a pencil file; returns the pencil and the sha256 of the raw bytes."""
+    import hashlib  # only file input is hashed; OpenSSL is a few MB of RSS
+
     data = _read_input(path)
     return parse_pencil(_decode(data, path)), hashlib.sha256(data).hexdigest()
 
 
 def load_json(path: str) -> tuple[Any, str]:
     """Read any JSON input file; returns the document and its sha256."""
+    import hashlib
+
     data = _read_input(path)
     return _decode(data, path), hashlib.sha256(data).hexdigest()
 
@@ -117,6 +127,8 @@ def _decode(data: bytes, path: str) -> Any:
         raise PrecondError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PrecondError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond the int conversion limit
+        raise PrecondError(f"{path}: {exc}") from exc
 
 
 # -- report envelope -----------------------------------------------------

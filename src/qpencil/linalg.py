@@ -148,10 +148,6 @@ def det(field: Field, rows: Sequence[Sequence]) -> object:
     return result
 
 
-def is_invertible(field: Field, rows: Sequence[Sequence]) -> bool:
-    return not field.is_zero(det(field, rows))
-
-
 def invert(field: Field, rows: Sequence[Sequence]) -> Matrix:
     m = len(rows)
     aug = [list(r) + list(e) for r, e in zip(rows, identity(field, m))]

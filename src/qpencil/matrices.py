@@ -6,10 +6,13 @@ after clearing denominators: split off one square at a time at a nonzero
 diagonal entry, or a hyperbolic pair when the whole remaining diagonal
 vanishes, keeping each remaining block a positive integer multiple of the
 rational one.  The determinant over F[t], for F the rationals or a prime
-field, is fraction-free Bareiss elimination over Z[t] on dense lists of
-Python ints, for any size: over the rationals after clearing all
-denominators, over F_p after lifting the representatives in range(p) to Z.
-No eigenvalues, no floats.
+field, is taken over Z[t] by Kronecker substitution: with
+B = prod_i sum_j |e_ij|_1 bounding every coefficient of the determinant,
+each entry is evaluated at t = 2^K, K = bitlength(B) + 1, one fraction-free
+(Bareiss) elimination over Z gives the determinant at 2^K, and its balanced
+base-2^K digits are the coefficients.  Over the rationals all denominators
+are cleared first; over F_p the representatives are lifted to Z and the
+result is reduced mod p.  No eigenvalues, no floats.
 """
 
 from __future__ import annotations
@@ -145,27 +148,27 @@ def signature_pair(g: SymMatrix) -> tuple[int, int]:
 
 def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]]) -> list:
     """Determinant of a square matrix over F[t], for F the rationals or a
-    prime field, by fraction-free (Bareiss) elimination over Z[t].
+    prime field, as one integer Bareiss elimination at t = 2^K.
 
     Entries and result are ascending coefficient lists of field elements; a
     singular matrix gives the zero polynomial ``[]``.  Over the rationals
     every entry is multiplied by the lcm L of all coefficient denominators
     and the integer determinant is divided by L^m; over F_p the
-    representatives in ``range(p)`` are lifted to Z and the integer
-    determinant is reduced mod p.
+    representatives are lifted to balanced integers in (-p/2, p/2) and the
+    integer determinant is reduced mod p.
     """
     m = len(rows)
     if m == 0 or any(len(row) != m for row in rows):
         raise PrecondError("determinant needs a nonempty square matrix")
     if isinstance(field, Rationals):
         scale = math.lcm(*(c.denominator for row in rows for e in row for c in e))
-        ints = [[_trim([c.numerator * (scale // c.denominator) for c in e]) for e in row] for row in rows]
+        ints = [[[c.numerator * (scale // c.denominator) for c in e] for e in row] for row in rows]
         den = scale**m
-        return [Fraction(c, den) for c in _bareiss_zt(ints)]
+        return [Fraction(c, den) for c in _det_zt(ints)]
     if isinstance(field, PrimeField):
-        p = field.p
-        ints = [[_trim([c % p for c in e]) for e in row] for row in rows]
-        return _trim([c % p for c in _bareiss_zt(ints)])
+        p, half = field.p, field.p // 2
+        ints = [[[(c + half) % p - half for c in e] for e in row] for row in rows]
+        return _trim([c % p for c in _det_zt(ints)])
     raise PrecondError(f"det_poly works over the rationals or a prime field, not {field!r}")
 
 
@@ -175,8 +178,39 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _bareiss_zt(a: list[list[list[int]]]) -> list[int]:
-    """Determinant of a square matrix over Z[t]; `a` is overwritten.
+def _det_zt(rows: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[t] by Kronecker substitution.
+
+    Every coefficient of the determinant is at most
+    B = prod_i sum_j |e_ij|_1 in absolute value (B bounds the permanent of
+    the entries' 1-norms), so with K = bitlength(B) + 1 the integer
+    determinant at t = 2^K holds them as balanced base-2^K digits.
+    """
+    bound = math.prod(sum(abs(c) for e in row for c in e) for row in rows)
+    width = bound.bit_length() + 1
+    packed = []
+    for row in rows:
+        out = []
+        for e in row:
+            v = 0
+            for c in reversed(e):
+                v = (v << width) + c
+            out.append(v)
+        packed.append(out)
+    det = _bareiss(packed)
+    coeffs = []
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    while det:
+        digit = det & mask
+        if digit >= half:
+            digit -= 1 << width
+        coeffs.append(digit)
+        det = (det - digit) >> width
+    return coeffs
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix; `a` is overwritten.
 
     Step k replaces each entry below and right of the pivot by
     (a_kk a_ij - a_ik a_kj) / (previous pivot), a division that is exact
@@ -184,57 +218,23 @@ def _bareiss_zt(a: list[list[list[int]]]) -> list[int]:
     identity).  A zero pivot is swapped with a nonzero entry below it.
     """
     m = len(a)
-    negate = False
-    prev = [1]
+    sign, prev = 1, 1
     for k in range(m - 1):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, m) if a[i][k]), None)
             if swap is None:
-                return []
+                return 0
             a[k], a[swap] = a[swap], a[k]
-            negate = not negate
+            sign = -sign
         pivot, row_k = a[k][k], a[k]
         for row in a[k + 1:]:
             lead = row[k]
             for j in range(k + 1, m):
-                row[j] = _exact_quotient(_cross(pivot, row[j], lead, row_k[j]), prev, k)
+                row[j], rem = divmod(pivot * row[j] - lead * row_k[j], prev)
+                if rem:
+                    raise InternalCheckError(
+                        f"Bareiss step {k}: division by the previous pivot {prev} left the "
+                        f"remainder {rem} (integers at t = 2^K)"
+                    )
         prev = pivot
-    det = a[m - 1][m - 1]
-    return [-c for c in det] if negate else det
-
-
-def _cross(a: list[int], b: list[int], c: list[int], d: list[int]) -> list[int]:
-    """a·b - c·d in Z[t]."""
-    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
-    if b:
-        for i, x in enumerate(a):
-            if x:
-                for s, y in enumerate(b, i):
-                    out[s] += x * y
-    if c and d:
-        for i, x in enumerate(c):
-            if x:
-                for s, y in enumerate(d, i):
-                    out[s] -= x * y
-    return _trim(out)
-
-
-def _exact_quotient(num: list[int], den: list[int], step: int) -> list[int]:
-    """num / den in Z[t] for a division of Bareiss step `step` that must be
-    exact; each quotient coefficient comes from `divmod` by den's lead."""
-    rem = list(num)
-    dd, lead = len(den) - 1, den[-1]
-    quo = [0] * max(len(rem) - dd, 0)
-    for s in reversed(range(len(quo))):
-        quo[s], r = divmod(rem[s + dd], lead)
-        if r:
-            break
-        for i in range(dd):
-            rem[s + i] -= quo[s] * den[i]
-        rem[s + dd] = 0
-    if any(rem):
-        raise InternalCheckError(
-            f"Bareiss step {step}: division by the previous pivot {den} left the "
-            f"remainder {_trim(rem)} (ascending coefficients over Z)"
-        )
-    return quo
+    return sign * a[m - 1][m - 1]

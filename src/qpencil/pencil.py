@@ -327,16 +327,6 @@ def is_smooth(p: Pencil) -> bool:
     return smoothness(p).smooth
 
 
-def expected_dim(n: int) -> int:
-    """Dimension of the base locus of a nondegenerate pencil in P^n."""
-    return n - 2
-
-
-def max_linear_subspace_dim(n: int) -> int:
-    """Largest dimension of a linear space contained in a smooth base locus."""
-    return (n - 1) // 2
-
-
 # -- transforms --------------------------------------------------------
 
 

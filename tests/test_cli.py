@@ -17,8 +17,10 @@ import sys
 import pytest
 
 from qpencil import cli
+from qpencil import pencil as pencil_mod
 from qpencil.errors import InternalCheckError
 from qpencil.io import Report
+from qpencil.matrices import det_poly
 
 from conftest import GOLDEN, REPO
 
@@ -113,6 +115,22 @@ def test_analyze_human_verdict(monkeypatch):
     assert '"(6)"' in out  # the isotopy class label
 
 
+def test_rational_analyze_takes_one_determinant(monkeypatch):
+    """The smoothness report of an analyze also feeds the index circle, so
+    the discriminant is computed once."""
+    monkeypatch.chdir(REPO)
+    calls = []
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return det_poly(field, rows)
+
+    monkeypatch.setattr(pencil_mod, "det_poly", counted)
+    code, _, _, err = _run(["analyze", "inputs/diagonal.json", "--json"])
+    assert code == 0, err
+    assert calls == [6]
+
+
 def test_missing_file_is_a_usage_error(tmp_path, monkeypatch):
     monkeypatch.chdir(REPO)
     code, report, out, err = _run(["analyze", str(tmp_path / "nope.json")])
@@ -196,10 +214,12 @@ def test_zeta_needs_a_threefold(monkeypatch, tmp_path):
 def test_rational_analyze_does_not_load_numpy():
     """numpy is imported only by the finite-field scans that use it, so a
     fresh interpreter that imports the package, the CLI and both numpy users
-    and runs an analyze over Q never loads it."""
+    and runs an analyze over Q never loads it; hashlib is imported only when
+    an input file is read."""
     code = (
         "import io, sys\n"
         "import qpencil, qpencil.cli, qpencil.fqgeom, qpencil.isotropy\n"
+        "assert 'hashlib' not in sys.modules\n"
         "status, _ = qpencil.cli.run(['analyze', 'inputs/diagonal.json', '--json'], out=io.StringIO())\n"
         "assert status == 0, status\n"
         "print('numpy' in sys.modules)\n"

@@ -5,7 +5,6 @@ import pytest
 from qpencil.curvecounts import (
     curve_counts,
     curve_data,
-    jacobian_order_two_ways,
     lpolynomial,
     mumford_order,
     weil_check,
@@ -47,8 +46,7 @@ def test_two_route_jacobian_orders_agree():
         ([1, 0, 2, 0, 0, 1], 5),
         ([2, 0, 1, 0, 0, 1], 7),
     ]:
-        by_counts, by_mumford = jacobian_order_two_ways(f, q)
-        assert by_counts == by_mumford
+        assert curve_data(f, q).jacobian_order == mumford_order(f, PrimeField(q))
 
 
 def test_degree_six_models_count_both_infinite_branches():

@@ -9,7 +9,6 @@ from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
 from qpencil.fqgeom import (
     ProjLine,
-    count_lines,
     count_points,
     enumerate_lines,
     enumerate_lines_of_quadrics,
@@ -163,7 +162,6 @@ def test_lines_on_a_smooth_threefold():
     p = random_pencil(F3, 5, rng)
     lines = enumerate_lines(p)
     assert len(lines) == 16
-    assert count_lines(p) == 16
     for line in lines:
         for pt in line.points():
             assert p.eval_form(0, pt) % 3 == 0

@@ -1,13 +1,16 @@
 """Input parsing diagnostics and the report envelope."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
-from qpencil.io import Report, _field_doc, jsonable, load_json, load_pencil, parse_field_spec, parse_pencil
+from qpencil.io import MAX_N, Report, _field_doc, jsonable, load_json, load_pencil, parse_field_spec, parse_pencil
+from qpencil.pencil import Pencil
 
 GOOD_DOC = {
     "field": {"kind": "rationals"},
@@ -68,6 +71,68 @@ def test_parse_pencil_top_level_shape():
         parse_pencil(dict(GOOD_DOC, n=1))
     with pytest.raises(PrecondError, match="n:"):
         parse_pencil(dict(GOOD_DOC, n="2"))
+
+
+@pytest.mark.parametrize("n", [MAX_N + 1, 10**12])
+def test_parse_pencil_bounds_n_before_allocating(n):
+    start = time.perf_counter()
+    with pytest.raises(PrecondError, match=f"at most {MAX_N}"):
+        parse_pencil(dict(GOOD_DOC, n=n))
+    assert time.perf_counter() - start < 0.5
+    assert parse_pencil(dict(GOOD_DOC, n=MAX_N)).g0.size == MAX_N + 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_COEFF = st.integers(-(10**30), 10**30) | st.sampled_from(["-3", "1/2", " 5/7 ", "1/0", "21/7", "0.5", "1e3", ""])
+_TERMS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), _COEFF).map(lambda t: [min(t[:2]), max(t[:2]), t[2]]),
+    max_size=5,
+    unique_by=lambda t: (t[0], t[1]),
+)
+# well-formed documents, whose indices may still leave the range for n < 4
+_GOOD = st.fixed_dictionaries(
+    {
+        "field": st.sampled_from([{"kind": "rationals"}, {"kind": "prime", "p": 3}, {"kind": "prime", "p": 7}]),
+        "n": st.integers(2, 4),
+        "q0": _TERMS,
+        "q1": _TERMS,
+    }
+)
+_WILD = (
+    _JSON
+    | st.fixed_dictionaries({"kind": st.just("prime"), "p": st.integers(-3, 10**26)})
+    | st.sampled_from([-1, 1, MAX_N + 1, 10**12])
+    | st.lists(st.lists(st.integers(-1, 4) | _COEFF, max_size=4), max_size=4)
+)
+# one key replaced by an arbitrary value, dropped, or joined by an extra key
+_DOCS = (
+    _GOOD
+    | st.tuples(_GOOD, st.sampled_from(["field", "n", "q0", "q1", "comment"]), _WILD).map(lambda t: {**t[0], t[1]: t[2]})
+    | st.tuples(_GOOD, st.sampled_from(["field", "n", "q0", "q1"])).map(lambda t: {k: v for k, v in t[0].items() if k != t[1]})
+    | _JSON
+)
+
+
+@given(_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_parse_pencil_fuzz_parses_or_raises_precond_error(doc):
+    """Any JSON-shaped document is either a pencil or a PrecondError."""
+    try:
+        pencil = parse_pencil(doc)
+    except PrecondError:
+        return
+    assert isinstance(pencil, Pencil) and 2 <= pencil.n <= MAX_N
+
+
+def test_load_pencil_rejects_an_overlong_integer(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"n": 1' + "0" * 5000 + "}")
+    with pytest.raises(PrecondError, match="long.json"):
+        load_pencil(str(path))
 
 
 def test_parse_pencil_rejects_bad_prime_coefficient():

