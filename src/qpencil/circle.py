@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import univariate as uv
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ
+from .io import MAX_N
 from .matrices import SymMatrix, _integer_grams, signature_pair
 from .pencil import Pencil, SmoothnessReport, smoothness
 
@@ -255,9 +256,9 @@ def pencil_decomposition(p: Pencil, report: SmoothnessReport | None = None) -> O
 
 def enumerate_classes(n: int) -> list[OddDecomposition]:
     """All odd decompositions admissible in P^n: k = n+1 (mod 2) and
-    0 <= k <= n+1.  Sorted by (k, number of parts, parts)."""
-    if n < 2:
-        raise PrecondError("need n >= 2")
+    0 <= k <= n+1, for 2 <= n <= `io.MAX_N`.  Sorted by (k, number of parts, parts)."""
+    if not 2 <= n <= MAX_N:
+        raise PrecondError(f"n: need 2 <= n <= {MAX_N}, got {n}")
     classes: set[tuple[int, ...]] = set()
     for k in range(0, n + 2):
         if (k - (n + 1)) % 2:

@@ -4,15 +4,16 @@ square matrices over F[t].
 The inertia routine is classical symmetric reduction, fraction-free over Z
 after clearing denominators: split off one square at a time at a nonzero
 diagonal entry, or a hyperbolic pair when the whole remaining diagonal
-vanishes, keeping each remaining block a positive integer multiple of the
-rational one.  The determinant over F[t], for F the rationals or a prime
-field, is taken over Z[t] by Kronecker substitution: with
-B = prod_i sum_j |e_ij|_1 bounding every coefficient of the determinant,
-each entry is evaluated at t = 2^K, K = bitlength(B) + 1, one fraction-free
-(Bareiss) elimination over Z gives the determinant at 2^K, and its balanced
-base-2^K digits are the coefficients.  Over the rationals all denominators
-are cleared first; over F_p the representatives are lifted to Z and the
-result is reduced mod p.  No eigenvalues, no floats.
+vanishes, each remaining block being the rational one times the determinant
+of the pivots taken so far (exact division, as in Bareiss elimination).
+The determinant over F[t], for F the rationals or a prime field, is taken
+over Z[t] by Kronecker substitution: with B = prod_i sum_j |e_ij|_1
+bounding every coefficient of the determinant, each entry is evaluated at
+t = 2^K, K = bitlength(B) + 1, one fraction-free (Bareiss) elimination
+over Z gives the determinant at 2^K, and its balanced base-2^K digits are
+the coefficients.  Over the rationals all denominators are cleared first;
+over F_p the representatives are lifted to Z and the result is reduced
+mod p.  No eigenvalues, no floats.
 """
 
 from __future__ import annotations
@@ -77,48 +78,63 @@ def congruent(field: Field, g: SymMatrix, m_rows: Sequence[Sequence[Any]]) -> Sy
 
 
 def inertia(g: SymMatrix) -> tuple[int, int, int]:
-    """Exact (positive, negative, zero) inertia of a rational symmetric matrix.
+    """Exact (positive, negative, zero) inertia of a rational symmetric matrix
+    (entries ints or Fractions), scaled to integers by the positive lcm of
+    its denominators."""
+    return _inertia_z(_integer_grams(g.entries)[0])
 
-    Entries may be ints or Fractions.  The matrix is scaled to integers by
-    the positive lcm of its denominators and reduced symmetrically over Z.
-    A nonzero diagonal entry d at i splits off one square of the sign of d,
-    and the remaining block becomes
-        sign(d)·(d·A[k][l] - A[k][i]·A[i][l]);
-    when the remaining diagonal is identically zero, a nonzero off-diagonal
-    entry d at (i, j) splits off a hyperbolic pair (+1, -1), and the block
-    becomes  sign(d)·(d·A[k][l] - A[k][i]·A[l][j] - A[k][j]·A[l][i]).
-    Divided by its positive content, each block is a positive multiple of
-    the rational Schur complement, so every pivot sign is the rational one.
+
+def _inertia_z(a: list[list[int]]) -> tuple[int, int, int]:
+    """Inertia of an integer symmetric matrix by symmetric elimination.
+
+    The remaining block is D·S, with S the rational Schur complement and D
+    (`minor`) the determinant of the pivots taken so far, D = 1 at first, so
+    every entry is a minor of the input and each division is exact
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).  A nonzero
+    diagonal entry d counts with the sign of d·D; the block becomes
+    (d·A - a·aᵀ)/D and D becomes d.  When the whole diagonal is zero, an
+    entry d at (i, j) splits off a hyperbolic pair (+1, -1); the block
+    becomes -d·(d·A - a_i·a_jᵀ - a_j·a_iᵀ)/D² and D becomes -d²/D.
     """
-    a = _integer_grams(g.entries)[0]
-    pos = neg = 0
+    pos = neg = step = 0
+    minor = 1
     while a:
         m = len(a)
         piv = next((i for i in range(m) if a[i][i]), None)
         if piv is not None:
             d, p_row = a[piv][piv], a[piv]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-                d, p_row = -d, [-x for x in p_row]
+            pos, neg = (pos + 1, neg) if (d > 0) == (minor > 0) else (pos, neg + 1)
             rest = [k for k in range(m) if k != piv]
-            a = _primitive([[d * row[l] - row[piv] * p_row[l] for l in rest] for row in (a[k] for k in rest)])
-            continue
-        pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-        if pair is None:
-            return pos, neg, m
-        i, j = pair
-        d, ri, rj = a[i][j], a[i], a[j]
-        pos += 1
-        neg += 1
-        if d < 0:
-            d, ri, rj = -d, [-x for x in ri], [-x for x in rj]
-        rest = [k for k in range(m) if k != i and k != j]
-        a = _primitive(
-            [[d * row[l] - row[i] * rj[l] - row[j] * ri[l] for l in rest] for row in (a[k] for k in rest)]
-        )
+            block = [[d * row[l] - row[piv] * p_row[l] for l in rest] for row in (a[k] for k in rest)]
+            a, minor = _divide_exactly(block, minor, step, "diagonal pivot"), d
+        else:
+            pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if pair is None:
+                return pos, neg, m
+            i, j = pair
+            d, ri, rj = a[i][j], a[i], a[j]
+            pos, neg = pos + 1, neg + 1
+            rest = [k for k in range(m) if k != i and k != j]
+            block = [[-d * (d * row[l] - row[i] * rj[l] - row[j] * ri[l]) for l in rest] for row in (a[k] for k in rest)]
+            a = _divide_exactly(block, minor * minor, step, "hyperbolic pair")
+            minor = _divide_exactly([[-d * d]], minor, step, "hyperbolic pair")[0][0]
+        step += 1
     return pos, neg, 0
+
+
+def _divide_exactly(block: list[list[int]], divisor: int, step: int, kind: str) -> list[list[int]]:
+    """The integer block divided entrywise by `divisor`; a remainder raises."""
+    if divisor == 1:
+        return block
+    out = []
+    for row in block:
+        out.append([])
+        for x in row:
+            q, r = divmod(x, divisor)
+            if r:
+                raise InternalCheckError(f"inertia step {step} ({kind}): division by {divisor} left the remainder {r}")
+            out[-1].append(q)
+    return out
 
 
 def _integer_grams(*grams: Sequence[Sequence[Any]]) -> list[list[list[int]]]:
@@ -126,16 +142,6 @@ def _integer_grams(*grams: Sequence[Sequence[Any]]) -> list[list[list[int]]]:
     positive lcm of the denominators of all their entries, as int lists."""
     scale = math.lcm(*(x.denominator for g in grams for row in g for x in row))
     return [[[x.numerator * (scale // x.denominator) for x in row] for row in g] for g in grams]
-
-
-def _primitive(block: list[list[int]]) -> list[list[int]]:
-    """The integer matrix (or, as one row, polynomial) divided by its
-    content, the positive gcd of its entries; a zero or empty one is
-    returned as it is."""
-    content = math.gcd(*(x for row in block for x in row))
-    if content > 1:
-        return [[x // content for x in row] for row in block]
-    return block
 
 
 def signature_pair(g: SymMatrix) -> tuple[int, int]:

@@ -7,8 +7,8 @@ exact field of characteristic != 2.  The discriminant form is
 
 a binary form of degree n+1 in (s0, s1).  The base locus of the pencil is a
 smooth complete intersection of dimension n-2 exactly when F is nonzero and
-squarefree; `is_smooth` certifies this with the gcd computations on both
-affine charts.
+squarefree; `is_smooth` certifies this with the gcd of F(1, t) and its
+derivative, and of F(t, 1) only when the first chart does not settle it.
 """
 
 from __future__ import annotations
@@ -64,14 +64,23 @@ class BinaryForm:
         """Dehomogenization F(t, 1) as an ascending coefficient list."""
         return uv.trim(self.field, list(reversed(self.coeffs)))
 
+    def chart_gcds(self) -> tuple[list, list]:
+        """The monic gcds of F(1, t) and of F(t, 1) with their derivatives
+        ([1] for a constant chart).  F of degree d is squarefree exactly when
+        F(1, t) is squarefree of degree >= d - 1; then the second is [1]."""
+        fld = self.field
+        a, b = self.chart_main(), self.chart_other()
+        ga = uv.gcd_poly(fld, a, uv.derivative(fld, a)) if len(a) > 1 else [fld.one]
+        if (len(ga) == 1 and len(a) >= self.degree) or len(b) < 2:
+            return ga, [fld.one]
+        return ga, uv.gcd_poly(fld, b, uv.derivative(fld, b))
+
     def is_squarefree(self) -> bool:
         """Squarefree as a *binary* form: both charts squarefree and the
         multiplicity of each of (0:1), (1:0) at most one."""
         if self.is_zero:
             raise PrecondError("zero form")
-        a = self.chart_main()
-        b = self.chart_other()
-        return uv.is_squarefree(self.field, a) and uv.is_squarefree(self.field, b)
+        return all(len(g) == 1 for g in self.chart_gcds())
 
     def proportional_to(self, other: "BinaryForm") -> bool:
         """True when self = c * other for some nonzero scalar c."""
@@ -275,16 +284,13 @@ def smoothness(p: Pencil) -> SmoothnessReport:
 
     The base locus is smooth of dimension n-2 iff the discriminant form is
     nonzero of degree n+1 with no repeated projective root, i.e. both chart
-    dehomogenizations have gcd 1 with their derivatives.
+    dehomogenizations have gcd 1 with their derivatives (`chart_gcds`).
     """
     fld = p.field
     disc = _discriminant_or_none(p)
     if disc is None:
         return SmoothnessReport(False, None, (fld.one,), (fld.one,))
-    a = disc.chart_main()
-    b = disc.chart_other()
-    ga = uv.gcd_poly(fld, a, uv.derivative(fld, a)) if len(a) > 1 else [fld.one]
-    gb = uv.gcd_poly(fld, b, uv.derivative(fld, b)) if len(b) > 1 else [fld.one]
+    ga, gb = disc.chart_gcds()
     smooth = len(ga) == 1 and len(gb) == 1
     return SmoothnessReport(smooth, disc, tuple(ga), tuple(gb))
 

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ, Field, Rationals
-from .matrices import _primitive, _trim
+from .matrices import _trim
 
 
 def trim(field: Field, c: Sequence[Any]) -> list:
@@ -115,7 +115,7 @@ def gcd_poly(field: Field, a: Sequence[Any], b: Sequence[Any]) -> list:
     if isinstance(field, Rationals):
         a, b = _primitive_multiple(a), _primitive_multiple(b)
         while b:
-            a, b = b, _primitive([_prem(a, b)])[0]
+            a, b = b, _primitive(_prem(a, b))
         return [Fraction(c, a[-1]) for c in a] if a else []
     a = trim(field, a)
     b = trim(field, b)
@@ -186,7 +186,7 @@ def sturm_chain(c: Sequence[Fraction]) -> list[list[int]]:
             r = _prem(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(_primitive([[-x for x in r]])[0])
+            chain.append(_primitive([-x for x in r]))
     return chain
 
 
@@ -194,7 +194,14 @@ def _primitive_multiple(p: Sequence[Any]) -> list[int]:
     """A rational polynomial (ints or Fractions) times a positive rational:
     integer coefficients with no common factor and no trailing zeros."""
     scale = math.lcm(*(x.denominator for x in p))
-    return _primitive([_trim([x.numerator * (scale // x.denominator) for x in p])])[0]
+    return _primitive(_trim([x.numerator * (scale // x.denominator) for x in p]))
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """The integer polynomial divided by its content, the positive gcd of its
+    coefficients; the zero polynomial is returned as it is."""
+    content = math.gcd(*p)
+    return [x // content for x in p] if content > 1 else p
 
 
 def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -258,18 +265,18 @@ def isolate_real_roots(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]
     one root in the open interval — except rational roots stumbled on during
     bisection, which come back as exact singletons (r, r).  Intervals of
     distinct roots have disjoint interiors (they may share a non-root
-    endpoint).
+    endpoint).  f gives way to its squarefree part only when the last member
+    of its Sturm chain, a multiple of gcd(f, f'), is nonconstant.
     """
     f = trim(QQ, list(c))
     if not f:
         raise PrecondError("cannot isolate roots of the zero polynomial")
     if len(f) == 1:
         return []
-    # work with the squarefree part so the Sturm count is the root count
-    g = gcd_poly(QQ, f, derivative(QQ, f))
-    if len(g) > 1:
-        f, _ = divmod_poly(QQ, f, g)
     chain = sturm_chain(f)
+    if len(chain[-1]) > 1:
+        f, _ = divmod_poly(QQ, f, [Fraction(x) for x in chain[-1]])
+        chain = sturm_chain(f)
 
     def count(a: Fraction, b: Fraction) -> int:
         return count_roots_in(chain, a, b)

@@ -13,13 +13,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from qpencil import cli
 from qpencil import pencil as pencil_mod
-from qpencil.errors import InternalCheckError
-from qpencil.io import Report
+from qpencil.circle import enumerate_classes
+from qpencil.errors import InternalCheckError, PrecondError
+from qpencil.io import MAX_N, Report
 from qpencil.matrices import det_poly
 
 from conftest import GOLDEN, REPO
@@ -228,3 +230,19 @@ def test_rational_analyze_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_classes_refuses_n_above_the_input_bound():
+    """`classes --n 40` enumerated about 2^40 compositions (the work grows
+    about 4x per step of 2 in n); n above io.MAX_N now exits 2 at once."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    argv = [sys.executable, "-m", "qpencil.cli", "classes", "--n", "40"]
+    done = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert f"n <= {MAX_N}, got 40" in done.stderr
+    start = time.perf_counter()
+    code, report, _, _ = _run(["classes", "--n", "40"])
+    assert code == 2 and report is None
+    assert time.perf_counter() - start < 1
+    with pytest.raises(PrecondError):
+        enumerate_classes(MAX_N + 1)

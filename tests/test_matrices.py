@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpencil import univariate as uv
+from qpencil import matrices, univariate as uv
 from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ, PrimeField, QuadraticExtension
 from qpencil.linalg import det, identity, mat_mul
-from qpencil.matrices import SymMatrix, _bareiss, congruent, det_poly, inertia, signature_pair
+from qpencil.matrices import SymMatrix, _bareiss, _inertia_z, congruent, det_poly, inertia, signature_pair
 
 
 def test_symmetry_enforced():
@@ -145,6 +145,81 @@ def test_integer_inertia_of_zero_diagonal_matrices():
             for i in range(size):
                 rows[i][zero] = rows[zero][i] = Fraction(0)
         assert inertia(SymMatrix.from_rows(rows)) == _fraction_inertia(rows), (trial, rows)
+
+
+def test_exact_division_inertia_matches_the_schur_complement_reference(monkeypatch):
+    """Sizes 1-9 against `_fraction_inertia`: B^T D B with negative entries
+    in D, so the pivot determinant D changes sign, and every third B
+    singular; and P^T [[0, A], [A^T, 0]] P for a permutation P, whose zero
+    diagonal forces consecutive hyperbolic pairs.  The divisions are
+    watched to show that both cases are reached."""
+    calls = []
+    divide = matrices._divide_exactly
+
+    def watched(block, divisor, step, kind):
+        calls.append((step, kind, divisor))
+        return divide(block, divisor, step, kind)
+
+    monkeypatch.setattr(matrices, "_divide_exactly", watched)
+    rng = random.Random(9)
+    negative_divisors = consecutive_pairs = 0
+    for trial in range(360):
+        size = trial % 9 + 1
+        if trial % 2:
+            d = [Fraction(rng.choice([-3, -2, -1, 1, 2]), rng.choice([1, 2, 3])) for _ in range(size)]
+            b = [[_rational(rng) for _ in range(size)] for _ in range(size)]
+            if trial % 3 == 0 and size > 1:
+                b[-1] = [2 * x - y for x, y in zip(b[0], b[1 % (size - 1)])]
+            rows = [[sum(b[k][i] * d[k] * b[k][j] for k in range(size)) for j in range(size)] for i in range(size)]
+        else:
+            k = max(1, size // 2)
+            a = [[_rational(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(k)] for _ in range(k)]
+            block = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
+            for i in range(k):
+                for j in range(k):
+                    block[i][k + j] = block[k + j][i] = a[i][j]
+            perm = rng.sample(range(2 * k), 2 * k)
+            rows = [[block[perm[i]][perm[j]] for j in range(2 * k)] for i in range(2 * k)]
+        calls.clear()
+        assert inertia(SymMatrix.from_rows(rows)) == _fraction_inertia(rows), (trial, rows)
+        first = {}
+        for step, kind, divisor in calls:
+            first.setdefault(step, (kind, divisor))
+        negative_divisors += any(kind == "diagonal pivot" and div < 0 for kind, div in first.values())
+        consecutive_pairs += any(
+            first[s][0] == first.get(s + 1, ("",))[0] == "hyperbolic pair" and first[s + 1][1] != 1 for s in first
+        )
+    assert negative_divisors > 30 and consecutive_pairs > 30, (negative_divisors, consecutive_pairs)
+
+
+def test_inexact_inertia_division_names_the_step_divisor_and_remainder():
+    # diagonal step: the planted pivot 2 at (2, 2) makes step 0 produce
+    # [[-3, 7], [7, 0]] instead of [[-4, 6], [6, -1]], and step 1 then
+    # divides -3·0 - 7·7 = -49 by D = 2
+    rows = [[0, 2, 2], [2, 0, -1], [2, -1, 2]]
+    assert _inertia_z([list(r) for r in rows]) == (2, 1, 0)
+    rows[2][2] = _OffByOne(2)
+    with pytest.raises(InternalCheckError) as err:
+        _inertia_z(rows)
+    message = str(err.value)
+    assert "step 1 (diagonal pivot)" in message and "division by 2 " in message and "remainder 1" in message
+    # hyperbolic step: step 0 splits off the pair (0, 3) with d = 2, so D
+    # becomes -4; the planted entry at (2, 5) makes the block entry there -6
+    # instead of -4, and step 1, a second hyperbolic pair, divides by D² = 16
+    rows = [
+        [0, 0, 0, 2, -1, 0],
+        [0, 0, 0, -1, -1, 0],
+        [0, 0, 0, 0, 0, 1],
+        [2, -1, 0, 0, 0, 0],
+        [-1, -1, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0],
+    ]
+    assert _inertia_z([list(r) for r in rows]) == (3, 3, 0)
+    rows[2][5] = _OffByOne(1)
+    with pytest.raises(InternalCheckError) as err:
+        _inertia_z(rows)
+    message = str(err.value)
+    assert "step 1 (hyperbolic pair)" in message and "division by 16 " in message and "remainder 8" in message
 
 
 @given(st.integers(0, 10_000))

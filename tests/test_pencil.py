@@ -24,7 +24,7 @@ from qpencil.pencil import (
     toric_pencil,
 )
 from qpencil.projections import project_from_line
-from qpencil.samples import random_pencil, random_pencil_through_line
+from qpencil.samples import random_element, random_pencil, random_pencil_through_line, random_symmetric
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -216,6 +216,67 @@ def test_diagonal_pencils_are_smooth():
             expected += [field.zero] * (n + 2 - len(expected))
             assert p.discriminant_form().coeffs == tuple(expected)
             assert rep.discriminant == p.discriminant_form()
+
+
+def _both_chart_gcds(form):
+    """Reference: the gcd of each chart with its derivative, both always taken."""
+    fld = form.field
+    charts = (form.chart_main(), form.chart_other())
+    return [uv.gcd_poly(fld, c, uv.derivative(fld, c)) if len(c) > 1 else [fld.one] for c in charts]
+
+
+def _planted_pencil(field, n, rng, kind):
+    """A pencil over `field` in n+1 variables.  kind 1: diagonal with
+    a_0 = 0 and b_1 = b_2 = 0, so c_0 = c_d = c_(d-1) = 0 (a root at (1:0)
+    and a double root at (0:1)); kind 2: random with G0 singular and G1 of
+    corank 2; otherwise random."""
+    m = n + 1
+    if kind == 1:
+        a = [field.zero] + [random_element(field, rng, 3) or field.one for _ in range(n)]
+        b = [random_element(field, rng, 3) or field.one, field.zero, field.zero]
+        b += [random_element(field, rng, 3) for _ in range(n - 2)]
+        return Pencil(field, n, SymMatrix.diagonal(field, a), SymMatrix.diagonal(field, b))
+    grams = [random_symmetric(field, m, rng), random_symmetric(field, m, rng)]
+    if kind == 2:
+        for g, zeros in ((0, (0,)), (1, (1, 2))):
+            rows = grams[g].to_lists()
+            for z in zeros:
+                for i in range(m):
+                    rows[i][z] = rows[z][i] = field.zero
+            grams[g] = SymMatrix.from_rows(rows)
+    return Pencil(field, n, *grams)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5), PrimeField(7)], ids=repr)
+def test_one_chart_squarefree_test_matches_both_gcds(field):
+    """`BinaryForm.chart_gcds`, `is_squarefree` and the smoothness verdict and
+    certificate agree with taking both chart gcds: on discriminants of
+    pencils with n = 2..7 and on random forms of degree 3..8, among them
+    forms with c_0 = 0 and c_d = c_(d-1) = 0, which a test reading the
+    degree off F(t, 1) instead of d would call squarefree."""
+    rng = random.Random(repr(field))
+    for trial in range(240):
+        n = trial % 6 + 2
+        rep = smoothness(_planted_pencil(field, n, rng, trial % 3))
+        if rep.degenerate:
+            continue
+        ga, gb = _both_chart_gcds(rep.discriminant)
+        assert rep.smooth == (len(ga) == 1 and len(gb) == 1), (trial, rep.discriminant)
+        assert rep.certificate["gcd_deg_chart_main"] == len(ga) - 1
+        assert rep.certificate["gcd_deg_chart_other"] == len(gb) - 1, (trial, rep.discriminant)
+        assert [list(rep.chart_main_gcd), list(rep.chart_other_gcd)] == [ga, gb]
+    for trial in range(400):
+        c = [random_element(field, rng, 3) for _ in range(trial % 6 + 4)]
+        if trial % 4 in (1, 3):
+            c[0] = field.zero
+        if trial % 4 in (2, 3):
+            c[-1] = c[-2] = field.zero
+        form = BinaryForm(field, tuple(c))
+        if form.is_zero:
+            continue
+        ga, gb = _both_chart_gcds(form)
+        assert list(form.chart_gcds()) == [ga, gb], (trial, c)
+        assert form.is_squarefree() == (len(ga) == 1 and len(gb) == 1), (trial, c)
 
 
 def test_toric_pencil_is_not_smooth():

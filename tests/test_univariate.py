@@ -209,6 +209,31 @@ def test_isolation_irrational_roots():
     assert float(a2) < 2 ** 0.5 < float(b2) + 1e-12
 
 
+@pytest.mark.parametrize(
+    "factors, intervals",
+    [
+        # t^2 (t - 3)(t + 5): the first bisection midpoint 0 is the double root
+        ([[0, 1], [0, 1], [-3, 1], [5, 1]], [(-17, Fraction(-17, 4)), (0, 0), (Fraction(17, 8), 17)]),
+        # (t^2 - 2)^2 (t - 1)
+        ([[-2, 0, 1], [-2, 0, 1], [-1, 1]], [(-4, 0), (1, 1), (Fraction(5, 4), 2)]),
+        # (2t + 1)^3 (3t^2 - 7)
+        (
+            [[1, 2], [1, 2], [1, 2], [-7, 0, 3]],
+            [(Fraction(-13, 6), Fraction(-13, 12)), (Fraction(-13, 12), 0), (0, Fraction(13, 3))],
+        ),
+        # -(t - 1)^2 (t + 2), whose Sturm chain ends in a negative multiple of t - 1
+        ([[-1], [-1, 1], [-1, 1], [2, 1]], [(-4, 0), (0, 4)]),
+    ],
+)
+def test_isolation_of_a_polynomial_with_multiple_roots(factors, intervals):
+    """Non-squarefree input is isolated through its squarefree part; the
+    intervals are pinned to those of the gcd-first isolation."""
+    f = [Fraction(1)]
+    for factor in factors:
+        f = uv.mul(QQ, f, [Fraction(c) for c in factor])
+    assert uv.isolate_real_roots(f) == [(Fraction(a), Fraction(b)) for a, b in intervals]
+
+
 def test_cauchy_bound_contains_roots():
     f = _from_roots([3, -7, 2])
     bound = uv.cauchy_bound(f)
