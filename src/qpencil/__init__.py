@@ -14,7 +14,7 @@ from .circle import (
     real_verdict,
 )
 from .errors import InternalCheckError, PrecondError, QPencilError
-from .fields import QQ, PrimeField, QuadraticExtension, Rationals
+from .fields import QQ, PrimeField, Rationals
 from .fqgeom import (
     ProjLine,
     TorsorReport,
@@ -57,7 +57,6 @@ __all__ = [
     "ProjLine",
     "QPencilError",
     "QQ",
-    "QuadraticExtension",
     "Rationals",
     "RealVerdict",
     "SmoothnessReport",

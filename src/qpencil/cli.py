@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence, TextIO
 
 from . import io
 from .bundlecalc import hpt_check, poly_from_grid
-from .circle import enumerate_classes, pencil_decomposition, real_line_exists, real_verdict
+from .circle import MAX_CLASSES_N, enumerate_classes, pencil_decomposition, real_line_exists, real_verdict
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
 from .fqgeom import (
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="JSON file: 3x3 coefficient grid of the (2,2) form")
 
     p = add("classes", "enumerate the isotopy classes of smooth pencils in P^n(R)")
-    p.add_argument("--n", type=int, required=True, help="projective dimension n >= 2")
+    p.add_argument("--n", type=int, required=True, help=f"projective dimension, 2 <= n <= {MAX_CLASSES_N}")
 
     return ap
 

@@ -2,9 +2,10 @@
 
 Field arithmetic is kept out of the element values themselves: a field object
 is a small strategy bundle operating on plain Python values (``Fraction`` for
-the rationals, ``int`` in ``range(p)`` for a prime field, coefficient pairs
-for a quadratic extension).  This keeps hot loops allocation-light and lets
-the same univariate/matrix code run over any of them.
+the rationals, ``int`` in ``range(p)`` for a prime field).  This keeps hot
+loops allocation-light and lets the same univariate/matrix code run over
+either.  No extension field is needed: counts over F_{p^k} are read off F_p
+through the norm (see ``curvecounts``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .errors import InternalCheckError, PrecondError
+from .errors import PrecondError
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
@@ -219,113 +220,10 @@ class PrimeField:
         """Quadratic character of a (0 on 0)."""
         return legendre(a, self.p)
 
-    def least_nonresidue(self) -> int:
-        for a in range(2, self.p):
-            if legendre(a, self.p) == -1:
-                return a
-        raise InternalCheckError(f"no quadratic non-residue mod {self.p}")  # pragma: no cover
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GF({self.p})"
 
 
-@dataclass(frozen=True)
-class QuadraticExtension:
-    """F_{p^2} = F_p[w] / (w^2 - nu); elements are pairs (a, b) meaning a + b*w.
-
-    nu defaults to the least quadratic non-residue mod p, so w really does
-    generate a degree-2 extension.
-    """
-
-    base: PrimeField
-    nu: int
-
-    @classmethod
-    def of(cls, base: PrimeField) -> "QuadraticExtension":
-        return cls(base, base.least_nonresidue())
-
-    def __post_init__(self) -> None:
-        if legendre(self.nu, self.base.p) != -1:
-            raise PrecondError(f"{self.nu} is a square mod {self.base.p}")
-
-    @property
-    def characteristic(self) -> int:
-        return self.base.p
-
-    @property
-    def order(self) -> int:
-        return self.base.p ** 2
-
-    @property
-    def zero(self) -> tuple[int, int]:
-        return (0, 0)
-
-    @property
-    def one(self) -> tuple[int, int]:
-        return (1, 0)
-
-    def embed(self, a: int) -> tuple[int, int]:
-        return (a % self.base.p, 0)
-
-    def from_int(self, m: int) -> tuple[int, int]:
-        return (m % self.base.p, 0)
-
-    def add(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        p = self.base.p
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-    def sub(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        p = self.base.p
-        return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
-
-    def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        p = self.base.p
-        a, b = x
-        c, d = y
-        return ((a * c + self.nu * b * d) % p, (a * d + b * c) % p)
-
-    def neg(self, x: tuple[int, int]) -> tuple[int, int]:
-        p = self.base.p
-        return ((-x[0]) % p, (-x[1]) % p)
-
-    def norm(self, x: tuple[int, int]) -> int:
-        """Norm to F_p: (a + bw)(a - bw) = a^2 - nu b^2."""
-        p = self.base.p
-        a, b = x
-        return (a * a - self.nu * b * b) % p
-
-    def inv(self, x: tuple[int, int]) -> tuple[int, int]:
-        n = self.norm(x)
-        if n == 0:
-            raise PrecondError("division by zero")
-        ninv = self.base.inv(n)
-        p = self.base.p
-        return ((x[0] * ninv) % p, ((-x[1]) * ninv) % p)
-
-    def div(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        return self.mul(x, self.inv(y))
-
-    def is_zero(self, x: tuple[int, int]) -> bool:
-        return x[0] % self.base.p == 0 and x[1] % self.base.p == 0
-
-    def eq(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
-        return self.is_zero(self.sub(x, y))
-
-    def fmt(self, x: tuple[int, int]) -> str:
-        return f"{x[0]}+{x[1]}w"
-
-    def chi(self, x: tuple[int, int]) -> int:
-        """Quadratic character of F_{p^2}; factors through the norm."""
-        return legendre(self.norm(x), self.base.p)
-
-    def elements(self) -> Iterator[tuple[int, int]]:
-        p = self.base.p
-        return ((a, b) for a in range(p) for b in range(p))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"GF({self.base.p}^2)"
-
-
 QQ = Rationals()
 
-Field = Any  # duck-typed strategy object; one of the three classes above
+Field = Any  # duck-typed strategy object: ``Rationals`` or ``PrimeField``

@@ -2,9 +2,9 @@
 
 Polynomials are plain ascending coefficient lists ``[c0, c1, ...]``; the zero
 polynomial is ``[]`` (or any all-zero list).  The first half is field-generic
-(works over the rationals, prime fields, and quadratic extensions), except
-that the gcd over the rationals is fraction-free: a primitive
-pseudo-remainder sequence on Python ints.  The Sturm machinery at the bottom
+(works over the rationals and prime fields), except that the gcd over the
+rationals is fraction-free: a primitive pseudo-remainder sequence on Python
+ints.  The Sturm machinery at the bottom
 needs an ordered field and is rationals-only; its chains come from the same
 pseudo-remainders, as positive integer multiples of the rational chain.
 """

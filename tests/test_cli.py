@@ -19,7 +19,7 @@ import pytest
 
 from qpencil import cli
 from qpencil import pencil as pencil_mod
-from qpencil.circle import enumerate_classes
+from qpencil.circle import MAX_CLASSES_N, enumerate_classes
 from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.io import MAX_N, Report
 from qpencil.matrices import det_poly
@@ -200,6 +200,20 @@ def test_torus_cli_rejects_float_matrices(tmp_path):
     assert "integer" in err
 
 
+def test_torus_refuses_a_non_symmetry_generator_before_the_closure(tmp_path):
+    """Two unipotent generators with a 4000-digit entry generate an infinite
+    group; they are refused by name at once, before any closure is taken."""
+    big = 10**3999
+    gens = [[[1, big, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, big], [0, 0, 1]]]
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    start = time.perf_counter()
+    code, report, _, err = _run(["torus", "--generators", str(path)])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and report is None
+    assert "generators[0]" in err and "lattice symmetry" in err
+
+
 def test_zeta_needs_a_threefold(monkeypatch, tmp_path):
     doc = {
         "field": {"kind": "prime", "p": 3},
@@ -233,16 +247,19 @@ def test_rational_analyze_does_not_load_numpy():
 
 
 def test_classes_refuses_n_above_the_input_bound():
-    """`classes --n 40` enumerated about 2^40 compositions (the work grows
-    about 4x per step of 2 in n); n above io.MAX_N now exits 2 at once."""
+    """`classes --n 40` enumerated about 2^40 compositions, and the work grows
+    about 4x per step of 2 in n (n = 20 took about 7 s); n above
+    circle.MAX_CLASSES_N = 18 now exits 2 at once."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     argv = [sys.executable, "-m", "qpencil.cli", "classes", "--n", "40"]
     done = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
-    assert f"n <= {MAX_N}, got 40" in done.stderr
-    start = time.perf_counter()
-    code, report, _, _ = _run(["classes", "--n", "40"])
-    assert code == 2 and report is None
-    assert time.perf_counter() - start < 1
+    assert f"n <= {MAX_CLASSES_N}, got 40" in done.stderr
+    for n in (20, 40):
+        start = time.perf_counter()
+        code, report, _, _ = _run(["classes", "--n", str(n)])
+        assert code == 2 and report is None
+        assert time.perf_counter() - start < 1
     with pytest.raises(PrecondError):
-        enumerate_classes(MAX_N + 1)
+        enumerate_classes(MAX_CLASSES_N + 1)
+    assert MAX_CLASSES_N == 18 < MAX_N

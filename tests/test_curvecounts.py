@@ -1,7 +1,10 @@
 """Genus-2 point counts, L-polynomials, and the Mumford calibration."""
 
+import random
+
 import pytest
 
+from qpencil import univariate as uv
 from qpencil.curvecounts import (
     curve_counts,
     curve_data,
@@ -10,10 +13,67 @@ from qpencil.curvecounts import (
     weil_check,
 )
 from qpencil.errors import InternalCheckError, PrecondError
-from qpencil.fields import PrimeField, QuadraticExtension
+from qpencil.fields import PrimeField, legendre
 
 # y^2 = t^5 - t, the classic calibration curve
 T5_MINUS_T = [0, -1, 0, 0, 0, 1]
+
+
+class _Fp2:
+    """Reference F_{p^2} = F_p[w]/(w^2 - nu), nu a non-residue; elements are
+    reduced pairs (a, b) meaning a + b*w.  It has just the methods that
+    `mumford_order` and the brute-force count call, and its square roots
+    are counted by listing every square, not through the norm."""
+
+    def __init__(self, p):
+        self.p = p
+        self.nu = next(a for a in range(2, p) if legendre(a, p) == -1)
+        self.zero, self.one = (0, 0), (1, 0)
+        self.roots = {}  # v -> #{y : y^2 = v}
+        for y in self.elements():
+            v = self.mul(y, y)
+            self.roots[v] = self.roots.get(v, 0) + 1
+
+    def elements(self):
+        return ((a, b) for a in range(self.p) for b in range(self.p))
+
+    def from_int(self, m):
+        return (m % self.p, 0)
+
+    def is_zero(self, x):
+        return x == (0, 0)
+
+    def add(self, x, y):
+        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
+
+    def neg(self, x):
+        return (-x[0] % self.p, -x[1] % self.p)
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def mul(self, x, y):
+        (a, b), (c, d) = x, y
+        return ((a * c + self.nu * b * d) % self.p, (a * d + b * c) % self.p)
+
+    def inv(self, x):
+        return next(y for y in self.elements() if self.mul(x, y) == self.one)
+
+    def chi(self, x):
+        return self.roots.get(x, 0) - 1
+
+
+def _brute_counts(f, q):
+    """(N1, N2) by listing the square roots of f(x) in F_q and in F_{q^2},
+    plus the points above t = infinity (one for a quintic, one per square
+    root of the lead for a sextic)."""
+    fq, ext = PrimeField(q), _Fp2(q)
+    n1 = sum((y * y - uv.evaluate(fq, f, t)) % q == 0 for t in range(q) for y in range(q))
+    lifted = [ext.from_int(c) for c in f]
+    n2 = sum(ext.roots.get(uv.evaluate(ext, lifted, x), 0) for x in ext.elements())
+    if len(f) == 6:
+        return n1 + 1, n2 + 1
+    return n1 + sum((y * y - f[-1]) % q == 0 for y in range(q)), n2 + ext.roots[lifted[-1]]
 
 
 def test_calibration_counts_over_f3():
@@ -33,10 +93,39 @@ def test_mumford_order_matches_over_f3_and_f9():
     f3 = PrimeField(3)
     data = curve_data(T5_MINUS_T, 3)
     assert mumford_order(T5_MINUS_T, f3) == data.jacobian_order
-    # over F_9 the order is prod |1 - alpha_i^2| = L_2(1), here 64
-    f9 = QuadraticExtension.of(f3)
-    lifted = [f9.embed(f3.from_int(c)) for c in T5_MINUS_T]
-    assert mumford_order(lifted, f9) == 64
+    # over F_9 the order is prod (1 - alpha_i^2) = L(1) L(-1), here 64
+    assert mumford_order(T5_MINUS_T, _Fp2(3)) == data.lpoly_at(1) * data.lpoly_at(-1) == 64
+
+
+def test_counts_match_the_brute_force_count_over_f_q_squared():
+    """(N1, N2) from F_q arithmetic against square roots listed in F_{q^2},
+    on 1000 random squarefree models of degree 5 and 6."""
+    rng = random.Random(20261018)
+    seen = set()
+    for q in (3, 5, 7, 11, 13):
+        models = 0
+        while models < 200:
+            deg = rng.choice((5, 6))
+            f = [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)]
+            if not uv.is_squarefree(PrimeField(q), f):
+                continue
+            models += 1
+            assert curve_counts(f, q) == _brute_counts(f, q), (f, q)
+            seen.add(f"degree {deg}")
+            if any(uv.evaluate(PrimeField(q), f, t) == 0 for t in range(q)):
+                seen.add("a root in F_q")
+            if legendre(f[-1], q) == -1:
+                seen.add(f"a non-square lead, degree {deg}")
+            if f[0] == 0:
+                seen.add("c0 = 0")
+    assert seen == {
+        "degree 5",
+        "degree 6",
+        "a root in F_q",
+        "a non-square lead, degree 5",
+        "a non-square lead, degree 6",
+        "c0 = 0",
+    }
 
 
 def test_two_route_jacobian_orders_agree():

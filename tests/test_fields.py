@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpencil.errors import PrecondError
-from qpencil.fields import QQ, PrimeField, QuadraticExtension, is_prime, legendre
+from qpencil.fields import QQ, PrimeField, is_prime, legendre
 
 
 def test_prime_field_rejects_composites_and_two():
@@ -128,25 +128,3 @@ def test_prime_parse_fractions():
         f.parse("1/5")  # denominator divisible by p
     with pytest.raises(PrecondError):
         f.parse("x")
-
-
-def test_quadratic_extension_arithmetic():
-    # F_9 = F_3[w]/(w^2 - nu) with nu the least nonresidue mod 3, i.e. 2
-    f9 = QuadraticExtension.of(PrimeField(3))
-    assert f9.nu == 2
-    w = (0, 1)
-    assert f9.mul(w, w) == f9.from_int(2)
-    a = (1, 2)
-    assert f9.mul(a, f9.inv(a)) == f9.one
-    # norm lands in the base field: (a + bw)(a - bw) = a^2 - nu b^2
-    conj = (a[0], f9.base.neg(a[1]))
-    prod = f9.mul(a, conj)
-    assert prod[1] == 0
-    assert prod[0] == f9.norm(a)
-
-
-def test_quadratic_extension_element_count():
-    f9 = QuadraticExtension.of(PrimeField(3))
-    assert len(list(f9.elements())) == 9
-    with pytest.raises(PrecondError):
-        QuadraticExtension(PrimeField(3), 1)  # 1 is a square
