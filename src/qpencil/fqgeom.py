@@ -1,28 +1,39 @@
-"""Brute-force projective geometry over small prime fields.
+"""Projective geometry of a pencil of quadrics over prime fields.
 
-Points are enumerated by canonical representatives, scaled so that the
-first nonzero coordinate is 1; one scan of them finds the common zeros of the
-quadrics.  Lines are read off pairs of common zeros and stored by the reduced
-row echelon form of their 2x(n+1) basis matrix.  All bulk work is vectorized
-with numpy, imported on first use, and results come out in a fixed order.
+Point counts and singular points come from the q + 1 members
+a G0 + b G1 of the pencil, [a:b] in P^1(F_q): a character sum over the
+members gives #X(F_q), and the singular points lie in the kernels of the
+singular members, so only the F_q-roots of the discriminant need linear
+algebra.  Lines still come from a scan of P^n(F_q): points are enumerated by
+canonical representatives, scaled so that the first nonzero coordinate is 1,
+and one scan of them finds the common zeros of the quadrics.  Lines are read
+off pairs of common zeros and stored by the reduced row echelon form of their
+2x(n+1) basis matrix.  The scans are vectorized with numpy, imported on
+first use, and results come out in a fixed order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .curvecounts import CurveData, curve_data
 from .errors import InternalCheckError, PrecondError
-from .fields import PrimeField
-from .linalg import rref
+from .fields import PrimeField, legendre
+from .linalg import nullspace, rref
 from .matrices import SymMatrix
-from .pencil import Pencil, _independent, _signed_discriminant, smoothness
+from .pencil import Pencil, _discriminant_or_none, _independent, _signed_discriminant, smoothness
 
 if TYPE_CHECKING:
     import numpy as np
 
 POINT_SCAN_LIMIT = 10**9
+# q + 1 members of the pencil, each one Horner evaluation of D and one
+# Legendre symbol (about 2 s of plain Python at the bound)
+MEMBER_LIMIT = 10**6
+# (q + 1) m^3 for a pencil whose D vanishes identically, where each of the
+# q + 1 members of size m is eliminated (about 2 s at the bound for m = 6)
+ELIMINATION_LIMIT = 4 * 10**6
 _CHUNK = 1 << 19
 
 
@@ -100,31 +111,159 @@ def points_on_pencil(pencil: Pencil) -> np.ndarray:
     return _common_zeros(p, pencil.n + 1, [_gram_array(g, p) for g in (pencil.g0, pencil.g1)])
 
 
+# ----------------------------------------------------------------------
+# points and singular points from the members of the pencil
+# ----------------------------------------------------------------------
+
+
 def count_points(pencil: Pencil) -> int:
-    return int(points_on_pencil(pencil).shape[0])
+    """#X(F_q) from the q + 1 members M = a G0 + b G1, [a:b] in P^1(F_q).
+
+    With m = n + 1 variables and an additive character psi, summing
+    psi(a Q0(x) + b Q1(x)) over x in F_q^m and (a, b) in F_q^2 gives
+    q^2 N_aff = q^m + (q - 1) sum_M S(M), N_aff = #{x : Q0(x) = Q1(x) = 0}
+    (Weil; Lidl-Niederreiter, *Finite Fields*, 6.2).  A member of rank r
+    whose congruence diagonalization has nonzero pivots of product delta has
+    S(M) = q^(m - r/2) chi((-1)^(r/2) delta) for even r (q^m for r = 0) and
+    S(M) = 0 for odd r.  A member off the roots of D = det(s0 G0 + s1 G1)
+    has r = m and delta = D(a, b), so only the roots are diagonalized; when
+    D vanishes identically, every member is.  Then #X = (N_aff - 1)/(q - 1).
+    """
+    p = _require_members(pencil)
+    m = pencil.n + 1
+    sign = (-1) ** (m // 2)
+    chi_sum = rank_deficient = 0
+    for a, b, d in _member_values(pencil):
+        if d:
+            if m % 2 == 0:
+                chi_sum += legendre(sign * d, p)
+            continue
+        r, delta = _rank_and_delta(pencil.member(a, b).to_lists(), p)
+        if r % 2 == 0:
+            rank_deficient += p ** (m - r // 2) * legendre((-1) ** (r // 2) * delta, p)
+    total = p**m + (p - 1) * (p ** (m // 2) * chi_sum + rank_deficient)
+    n_aff = _exact_quotient(total, p * p, "q^2 N_aff = q^m + (q - 1) sum S(M)", "q^m + (q - 1) sum S(M)")
+    return _exact_quotient(n_aff - 1, p - 1, "#X = (N_aff - 1)/(q - 1)", "N_aff - 1")
 
 
 def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
     """Points of the base locus where the 2x(n+1) Jacobian drops rank.
 
-    The Jacobian rows are 2*G0*x and 2*G1*x; since char != 2 the factor 2 is
-    irrelevant.  Rank < 2 means all 2x2 minors vanish.
+    The Jacobian rows are 2 G0 x and 2 G1 x, dependent exactly when
+    (a G0 + b G1) x = 0 for some [a:b], which is then a root of
+    D = det(s0 G0 + s1 G1) (Reid, *The complete intersection of two or more
+    quadrics*, ch. 2).  So Sing(X)(F_q) is the union, over the F_q-roots of
+    D (every member when D vanishes identically), of P(ker M)(F_q) on X.
+    The points come out in `projective_points` order: by the index of the
+    first nonzero coordinate, then by the point.
     """
+    p = _require_members(pencil)
+    field = pencil.field
+    kernels = [
+        rref(field, nullspace(field, pencil.member(a, b).to_lists()))[0]
+        for a, b, d in _member_values(pencil)
+        if not d
+    ]
+    visited = sum(projective_point_count(p, len(basis) - 1) for basis in kernels)
+    if visited > POINT_SCAN_LIMIT:
+        raise PrecondError(
+            f"singular members' kernels hold {visited} points, over POINT_SCAN_LIMIT = {POINT_SCAN_LIMIT}"
+        )
+    found: set[tuple[int, ...]] = set()
+    for basis in kernels:
+        # a one-point kernel is tested in plain Python, so that smooth
+        # pencils never load numpy
+        if len(basis) == 1:
+            x = basis[0]
+            if not pencil.eval_form(0, x) and not pencil.eval_form(1, x):
+                found.add(tuple(x))
+        else:
+            found.update(_kernel_zeros(pencil, basis))
+    return sorted(found, key=lambda x: (next(i for i, c in enumerate(x) if c), x))
+
+
+def _require_members(pencil: Pencil) -> int:
+    """p, once the p + 1 members are within MEMBER_LIMIT."""
     p = _require_prime(pencil)
-    g0, g1 = (_gram_array(g, p) for g in (pencil.g0, pencil.g1))
-    pts = _common_zeros(p, pencil.n + 1, [g0, g1])
-    if pts.shape[0] == 0:
-        return []
-    u = (pts @ g0) % p
-    v = (pts @ g1) % p
-    minors = (u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]) % p
-    sing = (minors == 0).all(axis=(1, 2))
-    return [tuple(int(c) for c in row) for row in pts[sing]]
+    if p + 1 > MEMBER_LIMIT:
+        raise PrecondError(f"the {p + 1} members of a pencil over F_{p} exceed MEMBER_LIMIT = {MEMBER_LIMIT}")
+    return p
+
+
+def _member_values(pencil: Pencil) -> Iterator[tuple[int, int, int]]:
+    """(a, b, D(a, b) mod p) for [a:b] = [1:0], ..., [1:p-1], then [0:1],
+    with D = det(s0 G0 + s1 G1) taken once and evaluated by Horner.  When D
+    vanishes identically every member is eliminated, within ELIMINATION_LIMIT."""
+    p = pencil.field.p
+    disc = _discriminant_or_none(pencil)
+    if disc is None:
+        work = (p + 1) * (pencil.n + 1) ** 3
+        if work > ELIMINATION_LIMIT:
+            raise PrecondError(
+                f"D vanishes identically, and eliminating the {p + 1} members over F_{p} "
+                f"takes (q + 1) m^3 = {work}, over ELIMINATION_LIMIT = {ELIMINATION_LIMIT}"
+            )
+        coeffs: tuple[int, ...] = (0,)
+    else:
+        coeffs = disc.coeffs
+    descending = coeffs[::-1]  # D(1, t) = sum_i c_i t^i
+    for t in range(p):
+        v = 0
+        for c in descending:
+            v = (v * t + c) % p
+        yield 1, t, v
+    yield 0, 1, coeffs[-1]
+
+
+def _rank_and_delta(rows: list[list[int]], p: int) -> tuple[int, int]:
+    """Rank r of a symmetric matrix mod p and the product delta of the
+    nonzero pivots of a congruence diagonalization.  A block with zero
+    diagonal and a nonzero entry at (i, j) is first changed by x_i -> x_i + x_j,
+    which puts 2 a_ij != 0 at (i, i)."""
+    a, r, delta = rows, 0, 1
+    while a:
+        m = len(a)
+        piv = next((i for i in range(m) if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if pair is None:
+                break
+            piv, j = pair
+            a[piv] = [(x + y) % p for x, y in zip(a[piv], a[j])]
+            for row in a:
+                row[piv] = (row[piv] + row[j]) % p
+        d, prow = a[piv][piv], a[piv]
+        inv = pow(d, p - 2, p)
+        rest = [k for k in range(m) if k != piv]
+        a = [[(a[k][l] - a[k][piv] * inv * prow[l]) % p for l in rest] for k in rest]
+        r, delta = r + 1, delta * d % p
+    return r, delta
+
+
+def _kernel_zeros(pencil: Pencil, basis: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """The points of P(span basis)(F_p) on both quadrics.  `basis` is in
+    reduced row echelon form, so each combination whose first nonzero
+    coefficient is 1 is a canonical point."""
+    import numpy as np
+
+    p = pencil.field.p
+    pts = projective_points(p, len(basis)) @ np.array(basis, dtype=np.int64) % p
+    mask = np.ones(pts.shape[0], dtype=bool)
+    for g in (pencil.g0, pencil.g1):
+        mask &= _quadric_values(pts, _gram_array(g, p), p) == 0
+    return map(tuple, pts[mask].tolist())
+
+
+def _exact_quotient(num: int, den: int, identity: str, what: str) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise InternalCheckError(f"{identity}: {what} = {num} is not divisible by {den} (remainder {rem})")
+    return q
 
 
 def _require_prime(pencil: Pencil) -> int:
     if not isinstance(pencil.field, PrimeField):
-        raise PrecondError("this scan needs a prime-field pencil")
+        raise PrecondError("F_q geometry needs a prime-field pencil")
     return pencil.field.p
 
 
@@ -148,10 +287,6 @@ class ProjLine:
             raise PrecondError("vectors do not span a line")
         return cls(p, (tuple(red[0]), tuple(red[1])))
 
-    @property
-    def nvars(self) -> int:
-        return len(self.rows[0])
-
     def points(self) -> list[tuple[int, ...]]:
         """The q+1 projective points on the line, canonically normalized."""
         p = self.p
@@ -163,12 +298,6 @@ class ProjLine:
             inv = pow(rep[lead], p - 2, p)
             out.append(tuple((c * inv) % p for c in rep))
         return sorted(out)
-
-    def zero_coordinates(self) -> frozenset[int]:
-        """Indices j with x_j = 0 identically on the line."""
-        return frozenset(
-            j for j in range(self.nvars) if self.rows[0][j] == 0 and self.rows[1][j] == 0
-        )
 
 
 def enumerate_lines_of_quadrics(

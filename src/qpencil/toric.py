@@ -26,6 +26,8 @@ BLOCKS = ((0, 1), (2, 3), (4, 5))
 PLANE_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
     itertools.product(*BLOCKS)
 )
+# each plane with the bitmask of its three zero coordinates
+_PLANE_MASKS = tuple((t, sum(1 << i for i in t)) for t in PLANE_TRIPLES)
 
 
 def coordinate_points(field: Field) -> list[tuple]:
@@ -38,8 +40,9 @@ def coordinate_points(field: Field) -> list[tuple]:
 def toric_singular_points(field: Field) -> list[tuple]:
     """The singular locus of the base locus: the six coordinate points.
 
-    Over a prime field this is an exhaustive Jacobian-rank scan.  Over the
-    rationals the scan is impossible, so we argue by monomial support: each
+    Over a prime field this is `fqgeom.singular_points`, exhaustive over
+    the kernels of the singular members.  Over the rationals no finite
+    search is exhaustive, so we argue by monomial support: each
     2x2 minor of the Jacobian is (up to sign and a factor of 4) a product of
     one variable from each of two blocks, so on a singular point at most one
     block can have a nonzero coordinate — and the equations then kill all
@@ -110,9 +113,12 @@ class ToricLineCensus:
 
 
 def classify_line(line: ProjLine) -> list[tuple[int, int, int]]:
-    """The planes (by index triple) containing the line; empty if nonplanar."""
-    zeros = line.zero_coordinates()
-    return [t for t in PLANE_TRIPLES if set(t) <= zeros]
+    """The planes (by index triple) containing the line; empty if nonplanar.
+
+    Bit j of `zeros` is set when x_j vanishes identically on the line."""
+    u, v = line.rows
+    zeros = sum(1 << j for j, (a, b) in enumerate(zip(u, v)) if not (a or b))
+    return [t for t, mask in _PLANE_MASKS if zeros & mask == mask]
 
 
 def toric_line_census(q: int) -> ToricLineCensus:

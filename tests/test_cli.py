@@ -231,19 +231,61 @@ def test_rational_analyze_does_not_load_numpy():
     """numpy is imported only by the finite-field scans that use it, so a
     fresh interpreter that imports the package, the CLI and both numpy users
     and runs an analyze over Q never loads it; hashlib is imported only when
-    an input file is read."""
+    an input file is read.  Nor does an analyze of a smooth pencil over F_3,
+    whose singular members each have a one-point kernel."""
     code = (
         "import io, sys\n"
         "import qpencil, qpencil.cli, qpencil.fqgeom, qpencil.isotropy\n"
         "assert 'hashlib' not in sys.modules\n"
-        "status, _ = qpencil.cli.run(['analyze', 'inputs/diagonal.json', '--json'], out=io.StringIO())\n"
-        "assert status == 0, status\n"
+        "for path in ('inputs/diagonal.json', 'inputs/smooth_f3.json'):\n"
+        "    status, _ = qpencil.cli.run(['analyze', path, '--json'], out=io.StringIO())\n"
+        "    assert status == 0, status\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _smooth_f3_over(tmp_path, p):
+    """inputs/smooth_f3.json with its field re-declared as F_p."""
+    doc = json.loads((REPO / "inputs" / "smooth_f3.json").read_text())
+    doc["field"]["p"] = p
+    path = tmp_path / f"smooth_over_{p}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_analyze_over_a_larger_prime_is_exhaustive_within_the_member_budget(tmp_path):
+    """Over F_37 the old scan of P^5 (37^6 points) was refused; the p + 1
+    members are not.  Over F_(10^9 + 7) the members are refused at once."""
+    code, report, _, err = _run(["analyze", _smooth_f3_over(tmp_path, 37), "--json"])
+    assert code == 0, err
+    assert report.payload["singular_points"] == {"exhaustive": True, "count": 0, "points": []}
+    start = time.perf_counter()
+    code, report, _, err = _run(["analyze", _smooth_f3_over(tmp_path, 10**9 + 7), "--json"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and report is None
+    assert "MEMBER_LIMIT" in err
+
+
+def test_zeta_refuses_a_large_prime_before_counting(tmp_path):
+    """The genus-2 counts take about q^2/2 resultants, so q above
+    CURVE_Q_LIMIT exits 2 at once.  `--q 100003` on the F_3 file exits 2
+    before that, on the field mismatch."""
+    cases = [
+        (["zeta", _smooth_f3_over(tmp_path, 100003)], "CURVE_Q_LIMIT"),
+        (["zeta", "inputs/smooth_f3.json", "--q", "100003"], "lives over F_3"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for argv, reason in cases:
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "qpencil.cli", *argv], cwd=REPO, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert time.perf_counter() - start < 1
+        assert done.returncode == 2 and reason in done.stderr, done.stderr
 
 
 def test_classes_refuses_n_above_the_input_bound():

@@ -1,11 +1,13 @@
 """Genus-2 point counts, L-polynomials, and the Mumford calibration."""
 
 import random
+import time
 
 import pytest
 
 from qpencil import univariate as uv
 from qpencil.curvecounts import (
+    CURVE_Q_LIMIT,
     curve_counts,
     curve_data,
     lpolynomial,
@@ -153,6 +155,11 @@ def test_model_validation():
         curve_counts([0, 0, 1, 0, 0, 1], 5)  # t^2 (t^3 + 1)
     with pytest.raises(PrecondError, match="degree-5"):
         mumford_order([1, 1, 0, 0, 0, 0, 1], PrimeField(5))
+    start = time.perf_counter()
+    with pytest.raises(PrecondError, match="CURVE_Q_LIMIT"):
+        curve_counts(T5_MINUS_T, 1009)
+    assert time.perf_counter() - start < 0.1
+    assert CURVE_Q_LIMIT < 1009
 
 
 def test_weil_check_rejects_bad_lpolys():

@@ -1,14 +1,20 @@
-"""Point and line enumeration over prime fields, and the torsor identity."""
+"""Point counts, singular points and line enumeration over prime fields, and
+the torsor identity."""
 
 import itertools
 import random
+import time
 
 import pytest
 
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
 from qpencil.fqgeom import (
+    ELIMINATION_LIMIT,
+    MEMBER_LIMIT,
+    POINT_SCAN_LIMIT,
     ProjLine,
+    _gram_array,
     count_points,
     enumerate_lines,
     enumerate_lines_of_quadrics,
@@ -20,8 +26,8 @@ from qpencil.fqgeom import (
     torsor_check,
 )
 from qpencil.matrices import SymMatrix
-from qpencil.pencil import Pencil, diagonal_pencil, singular_at, toric_pencil
-from qpencil.samples import random_pencil
+from qpencil.pencil import Pencil, _discriminant_or_none, diagonal_pencil, singular_at, toric_pencil
+from qpencil.samples import random_pencil, random_symmetric
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -93,16 +99,106 @@ def test_point_enumeration_requires_a_prime_field():
         count_points(toric_pencil(QQ))
 
 
-# -- singular points ------------------------------------------------------
+# -- the member routes against the P^n scan ---------------------------------
+
+
+def _minors_scan(pencil):
+    """The singular points by scanning the common zeros: the Jacobian rows
+    2 G0 x and 2 G1 x are dependent exactly when all their 2x2 minors
+    vanish (char != 2)."""
+    p = pencil.field.p
+    g0, g1 = (_gram_array(g, p) for g in (pencil.g0, pencil.g1))
+    pts = points_on_pencil(pencil)
+    if pts.shape[0] == 0:
+        return []
+    u = (pts @ g0) % p
+    v = (pts @ g1) % p
+    minors = (u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]) % p
+    sing = (minors == 0).all(axis=(1, 2))
+    return [tuple(int(c) for c in row) for row in pts[sing]]
+
+
+def _pencil_of(fld, n, grams):
+    return Pencil(fld, n, *(SymMatrix.from_rows(g) for g in grams))
+
+
+def _battery_cases(fld, n, rng):
+    """(kind, pencil) over fld in n + 1 variables, one of each kind."""
+    m, p = n + 1, fld.p
+    yield "smooth", random_pencil(fld, n, rng)
+    yield "random", random_pencil(fld, n, rng, smooth=False)
+    # singular at e0: Q0(e0) = Q1(e0) = 0 and G1 e0 = c G0 e0
+    g0, g1 = (random_symmetric(fld, m, rng).to_lists() for _ in range(2))
+    c = rng.randrange(p)
+    g0[0][0] = g1[0][0] = 0
+    for j in range(1, m):
+        g1[0][j] = g1[j][0] = c * g0[0][j] % p
+    yield "planted", _pencil_of(fld, n, (g0, g1))
+    # the cone with vertex e0: D vanishes identically
+    grams = [random_symmetric(fld, m, rng).to_lists() for _ in range(2)]
+    for g in grams:
+        for j in range(m):
+            g[0][j] = g[j][0] = 0
+    yield "cone", _pencil_of(fld, n, grams)
+    # D vanishes identically with no common kernel: x0 x1 and x0 x2 over a
+    # random block in x3..xn
+    grams = [random_symmetric(fld, m, rng).to_lists() for _ in range(2)]
+    half = (p + 1) // 2
+    for k, g in enumerate(grams):
+        for i in range(3):
+            for j in range(m):
+                g[i][j] = g[j][i] = 0
+        g[0][1 + k] = g[1 + k][0] = half
+    yield "kronecker", _pencil_of(fld, n, grams)
+    g = random_symmetric(fld, m, rng)
+    yield "proportional", Pencil(fld, n, g, g.map(lambda x: 2 * x % p))
+    yield "g1 = 0", Pencil(fld, n, random_symmetric(fld, m, rng), SymMatrix.diagonal(fld, [0] * m))
+    if n == 5:
+        yield "toric", toric_pencil(fld)
+
+
+# every (p, n) with p in 3, 5, 7, 11, 13 and n in 2..7 whose scan of
+# P^n(F_p) stays within 2 * 10^5 points
+BATTERY = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(2, 8) if p ** (n + 1) <= 2 * 10**5]
+
+
+def test_member_routes_match_the_scan_on_a_seeded_battery():
+    kinds, degenerate, singular = set(), 0, 0
+    for p, n in BATTERY:
+        fld = PrimeField(p)
+        rng = random.Random(f"battery/{p}/{n}")
+        for kind, pencil in _battery_cases(fld, n, rng):
+            where = (p, n, kind)
+            assert count_points(pencil) == len(points_on_pencil(pencil)), where
+            sing = singular_points(pencil)
+            assert sing == _minors_scan(pencil), where
+            kinds.add(kind)
+            degenerate += _discriminant_or_none(pencil) is None
+            singular += bool(sing)
+    assert {n for _, n in BATTERY} == set(range(2, 8))
+    assert {p for p, _ in BATTERY} == {3, 5, 7, 11, 13}
+    assert len(kinds) == 8
+    assert degenerate >= 2 * len(BATTERY) and singular >= 3 * len(BATTERY), (degenerate, singular)
+
+
+@pytest.mark.parametrize("q", [3, 7, 11])
+def test_member_sum_sees_the_sign_of_each_member(q):
+    """For q = 3 mod 4, chi(-1) = -1, so the count is right only with the
+    signs (-1)^(r/2) and delta right: on the nonsingular members of a smooth
+    threefold (r = 6) and on the two rank-2 members, diag(0, 0, 1, 1) and
+    diag(1, 1, 0, 0), of x0^2 + x1^2 + x2^2 + x3^2 = x2^2 + x3^2 = 0."""
+    fld = PrimeField(q)
+    smooth = random_pencil(fld, 5, random.Random(q))
+    split = Pencil(fld, 3, SymMatrix.diagonal(fld, [1, 1, 1, 1]), SymMatrix.diagonal(fld, [0, 0, 1, 1]))
+    for pencil in (smooth, split):
+        assert count_points(pencil) == len(points_on_pencil(pencil))
 
 
 def test_toric_singular_points_over_f3():
     sing = singular_points(toric_pencil(F3))
     assert len(sing) == 6
-    # exactly the coordinate vertices
-    assert set(sing) == {
-        tuple(1 if i == j else 0 for i in range(6)) for j in range(6)
-    }
+    # exactly the coordinate vertices, in projective_points order
+    assert sing == [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 
 
 def test_smooth_pencil_has_no_singular_points():
@@ -124,6 +220,36 @@ def test_singular_at_agrees_with_the_singular_point_scan(q):
         by_point = [tuple(x) for x in zeros if singular_at(p, x)]
         assert by_point == singular_points(p)
         assert by_point
+
+
+def _refuses_at_once(fn, pencil, bound):
+    start = time.perf_counter()
+    with pytest.raises(PrecondError, match=bound):
+        fn(pencil)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("fn", [count_points, singular_points])
+def test_member_routes_refuse_over_their_budgets_before_work(fn):
+    # q + 1 members over MEMBER_LIMIT
+    big = PrimeField(10**9 + 7)
+    _refuses_at_once(fn, diagonal_pencil(big, 5), "MEMBER_LIMIT")
+    # D vanishes identically: each of the q + 1 members would be eliminated
+    p = 20011
+    assert (p + 1) * 6**3 > ELIMINATION_LIMIT and p + 1 <= MEMBER_LIMIT
+    cone = _pencil_of(PrimeField(p), 5, [[[0] * 6] + [[0] + [int(i == j) for j in range(5)] for i in range(5)]] * 2)
+    _refuses_at_once(fn, cone, "ELIMINATION_LIMIT")
+
+
+def test_singular_points_refuse_kernels_over_the_scan_budget():
+    # G1 = 0 makes the member [0:1] zero, so its kernel is all of P^3(F_1009),
+    # (1009^4 - 1)/1008 > 10^9 points; the count needs no kernel and runs
+    fld = PrimeField(1009)
+    pencil = Pencil(fld, 3, SymMatrix.diagonal(fld, [1, 1, 1, 1]), SymMatrix.diagonal(fld, [0] * 4))
+    assert (1009**4 - 1) // 1008 > POINT_SCAN_LIMIT
+    _refuses_at_once(singular_points, pencil, "POINT_SCAN_LIMIT")
+    # X is the quadric surface sum x_i^2 = 0 of discriminant 1, split: (q + 1)^2 points
+    assert count_points(pencil) == 1010**2
 
 
 # -- lines ----------------------------------------------------------------
@@ -150,11 +276,6 @@ def test_projline_points_lie_on_the_line():
 
         red, pivots = rref(PrimeField(5), [list(u), list(v), list(pt)])
         assert len(pivots) == 2
-
-
-def test_zero_coordinates():
-    line = ProjLine.from_span(3, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
-    assert line.zero_coordinates() == frozenset({2, 3, 4, 5})
 
 
 def test_lines_on_a_smooth_threefold():
