@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import univariate as uv
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ
-from .matrices import SymMatrix, _integer_grams, signature_pair
+from .matrices import _integer_grams, signature_pair
 from .pencil import Pencil, SmoothnessReport, smoothness
 
 # the largest n `enumerate_classes` takes: it lists every composition of
@@ -109,8 +109,8 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
     # of ±(den·Z0 + num·Z1), with Z0, Z1 the Grams scaled to integers
     z0, z1 = _integer_grams(p.g0.entries, p.g1.entries)
 
-    def member(s0: int, s1: int) -> SymMatrix:
-        return SymMatrix.from_rows([[s0 * a + s1 * b for a, b in zip(r0, r1)] for r0, r1 in zip(z0, z1)])
+    def member(s0: int, s1: int) -> list[list[int]]:
+        return [[s0 * a + s1 * b for a, b in zip(r0, r1)] for r0, r1 in zip(z0, z1)]
 
     sigs_plus = [signature_pair(member(t.denominator, t.numerator)) for t in samples]
     sigs_minus = [signature_pair(member(-t.denominator, -t.numerator)) for t in samples]

@@ -4,16 +4,19 @@ Point counts and singular points come from the q + 1 members
 a G0 + b G1 of the pencil, [a:b] in P^1(F_q): a character sum over the
 members gives #X(F_q), and the singular points lie in the kernels of the
 singular members, so only the F_q-roots of the discriminant need linear
-algebra.  Lines still come from a scan of P^n(F_q): points are enumerated by
-canonical representatives, scaled so that the first nonzero coordinate is 1,
-and one scan of them finds the common zeros of the quadrics.  Lines are read
-off pairs of common zeros and stored by the reduced row echelon form of their
-2x(n+1) basis matrix.  The scans are vectorized with numpy, imported on
-first use, and results come out in a fixed order.
+algebra.  Lines come from the common zeros of the quadrics, found without a
+scan of P^n(F_q): a member of the pencil without the w^2 term of the last
+coordinate w is linear in w, so over each point y of P^(n-1)(F_q) it fixes
+w, or leaves every w when it vanishes on the whole fiber.  Points are
+canonical representatives, scaled so that the first nonzero coordinate is 1.
+Lines are read off pairs of common zeros and stored by the reduced row
+echelon form of their 2x(n+1) basis matrix.  The scans are vectorized with
+numpy, imported on first use, and results come out in a fixed order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -27,7 +30,11 @@ from .pencil import Pencil, _discriminant_or_none, _independent, _signed_discrim
 if TYPE_CHECKING:
     import numpy as np
 
+# the canonical y of P^(n-1)(F_q) plus q per flat fiber (see _common_zeros)
 POINT_SCAN_LIMIT = 10**9
+# pairs of common zeros the line finder tests: a random n = 7 pencil over
+# F_7 has 4.8e7 and takes about 1 s, so about 2 s at the bound
+PAIR_TEST_LIMIT = 10**8
 # q + 1 members of the pencil, each one Horner evaluation of D and one
 # Legendre symbol (about 2 s of plain Python at the bound)
 MEMBER_LIMIT = 10**6
@@ -55,37 +62,52 @@ def projective_point_count(q: int, dim: int) -> int:
 
 def projective_points(p: int, nvars: int) -> np.ndarray:
     """All points of P^(nvars-1)(F_p), first nonzero coordinate 1, as an
-    (N, nvars) int64 array in a fixed order."""
+    (N, nvars) int64 array: by the index of that coordinate, then
+    lexicographically."""
     import numpy as np
 
-    if p ** nvars > POINT_SCAN_LIMIT:
-        raise PrecondError(f"point scan {p}^{nvars} exceeds {POINT_SCAN_LIMIT}")
-    blocks = []
-    for lead in range(nvars):
-        free = nvars - lead - 1
-        tail = _free_grid(p, free)
-        block = np.zeros((tail.shape[0], nvars), dtype=np.int64)
-        block[:, lead] = 1
-        if free:
-            block[:, lead + 1:] = tail
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+    count = projective_point_count(p, nvars - 1)
+    _require_visits(p, nvars, count, "every point")
+    return _points_at(p, nvars, np.arange(count, dtype=np.int64), nvars)
 
 
-def _free_grid(p: int, free: int) -> np.ndarray:
-    """All tuples in range(p)^free as an (p^free, free) array, lexicographic."""
+def _points_at(p: int, nvars: int, index: np.ndarray, width: int) -> np.ndarray:
+    """The rows at the positions `index` of `projective_points(p, nvars)`,
+    padded with zero columns to `width`.
+
+    The block of lead l holds p^(nvars-1-l) points, and a point's offset in
+    its block, written in base p, is its tail after the lead; the digits at
+    and before the lead are zero because the offset is below p^(nvars-1-l).
+    """
     import numpy as np
 
-    if free == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grid = np.indices((p,) * free, dtype=np.int64)
-    return grid.reshape(free, -1).T
+    starts = np.cumsum([0] + [p ** (nvars - 1 - lead) for lead in range(nvars - 1)], dtype=np.int64)
+    lead = np.searchsorted(starts, index, side="right") - 1
+    rest = index - starts[lead]
+    pts = np.zeros((len(index), width), dtype=np.int64)
+    for col in range(nvars - 1, 0, -1):
+        rest, pts[:, col] = np.divmod(rest, p)
+    pts[np.arange(len(index)), lead] = 1
+    return pts
+
+
+@functools.lru_cache(maxsize=4)
+def _point_slice(p: int, nvars: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Rows start..stop-1 of `projective_points(p, nvars)` padded to `width`.
+    Cached, because a census scans the same grid for pencil after pencil
+    (a slice holds at most 8 _CHUNK bytes), and read-only, because every
+    caller shares it."""
+    import numpy as np
+
+    ys = _points_at(p, nvars, np.arange(start, stop, dtype=np.int64), width)
+    ys.setflags(write=False)
+    return ys
 
 
 def _gram_array(g: SymMatrix, p: int) -> np.ndarray:
     import numpy as np
 
-    return np.array([[int(x) % p for x in row] for row in g.entries], dtype=np.int64)
+    return np.array(g.entries, dtype=np.int64) % p
 
 
 def _quadric_values(pts: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
@@ -95,14 +117,108 @@ def _quadric_values(pts: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
 
 def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray:
     """The points of `projective_points(p, nvars)` on which every quadric
-    with a Gram matrix in `grams` vanishes."""
+    with a Gram matrix in `grams` vanishes, in that order.
+
+    With n = nvars - 1, every point but e_n = (0, ..., 0, 1) is x = (y, w)
+    for a canonical y in P^(n-1)(F_p), and each form is
+    Q_i(y, w) = alpha_i(y) + beta_i(y) w + gamma_i w^2, with
+    gamma_i = G_i[n][n], beta_i = 2 sum_{j<n} G_i[j][n] y_j and
+    alpha_i = y^T G_i[:n, :n] y.  The member M = gamma_1 Q_0 - gamma_0 Q_1
+    has no w^2 term; when gamma_0 = gamma_1 = 0 it is Q_0, or Q_1 if only
+    Q_1 has a w term, and a single Gram matrix stands with Q_1 = 0.  Over y
+    the only candidate is w = -alpha_M/beta_M when beta_M != 0, every w is
+    one when beta_M = alpha_M = 0 (a flat fiber), and there is none
+    otherwise.  Every candidate is tested on every form, and e_n is a common
+    zero exactly when every gamma_i is 0.
+
+    The y are generated in slices whose arrays hold at most `_CHUNK` entries,
+    and only the zeros are kept.  POINT_SCAN_LIMIT bounds the points
+    visited, |P^(n-1)| plus p per flat fiber: the y are counted before the
+    scan, every fiber when M = 0 (all are flat), and otherwise the flat
+    fibers of each slice before they are expanded.  Every value
+    alpha + beta w + gamma w^2 is below nvars^2 (p - 1)^3, which must stay
+    under 2^53 for `_divisible`.
+    """
     import numpy as np
 
-    pts = projective_points(p, nvars)
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for g in grams:
-        mask &= _quadric_values(pts, g, p) == 0
-    return pts[mask]
+    n = nvars - 1
+    base = projective_point_count(p, n - 1)
+    _require_visits(p, nvars, base, "the canonical points of P^(n-1)")
+    if nvars**2 * (p - 1) ** 3 >= 2**53:
+        raise PrecondError(f"scans over F_{p} in {nvars} variables need nvars^2 (p - 1)^3 < 2^53")
+    g0, g1 = grams[0], grams[1] if len(grams) > 1 else np.zeros_like(grams[0])
+    if g0[n, n] or g1[n, n]:
+        m = (int(g1[n, n]) * g0 - int(g0[n, n]) * g1) % p
+    else:
+        m = g1 if g1[:n, n].any() and not g0[:n, n].any() else g0
+    visited, m_vanishes = base, not m.any()
+    if m_vanishes:
+        _require_visits(p, nvars, base * (p + 1), "every fiber flat, since M = 0")
+    forms = np.array([m, *grams])
+    k, gammas = len(forms), forms[1:, n, n].copy()
+    # y @ coeffs is y^T G_i for each form i with column n doubled: for y with
+    # last coordinate 0, its product with y is alpha_i, and column n is beta_i
+    forms[:, :n, n] *= 2
+    coeffs = forms.transpose(1, 0, 2).reshape(nvars, k * nvars)
+
+    found = [np.zeros((0, nvars), dtype=np.int64)]
+    rows = max(1, _CHUNK // (k * nvars))
+    for start in range(0, base, rows):
+        ys = _point_slice(p, n, start, min(start + rows, base), nvars)
+        r = (ys @ coeffs).reshape(len(ys), k, nvars)
+        alpha, beta = np.einsum("ckj,cj->ck", r, ys), r[:, :, n]
+        am, bm = alpha[:, 0] % p, beta[:, 0] % p
+        flat = (bm == 0) & (am == 0)
+        if not m_vanishes:
+            visited += p * int(flat.sum())
+            _require_visits(p, nvars, visited, "the flat fibers")
+        # candidates: w = -alpha_M / beta_M over a solved y, every w over a
+        # flat one, in y order and then by w
+        w = -am * _inverses(bm, p) % p
+        ends = np.cumsum(np.where(flat, p, bm != 0))
+        total, step = int(ends[-1]), _CHUNK // k
+        for c0 in range(0, total, step):
+            cand = np.arange(c0, min(c0 + step, total), dtype=np.int64)
+            row = np.searchsorted(ends, cand, side="right")
+            wc = np.where(flat[row], cand - ends[row] + p, w[row])
+            values = alpha[row, 1:] + (beta[row, 1:] + gammas * wc[:, None]) * wc[:, None]
+            hit = _divisible(values, p).all(axis=1)
+            zeros = ys[row[hit]]
+            zeros[:, n] = wc[hit]
+            found.append(zeros)
+    if not gammas.any():
+        found.append(np.eye(1, nvars, n, dtype=np.int64))
+    return np.concatenate(found)
+
+
+def _require_visits(p: int, nvars: int, visited: int, what: str) -> None:
+    if visited > POINT_SCAN_LIMIT:
+        raise PrecondError(
+            f"a scan of P^{nvars - 1}(F_{p}) visits {visited} points ({what}), "
+            f"over POINT_SCAN_LIMIT = {POINT_SCAN_LIMIT}"
+        )
+
+
+def _divisible(v: np.ndarray, p: int) -> np.ndarray:
+    """p | v entrywise, for integers v below 2^53, exact in float64: when
+    p | v, v (1/p) rounds to v/p, and no multiple of p equals v otherwise.
+    Faster than v % p == 0, because integer division is slow."""
+    import numpy as np
+
+    return v == p * np.rint(v * (1 / p))
+
+
+def _inverses(v: np.ndarray, p: int) -> np.ndarray:
+    """v^(p-2) mod p entrywise, by repeated squaring: the inverse of a
+    nonzero v, and 0 for v = 0."""
+    out, e = v, p - 3
+    while e > 0:
+        if e & 1:
+            out = out * v % p
+        e >>= 1
+        if e:
+            v = v * v % p
+    return out
 
 
 def points_on_pencil(pencil: Pencil) -> np.ndarray:
@@ -164,11 +280,6 @@ def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
         for a, b, d in _member_values(pencil)
         if not d
     ]
-    visited = sum(projective_point_count(p, len(basis) - 1) for basis in kernels)
-    if visited > POINT_SCAN_LIMIT:
-        raise PrecondError(
-            f"singular members' kernels hold {visited} points, over POINT_SCAN_LIMIT = {POINT_SCAN_LIMIT}"
-        )
     found: set[tuple[int, ...]] = set()
     for basis in kernels:
         # a one-point kernel is tested in plain Python, so that smooth
@@ -241,17 +352,16 @@ def _rank_and_delta(rows: list[list[int]], p: int) -> tuple[int, int]:
 
 
 def _kernel_zeros(pencil: Pencil, basis: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """The points of P(span basis)(F_p) on both quadrics.  `basis` is in
-    reduced row echelon form, so each combination whose first nonzero
-    coefficient is 1 is a canonical point."""
+    """The points of P(span basis)(F_p) on both quadrics: the common zeros c
+    of the restricted forms B G B^T, mapped to c B.  `basis` is in reduced
+    row echelon form, so c B is canonical when c is, and each kernel scan is
+    bounded by POINT_SCAN_LIMIT."""
     import numpy as np
 
     p = pencil.field.p
-    pts = projective_points(p, len(basis)) @ np.array(basis, dtype=np.int64) % p
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for g in (pencil.g0, pencil.g1):
-        mask &= _quadric_values(pts, _gram_array(g, p), p) == 0
-    return map(tuple, pts[mask].tolist())
+    b = np.array(basis, dtype=np.int64)
+    grams = [b @ _gram_array(g, p) % p @ b.T % p for g in (pencil.g0, pencil.g1)]
+    return map(tuple, (_common_zeros(p, len(basis), grams) @ b % p).tolist())
 
 
 def _exact_quotient(num: int, den: int, identity: str, what: str) -> int:
@@ -310,27 +420,44 @@ def enumerate_lines_of_quadrics(
     every Gram matrix G.  Both rows of a line's RREF basis are canonical
     points, so each line is found once, as the pair (x, y) with
     lead(x) < lead(y) and x[lead(y)] = 0, where lead is the index of the
-    first nonzero coordinate.  Pairs are tested in blocks of rows, never as
-    one N x N array.  Lines come out sorted by pivot columns, then by rows.
+    first nonzero coordinate.  PAIR_TEST_LIMIT bounds the pairs tested,
+    counted from the leads before the test.  Lines come out sorted by pivot
+    columns, then by rows.
     """
     import numpy as np
 
     gram_arrays = [_gram_array(g, p) for g in grams]
     pts = _common_zeros(p, nvars, gram_arrays)
     lead = (pts != 0).argmax(axis=1)
-    step = max(1, _CHUNK // max(pts.shape[0], 1))
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for start in range(0, pts.shape[0], step):
-        block = pts[start:start + step]
+    per_lead = np.bincount(lead, minlength=nvars)
+    pairs = int((per_lead * (len(pts) - np.cumsum(per_lead))).sum())  # |lead l| * |lead > l|
+    if pairs > PAIR_TEST_LIMIT:
+        raise PrecondError(
+            f"{len(pts)} common zeros give {pairs} candidate pairs, over PAIR_TEST_LIMIT = {PAIR_TEST_LIMIT}"
+        )
+    # x^T G y is below nvars (p - 1)^2, which _common_zeros keeps under 2^53;
+    # the first form is tested on blocks of pairs, never one N x N array, and
+    # the others on the pairs that pass it
+    images = [pts @ g % p for g in gram_arrays]
+    step = max(1, _CHUNK // max(len(pts), 1))
+    firsts, seconds = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for start in range(0, len(pts), step):
+        stop = min(start + step, len(pts))
         later = np.searchsorted(lead, lead[start], side="right")  # pts are sorted by lead
-        rest, rest_lead = pts[later:], lead[later:]
-        mask = (rest_lead[None, :] > lead[start:start + step, None]) & (block[:, rest_lead] == 0)
-        for g in gram_arrays:
-            mask &= ((block @ g) % p) @ rest.T % p == 0
+        mask = (lead[None, later:] > lead[start:stop, None]) & (pts[start:stop][:, lead[later:]] == 0)
+        mask &= _divisible(images[0][start:stop] @ pts[later:].T, p)
         a, b = np.nonzero(mask)
-        found += zip(map(tuple, block[a].tolist()), map(tuple, rest[b].tolist()))
-    found.sort(key=lambda rows: (rows[0].index(1), rows[1].index(1), rows))
-    return [ProjLine(p, rows) for rows in found]
+        a, b = a + start, b + later
+        for image in images[1:]:
+            keep = _divisible(np.einsum("ij,ij->i", image[a], pts[b]), p)
+            a, b = a[keep], b[keep]
+        firsts.append(a)
+        seconds.append(b)
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+    # pts are in projective_points order, so indices order the rows within a lead
+    order = np.lexsort((b, a, lead[b], lead[a]))
+    rows = zip(map(tuple, pts[a[order]].tolist()), map(tuple, pts[b[order]].tolist()))
+    return [ProjLine(p, pair) for pair in rows]
 
 
 def enumerate_lines(pencil: Pencil) -> list[ProjLine]:

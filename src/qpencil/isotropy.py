@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
-from .fqgeom import _common_zeros, _free_grid, _gram_array, _quadric_values
+from .fqgeom import _gram_array, _quadric_values
 from .linalg import rank
 from .matrices import SymMatrix, inertia
 
@@ -114,7 +114,9 @@ class AmerReport:
 
 def _affine_zero_vectors(gram: np.ndarray, q: int, m: int) -> np.ndarray:
     """The zeros of the form in F_q^m, in lexicographic order (zero first)."""
-    grid = _free_grid(q, m)
+    import numpy as np
+
+    grid = np.indices((q,) * m, dtype=np.int64).reshape(m, -1).T
     return grid[_quadric_values(grid, gram, q) == 0]
 
 
@@ -210,18 +212,24 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
         raise PrecondError("degree bound must be between 0 and 3")
 
     gf, gg = _gram_array(f, q), _gram_array(g, q)
+    npoints = min(degree_bound + 1, q)
+    ncoef = degree_bound + 1
+    sets = [_affine_zero_vectors((gf + a * gg) % q, q, m) for a in range(npoints)]
 
-    # (a) projective common zeros
-    zero_pts = _common_zeros(q, m, [gf, gg])
+    # (a) projective common zeros: the zeros of f whose first nonzero
+    # coordinate is 1 and that g kills, sorted stably by the index of that
+    # coordinate into `projective_points` order
+    f_zeros = sets[0]
+    lead = (f_zeros != 0).argmax(axis=1)
+    keep = f_zeros[np.arange(len(lead)), lead] == 1  # drops the zero vector too
+    keep[keep] = _quadric_values(f_zeros[keep], gg, q) == 0
+    zero_pts = f_zeros[keep][np.argsort(lead[keep], kind="stable")]
     common: tuple[int, ...] | None = None
     if len(zero_pts):
         common = tuple(int(c) for c in zero_pts[0])
 
     # (b) polynomial solutions by value parametrization: a candidate picks one
     # vector w_j from each set, and x(t) = sum_k a_k t^k with a = mix · w
-    npoints = min(degree_bound + 1, q)
-    ncoef = degree_bound + 1
-    sets = [_affine_zero_vectors((gf + a * gg) % q, q, m) for a in range(npoints)]
     mix = np.zeros((ncoef, npoints + 1), dtype=np.int64)
     mix[:npoints, :npoints] = _vandermonde_inverse(npoints, q)
     if degree_bound >= q:  # x(t) += (t^q - t) * c with g(c) = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from .curvecounts import CURVE_Q_LIMIT, curve_counts
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
 from .linalg import complete_basis, det, mat_mul, mat_vec, nullspace, proportional, rank, solve, transpose
@@ -229,9 +230,10 @@ class DoubleProjection:
 
     where M is the adapted basis and F the discriminant form: the degeneracy
     sextic is the discriminant sextic re-read along t |-> (t : -1), times
-    minus a square.  Over a prime field the identity is double-checked by
-    point counts of the two hyperelliptic curves y^2 = det A(t) and
-    y^2 = -F(t, -1)."""
+    minus a square.  Over a prime field F_q with q <= CURVE_Q_LIMIT the
+    identity is double-checked by point counts of the two hyperelliptic
+    curves y^2 = det A(t) and y^2 = -F(t, -1); above it that route is
+    skipped (`counts_checked` is false) and the exact identity stands alone."""
 
     pencil: Pencil
     transform: tuple[tuple[Any, ...], ...]
@@ -341,9 +343,7 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
 
     counts: tuple[int, int] | None = None
     checked = False
-    if isinstance(fld, PrimeField):
-        from .curvecounts import curve_counts
-
+    if isinstance(fld, PrimeField) and fld.p <= CURVE_Q_LIMIT:
         # second route: the curves y^2 = det A(t) and y^2 = -F(t, -1) differ by
         # the square factor det(M)^2, so their point counts over F_q and F_{q^2}
         # must agree even though the models fed to the counter differ.

@@ -11,6 +11,7 @@ and review the diff before committing.
 import io as _io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -286,6 +287,27 @@ def test_zeta_refuses_a_large_prime_before_counting(tmp_path):
         )
         assert time.perf_counter() - start < 1
         assert done.returncode == 2 and reason in done.stderr, done.stderr
+
+
+def test_double_project_above_the_curve_bound_keeps_the_exact_identity(tmp_path):
+    """Over F_1009 the curve counts of the second route would exceed
+    CURVE_Q_LIMIT, so they are skipped and the exact degeneracy identity
+    is reported alone."""
+    from qpencil.fields import PrimeField
+    from qpencil.samples import random_pencil_through_line
+
+    p = 1009
+    pencil = random_pencil_through_line(PrimeField(p), 5, random.Random(1009))
+    doc = {"field": {"kind": "prime", "p": p}, "n": 5}
+    for key, g in (("q0", pencil.g0), ("q1", pencil.g1)):
+        doc[key] = [[i, j, g[i, j] * (1 if i == j else 2) % p] for i in range(6) for j in range(i, 6) if g[i, j]]
+    path = tmp_path / "through_line_f1009.json"
+    path.write_text(json.dumps(doc))
+    code, report, _, err = _run(["double-project", str(path), "--point", "[1,0,0,0,0,0]", "--json"])
+    assert code == 0, err
+    assert report.payload["identity_checked"] is True
+    assert report.payload["counts_checked"] is False
+    assert report.payload["curve_counts"] is None
 
 
 def test_classes_refuses_n_above_the_input_bound():

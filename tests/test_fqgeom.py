@@ -2,18 +2,25 @@
 the torsor identity."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
+from qpencil import fqgeom
 from qpencil.fqgeom import (
     ELIMINATION_LIMIT,
     MEMBER_LIMIT,
+    PAIR_TEST_LIMIT,
     POINT_SCAN_LIMIT,
     ProjLine,
+    _common_zeros,
     _gram_array,
     count_points,
     enumerate_lines,
@@ -28,6 +35,8 @@ from qpencil.fqgeom import (
 from qpencil.matrices import SymMatrix
 from qpencil.pencil import Pencil, _discriminant_or_none, diagonal_pencil, singular_at, toric_pencil
 from qpencil.samples import random_pencil, random_symmetric
+
+from conftest import REPO
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -97,6 +106,136 @@ def test_conic_intersection_point_count():
 def test_point_enumeration_requires_a_prime_field():
     with pytest.raises(PrecondError):
         count_points(toric_pencil(QQ))
+
+
+# -- the common zeros against the P^n scan ---------------------------------
+
+
+def _scan_common_zeros(p, nvars, grams):
+    """The common zeros by evaluating every quadric on all of P^(nvars-1)(F_p)."""
+    pts = projective_points(p, nvars)
+    mask = np.ones(len(pts), dtype=bool)
+    for g in grams:
+        mask &= ((pts @ g) * pts).sum(axis=1) % p == 0
+    return pts[mask]
+
+
+def _kernel_cases(p, nvars, rng):
+    """(kind, Gram arrays) in nvars variables over F_p, one of each kind."""
+
+    def sym():
+        g = np.array([[rng.randrange(p) for _ in range(nvars)] for _ in range(nvars)], dtype=np.int64)
+        return (g + g.T) % p
+
+    n = nvars - 1
+    yield "random", [sym(), sym()]
+    g0, g1 = sym(), sym()
+    g0[n, n] = g1[n, n] = 0
+    yield "gamma0 = gamma1 = 0", [g0, g1]
+    g0, g1 = sym(), sym()
+    g0[n, n] = 0
+    yield "gamma0 = 0", [g0, g1]
+    g0, g1 = sym(), sym()
+    for g in (g0, g1):
+        g[n, :] = g[:, n] = 0
+    yield "x_n absent", [g0, g1]
+    yield "one Gram", [sym()]
+    g = sym()
+    yield "proportional", [g, 2 * g % p]
+    yield "G1 = 0", [sym(), np.zeros((nvars, nvars), dtype=np.int64)]
+    g0, g1 = sym(), sym()
+    for g in (g0, g1):
+        g[0, :] = g[:, 0] = 0
+    yield "cone with vertex e0", [g0, g1]
+    g0, g1 = sym(), sym()
+    for g in (g0, g1):
+        g[n, :] = g[:, n] = 0
+    g1[0, n] = g1[n, 0] = 1
+    yield "only Q1 has a w term", [g0, g1]
+    if nvars == 6:
+        toric = toric_pencil(PrimeField(p))
+        yield "toric", [_gram_array(g, p) for g in (toric.g0, toric.g1)]
+
+
+def test_common_zeros_match_the_scan_order_included():
+    kinds = set()
+    for p in (3, 5, 7, 11):
+        for nvars in range(2, 7):
+            rng = random.Random(f"kernel/{p}/{nvars}")
+            for kind, grams in _kernel_cases(p, nvars, rng):
+                found = _common_zeros(p, nvars, grams)
+                expected = _scan_common_zeros(p, nvars, grams)
+                assert found.dtype == expected.dtype and found.shape == expected.shape, (p, nvars, kind)
+                assert np.array_equal(found, expected), (p, nvars, kind)
+                kinds.add(kind)
+    assert len(kinds) == 10
+
+
+def test_common_zeros_refuse_over_the_scan_budget_at_once():
+    # |P^4(F_1009)| = 1.04e12 canonical y, over POINT_SCAN_LIMIT before any work
+    fld = PrimeField(1009)
+    _refuses_at_once(enumerate_lines, diagonal_pencil(fld, 5), "POINT_SCAN_LIMIT", 1.0)
+    _refuses_at_once(points_on_pencil, diagonal_pencil(fld, 5), "POINT_SCAN_LIMIT", 1.0)
+
+
+def test_flat_fibers_are_refused_before_they_are_expanded():
+    # G1 = 0 makes M = 0, so every fiber over P^1(F_p) is flat: (p + 1) y and
+    # p (p + 1) w values, over POINT_SCAN_LIMIT although the y are not
+    p = 40009
+    assert (p + 1) ** 2 > POINT_SCAN_LIMIT >= p + 1
+    fld = PrimeField(p)
+    cone = Pencil(fld, 2, SymMatrix.diagonal(fld, [1, 1, 1]), SymMatrix.diagonal(fld, [0, 0, 0]))
+    _refuses_at_once(points_on_pencil, cone, "every fiber flat", 1.0)
+
+
+def test_flat_fibers_of_each_slice_are_counted_before_expansion(monkeypatch):
+    """With M != 0 the flat fibers are counted slice by slice: for x0^2 and
+    x0 x2 over F_7 in P^3, with x3 absent, M = x0^2 is flat over the 8 y on
+    the line x0 = 0 of P^2, so the scan visits 57 + 7 * 8 points."""
+    g0 = np.zeros((4, 4), dtype=np.int64)
+    g1 = np.zeros((4, 4), dtype=np.int64)
+    g0[0, 0] = g1[0, 2] = g1[2, 0] = 1
+    visited = 57 + 7 * 8
+    expected = _scan_common_zeros(7, 4, [g0, g1])
+    assert len(expected) == 57  # the plane x0 = 0
+    monkeypatch.setattr(fqgeom, "POINT_SCAN_LIMIT", visited - 1)
+    with pytest.raises(PrecondError, match="the flat fibers"):
+        _common_zeros(7, 4, [g0, g1])
+    monkeypatch.setattr(fqgeom, "POINT_SCAN_LIMIT", visited)
+    assert np.array_equal(_common_zeros(7, 4, [g0, g1]), expected)
+
+
+def test_line_finder_refuses_over_the_pair_budget_before_the_pair_test():
+    """A cone over a curve of P^3(F_5) with a P^4 of vertices in P^8 has
+    25 781 common zeros and 1.4e8 pairs to test, over PAIR_TEST_LIMIT."""
+    fld = PrimeField(5)
+    curve = random_pencil(fld, 3, random.Random(3))
+    grams = [[[int(curve_g[i, j]) if i < 4 and j < 4 else 0 for j in range(9)] for i in range(9)] for curve_g in (curve.g0, curve.g1)]
+    cone = _pencil_of(fld, 8, grams)
+    zeros = points_on_pencil(cone)
+    lead = (zeros != 0).argmax(axis=1)
+    pairs = sum(int((lead == l).sum()) * int((lead > l).sum()) for l in range(9))
+    assert pairs > PAIR_TEST_LIMIT
+    _refuses_at_once(enumerate_lines, cone, "PAIR_TEST_LIMIT", 1.0)
+
+
+def test_torsor_check_at_q23_stays_under_200_mb():
+    """The scan keeps only the common zeros, so a torsor check at q = 23
+    (|P^5(F_23)| = 6.7e6 points) peaks well below the 200 MB it is allowed."""
+    code = (
+        "import random, resource\n"
+        "from qpencil.fields import PrimeField\n"
+        "from qpencil.fqgeom import torsor_check\n"
+        "from qpencil.samples import random_pencil\n"
+        "rep = torsor_check(random_pencil(PrimeField(23), 5, random.Random(23)))\n"
+        "print(rep.line_count, rep.jacobian_order, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines, order, maxrss_kb = map(int, done.stdout.split())
+    assert lines == order
+    assert maxrss_kb < 200 * 1024
 
 
 # -- the member routes against the P^n scan ---------------------------------
@@ -222,11 +361,11 @@ def test_singular_at_agrees_with_the_singular_point_scan(q):
         assert by_point
 
 
-def _refuses_at_once(fn, pencil, bound):
+def _refuses_at_once(fn, pencil, bound, seconds=0.5):
     start = time.perf_counter()
     with pytest.raises(PrecondError, match=bound):
         fn(pencil)
-    assert time.perf_counter() - start < 0.5
+    assert time.perf_counter() - start < seconds
 
 
 @pytest.mark.parametrize("fn", [count_points, singular_points])

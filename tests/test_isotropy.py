@@ -10,6 +10,7 @@ import pytest
 from qpencil import isotropy
 from qpencil.errors import PrecondError
 from qpencil.fields import PrimeField, QQ
+from qpencil.fqgeom import _gram_array, _quadric_values, projective_points
 from qpencil.linalg import invert
 from qpencil.isotropy import (
     REALS,
@@ -242,6 +243,29 @@ def test_full_search_memory_is_bounded_by_the_chunk_cap():
         tracemalloc.stop()
     assert rep.solution is None and rep.candidates > 10 * isotropy._CHUNK
     assert peak < 2 * 2**20
+
+
+def test_amer_common_zeros_are_the_projective_scan_in_its_order():
+    """The harness reads the projective common zeros off the affine zeros of
+    f; the count and the first zero must be those of a scan of
+    P^(m-1)(F_q), whose order puts the smallest lead first."""
+    rng = random.Random(11)
+    cases = [(f, g, d, F3) for f, g, d in _criterion_11_pairs()]
+    for m in (2, 3, 4, 5):
+        for q in (3, 5):
+            field = PrimeField(q)
+            cases += [(random_symmetric(field, m, rng), random_symmetric(field, m, rng), 0, field) for _ in range(5)]
+    leads = 0
+    for f, g, d, field in cases:
+        q = field.p
+        pts = projective_points(q, f.size)
+        on_both = (_quadric_values(pts, _gram_array(f, q), q) == 0) & (_quadric_values(pts, _gram_array(g, q), q) == 0)
+        zeros = [tuple(int(c) for c in x) for x in pts[on_both]]
+        rep = amer_harness(f, g, d, field)
+        assert rep.common_zero_count == len(zeros)
+        assert rep.common_zero == (zeros[0] if zeros else None)
+        leads += len({x.index(1) for x in zeros}) > 1
+    assert leads >= 20
 
 
 def test_amer_harness_finds_the_planted_zero():
