@@ -16,7 +16,6 @@ from .circle import (
 from .errors import InternalCheckError, PrecondError, QPencilError
 from .fields import QQ, PrimeField, Rationals
 from .fqgeom import (
-    ProjLine,
     TorsorReport,
     count_points,
     enumerate_lines,
@@ -54,7 +53,6 @@ __all__ = [
     "Pencil",
     "PrecondError",
     "PrimeField",
-    "ProjLine",
     "QPencilError",
     "QQ",
     "Rationals",

@@ -106,7 +106,8 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
         raise InternalCheckError("root count has the wrong parity")
 
     # the members (1, t) and (-1, -t) at t = num/den are positive multiples
-    # of ±(den·Z0 + num·Z1), with Z0, Z1 the Grams scaled to integers
+    # of ±(den·Z0 + num·Z1), and (0, 1) of Z1, with Z0, Z1 the Grams scaled
+    # to integers by one positive lcm
     z0, z1 = _integer_grams(p.g0.entries, p.g1.entries)
 
     def member(s0: int, s1: int) -> list[list[int]]:
@@ -126,7 +127,7 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
 
     if m == 0 and not inf_jump:
         # constant circle
-        sig, sig_north = sigs_plus[0], signature_pair(p.g1)
+        sig, sig_north = sigs_plus[0], signature_pair(z1)
         if sig != sig_north:
             raise InternalCheckError(
                 f"constant circle disagrees at (0, 1): (1, 0) has {sig}, (0, 1) has {sig_north}"
@@ -147,7 +148,7 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
         jumps = finite_plus + finite_minus
         # the arc after the last '+' jump passes through (0, 1); check all
         # three routes onto it agree
-        sig_north = signature_pair(p.g1)
+        sig_north = signature_pair(z1)
         if not (sigs_plus[m] == sig_north == sigs_minus[0]):
             raise InternalCheckError(
                 f"arc through (0,1) is inconsistent: (1, t) at t = {samples[m]} has "

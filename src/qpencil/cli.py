@@ -130,7 +130,7 @@ def _cmd_lines(args: argparse.Namespace) -> tuple[dict, str | None]:
         "points_on_base_locus": count_points(pencil),
     }
     if len(lines) <= 64:
-        payload["lines"] = sorted([list(r) for r in ln.rows] for ln in lines)
+        payload["lines"] = sorted([list(u), list(v)] for u, v in lines)
     else:
         payload["lines"] = None
     return payload, digest

@@ -9,23 +9,23 @@ scan of P^n(F_q): a member of the pencil without the w^2 term of the last
 coordinate w is linear in w, so over each point y of P^(n-1)(F_q) it fixes
 w, or leaves every w when it vanishes on the whole fiber.  Points are
 canonical representatives, scaled so that the first nonzero coordinate is 1.
-Lines are read off pairs of common zeros and stored by the reduced row
-echelon form of their 2x(n+1) basis matrix.  The scans are vectorized with
-numpy, imported on first use, and results come out in a fixed order.
+Lines are read off pairs of common zeros, each as the reduced row echelon
+basis (u, v) of its span, a pair of int tuples.  The scans are vectorized
+with numpy, imported on first use, and results come out in a fixed order.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .curvecounts import CurveData, curve_data
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField, legendre
-from .linalg import nullspace, rref
+from .linalg import dependent, nullspace, rref
 from .matrices import SymMatrix
-from .pencil import Pencil, _discriminant_or_none, _independent, _signed_discriminant, smoothness
+from .pencil import Pencil, _discriminant_or_none, _signed_discriminant, smoothness
 
 if TYPE_CHECKING:
     import numpy as np
@@ -382,54 +382,30 @@ def _require_prime(pencil: Pencil) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjLine:
-    """A line in P^n(F_p), stored by the RREF basis of its row span."""
+def enumerate_lines(pencil: Pencil) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The F_p lines on the base locus of a pencil (a complete intersection),
+    each as the reduced row echelon basis (u, v) of its span.
 
-    p: int
-    rows: tuple[tuple[int, ...], tuple[int, ...]]
-
-    @classmethod
-    def from_span(cls, p: int, u: Sequence[int], v: Sequence[int]) -> "ProjLine":
-        field = PrimeField(p)
-        red, pivots = rref(field, [list(u), list(v)])
-        if len(pivots) != 2:
-            raise PrecondError("vectors do not span a line")
-        return cls(p, (tuple(red[0]), tuple(red[1])))
-
-    def points(self) -> list[tuple[int, ...]]:
-        """The q+1 projective points on the line, canonically normalized."""
-        p = self.p
-        u, v = self.rows
-        reps = [v] + [tuple((a + t * b) % p for a, b in zip(u, v)) for t in range(p)]
-        out = []
-        for rep in reps:
-            lead = next(i for i, c in enumerate(rep) if c)
-            inv = pow(rep[lead], p - 2, p)
-            out.append(tuple((c * inv) % p for c in rep))
-        return sorted(out)
-
-
-def enumerate_lines_of_quadrics(
-    p: int, nvars: int, grams: Iterable[SymMatrix]
-) -> list[ProjLine]:
-    """All lines of P^(nvars-1)(F_p) on which every given quadric vanishes.
-
-    Since char != 2, Q(ax + by) = a^2 Q(x) + 2ab x^T G y + b^2 Q(y), so two
-    distinct common zeros x, y span such a line exactly when x^T G y = 0 for
-    every Gram matrix G.  Both rows of a line's RREF basis are canonical
-    points, so each line is found once, as the pair (x, y) with
-    lead(x) < lead(y) and x[lead(y)] = 0, where lead is the index of the
-    first nonzero coordinate.  PAIR_TEST_LIMIT bounds the pairs tested,
-    counted from the leads before the test.  Lines come out sorted by pivot
-    columns, then by rows.
+    Rejects pencils whose two forms do not cut out a codimension-2 scheme
+    (one form a multiple of the other, or zero).  Since char != 2,
+    Q(ax + by) = a^2 Q(x) + 2ab x^T G y + b^2 Q(y), so two distinct common
+    zeros x, y span a line on the base locus exactly when x^T G0 y and
+    x^T G1 y vanish.  Both rows of a line's RREF basis are canonical points,
+    so each line is found once, as the pair (x, y) with lead(x) < lead(y)
+    and x[lead(y)] = 0, where lead is the index of the first nonzero
+    coordinate.  PAIR_TEST_LIMIT bounds the pairs tested, counted from the
+    leads before the test.  Lines come out sorted by pivot columns, then by
+    rows.
     """
     import numpy as np
 
-    gram_arrays = [_gram_array(g, p) for g in grams]
-    pts = _common_zeros(p, nvars, gram_arrays)
+    p = _require_prime(pencil)
+    if dependent(pencil.field, sum(pencil.g0.entries, ()), sum(pencil.g1.entries, ())):
+        raise PrecondError("not a complete intersection: the two forms are proportional")
+    gram_arrays = [_gram_array(g, p) for g in (pencil.g0, pencil.g1)]
+    pts = _common_zeros(p, pencil.n + 1, gram_arrays)
     lead = (pts != 0).argmax(axis=1)
-    per_lead = np.bincount(lead, minlength=nvars)
+    per_lead = np.bincount(lead, minlength=pencil.n + 1)
     pairs = int((per_lead * (len(pts) - np.cumsum(per_lead))).sum())  # |lead l| * |lead > l|
     if pairs > PAIR_TEST_LIMIT:
         raise PrecondError(
@@ -437,39 +413,24 @@ def enumerate_lines_of_quadrics(
         )
     # x^T G y is below nvars (p - 1)^2, which _common_zeros keeps under 2^53;
     # the first form is tested on blocks of pairs, never one N x N array, and
-    # the others on the pairs that pass it
-    images = [pts @ g % p for g in gram_arrays]
+    # the second on the pairs that pass it
+    image0, image1 = (pts @ g % p for g in gram_arrays)
     step = max(1, _CHUNK // max(len(pts), 1))
     firsts, seconds = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for start in range(0, len(pts), step):
         stop = min(start + step, len(pts))
         later = np.searchsorted(lead, lead[start], side="right")  # pts are sorted by lead
         mask = (lead[None, later:] > lead[start:stop, None]) & (pts[start:stop][:, lead[later:]] == 0)
-        mask &= _divisible(images[0][start:stop] @ pts[later:].T, p)
+        mask &= _divisible(image0[start:stop] @ pts[later:].T, p)
         a, b = np.nonzero(mask)
         a, b = a + start, b + later
-        for image in images[1:]:
-            keep = _divisible(np.einsum("ij,ij->i", image[a], pts[b]), p)
-            a, b = a[keep], b[keep]
-        firsts.append(a)
-        seconds.append(b)
+        keep = _divisible(np.einsum("ij,ij->i", image1[a], pts[b]), p)
+        firsts.append(a[keep])
+        seconds.append(b[keep])
     a, b = np.concatenate(firsts), np.concatenate(seconds)
     # pts are in projective_points order, so indices order the rows within a lead
     order = np.lexsort((b, a, lead[b], lead[a]))
-    rows = zip(map(tuple, pts[a[order]].tolist()), map(tuple, pts[b[order]].tolist()))
-    return [ProjLine(p, pair) for pair in rows]
-
-
-def enumerate_lines(pencil: Pencil) -> list[ProjLine]:
-    """The F_p lines on the base locus of a pencil (a complete intersection).
-
-    Rejects pencils whose two forms do not cut out a codimension-2 scheme
-    (one form a multiple of the other, or zero).
-    """
-    p = _require_prime(pencil)
-    if not _independent(pencil.field, pencil.g0, pencil.g1):
-        raise PrecondError("not a complete intersection: the two forms are proportional")
-    return enumerate_lines_of_quadrics(p, pencil.n + 1, [pencil.g0, pencil.g1])
+    return list(zip(map(tuple, pts[a[order]].tolist()), map(tuple, pts[b[order]].tolist())))
 
 
 @dataclass(frozen=True)

@@ -55,14 +55,14 @@ def mat_vec(field: Field, a: Sequence[Sequence], v: Sequence) -> list:
     return out
 
 
-def proportional(field: Field, u: Sequence, v: Sequence) -> bool:
-    """Whether the nonzero vectors u and v are scalar multiples of each other."""
-    iu = next((i for i, c in enumerate(u) if not field.is_zero(c)), None)
-    iv = next((i for i, c in enumerate(v) if not field.is_zero(c)), None)
-    if iu is None or iv is None or iu != iv:
-        return False
-    r = field.div(v[iu], u[iu])
-    return all(field.eq(field.mul(r, a), b) for a, b in zip(u, v))
+def dependent(field: Field, u: Sequence, v: Sequence) -> bool:
+    """Whether u and v are linearly dependent, rank [u, v] < 2: one of them
+    is zero, or each is a scalar multiple of the other."""
+    i = next((i for i, c in enumerate(u) if not field.is_zero(c)), None)
+    if i is None:
+        return True
+    # v = (v_i / u_i) u, checked without dividing
+    return all(field.eq(field.mul(u[i], b), field.mul(v[i], a)) for a, b in zip(u, v))
 
 
 def rref(field: Field, rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:

@@ -144,10 +144,10 @@ def _integer_grams(*grams: Sequence[Sequence[Any]]) -> list[list[list[int]]]:
     return [[[x.numerator * (scale // x.denominator) for x in row] for row in g] for g in grams]
 
 
-def signature_pair(g: SymMatrix | list[list[int]]) -> tuple[int, int]:
-    """(positive, negative) inertia of a rational symmetric matrix, or of an
-    integer one given as its rows; degenerate input is rejected."""
-    pos, negv, zero = inertia(g) if isinstance(g, SymMatrix) else _inertia_z(g)
+def signature_pair(g: list[list[int]]) -> tuple[int, int]:
+    """(positive, negative) inertia of an integer symmetric matrix given as
+    its rows; degenerate input is rejected."""
+    pos, negv, zero = _inertia_z(g)
     if zero:
         raise PrecondError("form is degenerate")
     return pos, negv

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 from . import univariate as uv
 from .errors import PrecondError
 from .fields import QQ, Field, PrimeField
-from .linalg import mat_vec, proportional, rank
+from .linalg import dependent, mat_vec
 from .matrices import SymMatrix, congruent, det_poly
 from .poly import Poly
 
@@ -84,11 +84,9 @@ class BinaryForm:
 
     def proportional_to(self, other: "BinaryForm") -> bool:
         """True when self = c * other for some nonzero scalar c."""
-        if self.degree != other.degree or self.field != other.field:
+        if self.degree != other.degree or self.field != other.field or self.is_zero != other.is_zero:
             return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return proportional(self.field, self.coeffs, other.coeffs)
+        return dependent(self.field, self.coeffs, other.coeffs)
 
 
 @dataclass(frozen=True)
@@ -245,13 +243,6 @@ def _gram_from_terms(field: Field, n: int, terms: Iterable[tuple[int, int, Any]]
     return SymMatrix.from_rows(g)
 
 
-def _independent(field: Field, g0: SymMatrix, g1: SymMatrix) -> bool:
-    """Whether the two forms are linearly independent, i.e. span a pencil
-    (neither is zero and neither is a multiple of the other)."""
-    flat = [[x for row in g.entries for x in row] for g in (g0, g1)]
-    return rank(field, flat) == 2
-
-
 @dataclass(frozen=True)
 class SmoothnessReport:
     smooth: bool
@@ -306,7 +297,7 @@ def singular_at(p: Pencil, x: Sequence[Any]) -> bool:
         raise PrecondError("not a projective point")
     if not (fld.is_zero(p.eval_form(0, x)) and fld.is_zero(p.eval_form(1, x))):
         raise PrecondError("point is not on the base locus")
-    return rank(fld, [mat_vec(fld, g.entries, x) for g in (p.g0, p.g1)]) < 2
+    return dependent(fld, mat_vec(fld, p.g0.entries, x), mat_vec(fld, p.g1.entries, x))
 
 
 def discriminant_cover(p: Pencil) -> BinaryForm:

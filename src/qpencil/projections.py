@@ -14,9 +14,9 @@ from typing import Any, Sequence
 from .curvecounts import CURVE_Q_LIMIT, curve_counts
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField
-from .linalg import complete_basis, det, mat_mul, mat_vec, nullspace, proportional, rank, solve, transpose
+from .linalg import complete_basis, dependent, det, mat_mul, mat_vec, nullspace, rank, rref, solve, transpose
 from .matrices import SymMatrix, congruent, det_poly
-from .pencil import BinaryForm, Pencil, _independent, _quadric_poly, pencil_congruent
+from .pencil import BinaryForm, Pencil, _quadric_poly, pencil_congruent
 from .poly import Poly
 
 
@@ -79,7 +79,7 @@ def line_to_front(pencil: Pencil, line_rows: Sequence[Sequence[Any]]) -> tuple[P
     fld = pencil.field
     if len(line_rows) != 2 or any(len(r) != pencil.n + 1 for r in line_rows):
         raise PrecondError("a line needs two spanning rows of length n+1")
-    if rank(fld, [list(r) for r in line_rows]) != 2:
+    if dependent(fld, *line_rows):
         raise PrecondError("the rows do not span a line")
     basis_rows = complete_basis(fld, [list(r) for r in line_rows])
     m = transpose(basis_rows)  # columns are the basis vectors
@@ -168,7 +168,7 @@ def round_trip(proj: LineProjection, point: Sequence[Any]) -> bool | None:
     up = proj.beta_inverse.evaluate(list(down))
     if up is None:
         return None
-    return proportional(fld, list(point), list(up))
+    return dependent(fld, point, up)
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +176,9 @@ def round_trip(proj: LineProjection, point: Sequence[Any]) -> bool | None:
 # ----------------------------------------------------------------------
 
 
-def residual_line(pencil: Pencil, plane_rows: Sequence[Sequence[Any]]):
-    """The unique line in the intersection of the base locus with a 3-plane.
+def residual_line(pencil: Pencil, plane_rows: Sequence[Sequence[Any]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The unique line in the intersection of the base locus with a 3-plane,
+    as the reduced row echelon basis (u, v) of its span.
 
     The plane is given by four independent spanning rows.  The intersection
     must be a curve (the restricted forms must stay linearly independent);
@@ -193,21 +194,21 @@ def residual_line(pencil: Pencil, plane_rows: Sequence[Sequence[Any]]):
     basis_cols = transpose(rows)
     r0 = congruent(fld, pencil.g0, basis_cols)
     r1 = congruent(fld, pencil.g1, basis_cols)
-    if not _independent(fld, r0, r1):
+    if dependent(fld, sum(r0.entries, ()), sum(r1.entries, ())):
         raise PrecondError(
             "the 3-plane section is not a curve: the restricted pencil is degenerate"
         )
-    from .fqgeom import ProjLine, enumerate_lines_of_quadrics
+    from .fqgeom import enumerate_lines
 
-    inner = enumerate_lines_of_quadrics(fld.p, 4, [r0, r1])
+    inner = enumerate_lines(Pencil(fld, 3, r0, r1))
     if len(inner) == 0:
         raise PrecondError("the 3-plane section contains no line")
     if len(inner) > 1:
         raise PrecondError(
             f"the 3-plane section contains {len(inner)} lines; expected exactly one"
         )
-    ambient = mat_mul(fld, [list(r) for r in inner[0].rows], rows)
-    return ProjLine.from_span(fld.p, ambient[0], ambient[1])
+    (u, v), _ = rref(fld, mat_mul(fld, inner[0], rows))
+    return tuple(u), tuple(v)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +258,7 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
         raise PrecondError("the point does not lie on the base locus")
     a = mat_vec(fld, pencil.g0.to_lists(), x)
     b = mat_vec(fld, pencil.g1.to_lists(), x)
-    if rank(fld, [a, b]) != 2:
+    if dependent(fld, a, b):
         raise PrecondError("the point is singular on the base locus")
 
     # basis: x, three more kernel vectors of (a, b), then duals v4, v5

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ, Field, PrimeField
-from .fqgeom import ProjLine, enumerate_lines, singular_points
+from .fqgeom import enumerate_lines, singular_points
 from .pencil import toric_pencil
 from .poly import Poly
 
@@ -112,11 +113,12 @@ class ToricLineCensus:
         )
 
 
-def classify_line(line: ProjLine) -> list[tuple[int, int, int]]:
-    """The planes (by index triple) containing the line; empty if nonplanar.
+def classify_line(line: tuple[Sequence[int], Sequence[int]]) -> list[tuple[int, int, int]]:
+    """The planes (by index triple) containing the line spanned by the rows
+    (u, v); empty if nonplanar.
 
     Bit j of `zeros` is set when x_j vanishes identically on the line."""
-    u, v = line.rows
+    u, v = line
     zeros = sum(1 << j for j, (a, b) in enumerate(zip(u, v)) if not (a or b))
     return [t for t, mask in _PLANE_MASKS if zeros & mask == mask]
 

@@ -20,6 +20,7 @@ from qpencil.circle import (
 )
 from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ
+from qpencil.matrices import _integer_grams
 from qpencil.pencil import Pencil, diagonal_pencil, pencil_congruent, pencil_recombined
 
 
@@ -205,7 +206,8 @@ def test_antipodal_sample_check_names_the_sample_and_both_signatures(monkeypatch
 
 def test_arc_check_through_the_pole_names_all_three_signatures(monkeypatch):
     p = _block_pencil()  # det(G1) != 0, so the arc through (0, 1) is checked
-    truth = _faulty_signatures(monkeypatch, lambda g, call, sig: (sig[1], sig[0]) if g is p.g1 else sig)
+    z1 = _integer_grams(p.g0.entries, p.g1.entries)[1]  # the member (0, 1)
+    truth = _faulty_signatures(monkeypatch, lambda g, call, sig: (sig[1], sig[0]) if g == z1 else sig)
     with pytest.raises(InternalCheckError, match=r"arc through \(0,1\) is inconsistent") as err:
         index_circle(p)
     north, msg = truth[-1], str(err.value)

@@ -19,12 +19,10 @@ from qpencil.fqgeom import (
     MEMBER_LIMIT,
     PAIR_TEST_LIMIT,
     POINT_SCAN_LIMIT,
-    ProjLine,
     _common_zeros,
     _gram_array,
     count_points,
     enumerate_lines,
-    enumerate_lines_of_quadrics,
     gaussian_binomial,
     points_on_pencil,
     projective_point_count,
@@ -394,27 +392,9 @@ def test_singular_points_refuse_kernels_over_the_scan_budget():
 # -- lines ----------------------------------------------------------------
 
 
-def test_projline_normalizes_spans():
-    a = ProjLine.from_span(3, (1, 0, 0, 1, 0, 1), (0, 1, 1, 1, 1, 1))
-    b = ProjLine.from_span(3, (1, 1, 1, 2, 1, 2), (0, 2, 2, 2, 2, 2))
-    assert a == b  # same row space, same RREF
-    assert len(a.points()) == 4  # q + 1
-    with pytest.raises(PrecondError, match="span"):
-        ProjLine.from_span(3, (1, 0, 0, 1, 0, 1), (2, 0, 0, 2, 0, 2))
-
-
-def test_projline_points_lie_on_the_line():
-    line = ProjLine.from_span(5, (1, 0, 2, 0), (0, 1, 3, 4))
-    pts = line.points()
-    assert len(pts) == 6
-    assert len(set(pts)) == 6
-    u, v = line.rows
-    for pt in pts:
-        # pt is a combination of u and v: rank of the 3x3 stack stays 2
-        from qpencil.linalg import rref
-
-        red, pivots = rref(PrimeField(5), [list(u), list(v), list(pt)])
-        assert len(pivots) == 2
+def _line_points(p, u, v):
+    """The q + 1 points of the line spanned by u and v over F_p."""
+    return [v] + [tuple((a + t * b) % p for a, b in zip(u, v)) for t in range(p)]
 
 
 def test_lines_on_a_smooth_threefold():
@@ -422,8 +402,8 @@ def test_lines_on_a_smooth_threefold():
     p = random_pencil(F3, 5, rng)
     lines = enumerate_lines(p)
     assert len(lines) == 16
-    for line in lines:
-        for pt in line.points():
+    for u, v in lines:
+        for pt in _line_points(3, u, v):
             assert p.eval_form(0, pt) % 3 == 0
             assert p.eval_form(1, pt) % 3 == 0
 
@@ -459,26 +439,18 @@ def _rref_line_scan(p, grams):
 
 def _line_oracle_cases():
     rng = random.Random(31)
-    toric = toric_pencil(F3)
-    cases = [(3, [toric.g0, toric.g1])]
-    for _ in range(2):
-        smooth = random_pencil(F3, 5, rng)
-        cases.append((3, [smooth.g0, smooth.g1]))
+    smooth = [random_pencil(F3, 5, rng) for _ in range(2)]
     # the cone in P^4 over a curve in P^3, singular at (1:0:0:0:0)
     curve = random_pencil(F5, 3, rng)
-    cases.append(
-        (5, [SymMatrix.from_rows([[0] * 5] + [[0, *row] for row in g.entries]) for g in (curve.g0, curve.g1)])
-    )
-    # one quadric in P^3, as in residual_line
-    cases.append((3, [SymMatrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])]))
-    return cases
+    cone = [SymMatrix.from_rows([[0] * 5] + [[0, *row] for row in g.entries]) for g in (curve.g0, curve.g1)]
+    return [toric_pencil(F3), *smooth, Pencil(F5, 4, *cone)]
 
 
 def test_lines_from_point_pairs_match_the_rref_scan():
-    for p, grams in _line_oracle_cases():
-        lines = enumerate_lines_of_quadrics(p, grams[0].size, grams)
-        expected = _rref_line_scan(p, [[[int(e) for e in row] for row in g.entries] for g in grams])
-        assert [line.rows for line in lines] == expected
+    for pencil in _line_oracle_cases():
+        lines = enumerate_lines(pencil)
+        grams = [[[int(e) for e in row] for row in g.entries] for g in (pencil.g0, pencil.g1)]
+        assert lines == _rref_line_scan(pencil.field.p, grams)
         assert lines
 
 

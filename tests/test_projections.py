@@ -8,7 +8,7 @@ import pytest
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
 from qpencil.fqgeom import points_on_pencil
-from qpencil.linalg import proportional
+from qpencil.linalg import dependent, rank
 from qpencil.pencil import Pencil, diagonal_pencil, toric_pencil
 from qpencil.projections import (
     DoubleProjection,
@@ -28,10 +28,32 @@ LINE_ROWS = [
 ]
 
 
-def test_proportional():
-    assert proportional(QQ, [Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)])
-    assert not proportional(QQ, [Fraction(1), Fraction(2)], [Fraction(2), Fraction(5)])
-    assert not proportional(QQ, [Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)])
+def test_dependent_is_rank_below_two():
+    """A seeded battery over F_3, F_5 and the rationals: zero vectors,
+    nonzero multiples, pairs with different leads and random pairs."""
+    for field in (PrimeField(3), PrimeField(5), QQ):
+        rng = random.Random(f"dependent/{field}")
+
+        def entry():
+            if field == QQ:
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            return rng.randrange(field.p)
+
+        def nonzero():
+            return next(c for c in iter(entry, None) if not field.is_zero(c))
+
+        zero = [field.zero] * 4
+        cases = [(zero, zero)]
+        for _ in range(30):
+            u = [entry() for _ in range(3)] + [nonzero()]
+            cases += [(zero, u), (u, zero), (u, [field.mul(nonzero(), c) for c in u])]
+            i, j = sorted(rng.sample(range(4), 2))
+            led = [[field.zero] * k + [nonzero()] + [entry() for _ in range(3 - k)] for k in (i, j)]
+            cases += [tuple(led), tuple(reversed(led))]
+            cases.append(([entry() for _ in range(4)], [entry() for _ in range(4)]))
+        verdicts = [dependent(field, u, v) for u, v in cases]
+        assert verdicts == [rank(field, [u, v]) < 2 for u, v in cases], field
+        assert True in verdicts and False in verdicts
 
 
 def test_projection_round_trips():
@@ -99,16 +121,13 @@ def test_residual_line_of_a_tangent_section():
         [0, 0, 1, 0, 0, 0],
         [0, 0, 0, 1, 0, 0],
     ]
-    try:
-        line = residual_line(p, plane)
-    except PrecondError as exc:
-        # several lines in the section is a legitimate outcome for a random
-        # pencil; the contract is that the failure is loud, not silent
-        assert "line" in str(exc)
-    else:
-        for pt in line.points():
-            assert p.eval_form(0, pt) % 11 == 0
-            assert p.eval_form(1, pt) % 11 == 0
+    line = residual_line(p, plane)
+    assert line == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))  # the planted line
+    u, v = line
+    points = [v] + [[(a + t * b) % 11 for a, b in zip(u, v)] for t in range(11)]
+    for pt in points:
+        assert p.eval_form(0, pt) % 11 == 0
+        assert p.eval_form(1, pt) % 11 == 0
 
 
 def test_residual_line_guards():

@@ -65,17 +65,12 @@ def test_line_census_over_f7():
 
 
 def test_classify_line_sees_plane_membership():
-    from qpencil.fqgeom import ProjLine
-
     # a non-edge line inside the plane x1 = x3 = x5 = 0
-    line = ProjLine.from_span(3, (1, 0, 1, 0, 0, 0), (0, 0, 1, 0, 1, 0))
-    assert classify_line(line) == [(1, 3, 5)]
+    assert classify_line(((1, 0, 0, 0, 2, 0), (0, 0, 1, 0, 1, 0))) == [(1, 3, 5)]
     # an edge joining two coordinate vertices sits in two planes
-    edge = ProjLine.from_span(3, (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))
-    assert len(classify_line(edge)) == 2
+    assert len(classify_line(((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)))) == 2
     # a line with no identically-zero coordinates meets no plane
-    skew = ProjLine.from_span(3, (1, 0, 0, 1, 0, 1), (0, 1, 1, 0, 2, 0))
-    assert classify_line(skew) == []
+    assert classify_line(((1, 0, 0, 1, 0, 1), (0, 1, 1, 0, 2, 0))) == []
 
 
 def test_plane_union_point_count_two_ways():
