@@ -11,7 +11,7 @@ from math import comb
 from typing import Any, Sequence
 
 from .errors import InternalCheckError, PrecondError
-from .fields import QQ, Field
+from .fields import QQ, Field, parse_at
 from .matrices import SymMatrix
 from .poly import Poly
 
@@ -158,12 +158,14 @@ def _coeff_grid(g: Poly) -> list[list[Any]]:
 
 def poly_from_grid(grid: Sequence[Sequence[Any]], field: Field = QQ) -> Poly:
     """The (2,2)-form with coefficient grid[i][j] on y1^i z1^(2-i) y2^j z2^(2-j)."""
-    if len(grid) != 3 or any(len(row) != 3 for row in grid):
-        raise PrecondError("coefficient grid must be 3x3")
+    if not isinstance(grid, (list, tuple)) or len(grid) != 3 or any(
+        not isinstance(row, (list, tuple)) or len(row) != 3 for row in grid
+    ):
+        raise PrecondError("grid: expected a 3x3 coefficient grid [[a00, a01, a02], ...]")
     terms: dict[tuple, Any] = {}
     for i in range(3):
         for j in range(3):
-            c = field.parse(grid[i][j])
+            c = parse_at(field, grid[i][j], f"grid[{i}][{j}]")
             if not field.is_zero(c):
                 terms[(i, 2 - i, j, 2 - j)] = c
     return Poly(field, HPT_VARS, terms)

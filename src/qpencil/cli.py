@@ -18,7 +18,7 @@ from . import io
 from .bundlecalc import hpt_check, poly_from_grid
 from .circle import MAX_CLASSES_N, enumerate_classes, pencil_decomposition, real_line_exists, real_verdict
 from .errors import InternalCheckError, PrecondError
-from .fields import PrimeField
+from .fields import PrimeField, parse_at
 from .fqgeom import (
     _genus2_cover,
     count_points,
@@ -41,24 +41,11 @@ def _over_q(pencil: Pencil, q: int | None) -> Pencil:
     return reduce_pencil(pencil, q)
 
 
-def _parse_inline(text: str, flag: str) -> Any:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PrecondError(f"--{flag}: not valid JSON: {exc.msg}") from exc
-
-
 def _parse_vector(pencil: Pencil, raw: Any, flag: str) -> list[Any]:
     m = pencil.n + 1
     if not isinstance(raw, list) or len(raw) != m:
-        raise PrecondError(f"--{flag}: expected a list of {m} coordinates")
-    fld = pencil.field
-    out = []
-    for k, c in enumerate(raw):
-        if isinstance(c, float):
-            raise PrecondError(f"--{flag}[{k}]: coordinates must be exact")
-        out.append(fld.parse(c))
-    return out
+        raise PrecondError(f"{flag}: expected a list of {m} coordinates")
+    return [parse_at(pencil.field, c, f"{flag}[{k}]") for k, c in enumerate(raw)]
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -167,10 +154,10 @@ def _cmd_torsor(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _cmd_project_line(args: argparse.Namespace) -> tuple[dict, str | None]:
     pencil, digest = io.load_pencil(args.file)
-    raw = _parse_inline(args.line, "line")
+    raw = io.decode(args.line, "--line")
     if not isinstance(raw, list) or len(raw) != 2:
         raise PrecondError("--line: expected two spanning points [[...], [...]]")
-    rows = [_parse_vector(pencil, r, "line") for r in raw]
+    rows = [_parse_vector(pencil, r, f"--line[{k}]") for k, r in enumerate(raw)]
     proj = project_from_line(pencil, rows)
     fld = pencil.field
     payload: dict[str, Any] = {
@@ -197,7 +184,7 @@ def _cmd_project_line(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _cmd_double_project(args: argparse.Namespace) -> tuple[dict, str | None]:
     pencil, digest = io.load_pencil(args.file)
-    point = _parse_vector(pencil, _parse_inline(args.point, "point"), "point")
+    point = _parse_vector(pencil, io.decode(args.point, "--point"), "--point")
     dp = double_projection(pencil, point)
     fld = pencil.field
     return {
@@ -258,19 +245,7 @@ def _cmd_torus(args: argparse.Namespace) -> tuple[dict, str | None]:
     doc, digest = io.load_json(args.generators)
     if not isinstance(doc, list) or not doc:
         raise PrecondError("generators: expected a nonempty JSON list of 3x3 integer matrices")
-    gens = []
-    for k, mat in enumerate(doc):
-        spot = f"generators[{k}]"
-        if not isinstance(mat, list) or len(mat) != 3:
-            raise PrecondError(f"{spot}: expected 3 rows")
-        for row in mat:
-            if not isinstance(row, list) or len(row) != 3:
-                raise PrecondError(f"{spot}: rows must have 3 entries")
-            for e in row:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise PrecondError(f"{spot}: entries must be integers, got {e!r}")
-        gens.append(tuple(tuple(row) for row in mat))
-    v = torus_rationality(gens)
+    v = torus_rationality(doc)
     payload: dict[str, Any] = {
         "order": v.order,
         "structure": v.tag,
@@ -306,14 +281,6 @@ def _cmd_amer(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _cmd_hpt(args: argparse.Namespace) -> tuple[dict, str | None]:
     doc, digest = io.load_json(args.g)
-    if not isinstance(doc, list) or len(doc) != 3 or any(
-        not isinstance(row, list) or len(row) != 3 for row in doc
-    ):
-        raise PrecondError("--g file: expected a 3x3 coefficient grid [[a00, a01, a02], ...]")
-    for i, row in enumerate(doc):
-        for j, e in enumerate(row):
-            if isinstance(e, float):
-                raise PrecondError(f"--g file: grid[{i}][{j}] must be exact (integer or 'num/den')")
     g = poly_from_grid(doc)
     rep = hpt_check(g)
     return {

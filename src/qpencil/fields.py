@@ -53,8 +53,16 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _parse_fraction(raw: str) -> Fraction:
-    """A coefficient string ``-?d+(/d+)?`` (surrounding blanks ignored)."""
+def _exact_value(raw: Any) -> int | Fraction:
+    """The one reader of coefficients from outside: an int, a ``Fraction``, or
+    a string ``-?d+(/d+)?`` (surrounding blanks ignored).  Floats are refused
+    as inexact, bools and every other type as not coefficients."""
+    if isinstance(raw, (int, Fraction)) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, float):
+        raise PrecondError(f"coefficient {raw!r} must be exact (an integer or a 'num/den' string)")
+    if not isinstance(raw, str):
+        raise PrecondError(f"not a coefficient: {raw!r}")
     text = raw.strip()
     if not _COEFF_RE.fullmatch(text):
         raise PrecondError(
@@ -65,6 +73,21 @@ def _parse_fraction(raw: str) -> Fraction:
     if den and int(den) == 0:
         raise PrecondError(f"cannot parse coefficient {raw!r}: zero denominator")
     return Fraction(int(num), int(den or 1))
+
+
+def exact_int(value: Any, where: str) -> int:
+    """`value` itself when it is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PrecondError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def parse_at(field: Field, raw: Any, where: str) -> Any:
+    """`field.parse(raw)`, a refusal prefixed with `where`."""
+    try:
+        return field.parse(raw)
+    except PrecondError as exc:
+        raise PrecondError(f"{where}: {exc}") from exc
 
 
 def legendre(a: int, p: int) -> int:
@@ -108,12 +131,12 @@ class Rationals:
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
             raise PrecondError("division by zero")
-        return 1 / a
+        return Fraction(1, a)
 
     def div(self, a: Fraction, b: Fraction) -> Fraction:
         if b == 0:
             raise PrecondError("division by zero")
-        return a / b
+        return Fraction(a, b)
 
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
@@ -122,14 +145,8 @@ class Rationals:
         return a == b
 
     def parse(self, raw: Any) -> Fraction:
-        """Accept int, Fraction, or a string like ``-3`` / ``5/7``."""
-        if isinstance(raw, bool):
-            raise PrecondError(f"not a rational coefficient: {raw!r}")
-        if isinstance(raw, (int, Fraction)):
-            return Fraction(raw)
-        if isinstance(raw, str):
-            return _parse_fraction(raw)
-        raise PrecondError(f"not a rational coefficient: {raw!r}")
+        """An exact value (see `_exact_value`) as a rational."""
+        return Fraction(_exact_value(raw))
 
     def fmt(self, a: Fraction) -> str:
         return str(a)
@@ -193,22 +210,13 @@ class PrimeField:
         return (a - b) % self.p == 0
 
     def parse(self, raw: Any) -> int:
-        if isinstance(raw, bool):
-            raise PrecondError(f"not a coefficient: {raw!r}")
-        if isinstance(raw, int):
+        """An exact value (see `_exact_value`) reduced into F_p."""
+        if type(raw) is int:  # the common case, first: toric_pencil parses per op
             return raw % self.p
-        if isinstance(raw, str):
-            frac = _parse_fraction(raw)
-            if frac.denominator % self.p == 0:
-                raise PrecondError(
-                    f"coefficient {raw!r} has denominator divisible by {self.p}"
-                )
-            return self.div(frac.numerator % self.p, frac.denominator % self.p)
-        if isinstance(raw, Fraction):
-            if raw.denominator % self.p == 0:
-                raise PrecondError(f"denominator of {raw} divisible by {self.p}")
-            return self.div(raw.numerator % self.p, raw.denominator % self.p)
-        raise PrecondError(f"not a coefficient: {raw!r}")
+        v = _exact_value(raw)
+        if v.denominator % self.p == 0:
+            raise PrecondError(f"coefficient {v} has denominator divisible by {self.p}")
+        return self.div(v.numerator % self.p, v.denominator % self.p)
 
     def fmt(self, a: int) -> str:
         return str(a % self.p)

@@ -116,8 +116,8 @@ def _quadric_values(pts: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
 
 
 def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray:
-    """The points of `projective_points(p, nvars)` on which every quadric
-    with a Gram matrix in `grams` vanishes, in that order.
+    """The points of `projective_points(p, nvars)` on which both quadrics
+    with the Gram matrices `grams` = (G_0, G_1) vanish, in that order.
 
     With n = nvars - 1, every point but e_n = (0, ..., 0, 1) is x = (y, w)
     for a canonical y in P^(n-1)(F_p), and each form is
@@ -125,11 +125,10 @@ def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray
     gamma_i = G_i[n][n], beta_i = 2 sum_{j<n} G_i[j][n] y_j and
     alpha_i = y^T G_i[:n, :n] y.  The member M = gamma_1 Q_0 - gamma_0 Q_1
     has no w^2 term; when gamma_0 = gamma_1 = 0 it is Q_0, or Q_1 if only
-    Q_1 has a w term, and a single Gram matrix stands with Q_1 = 0.  Over y
-    the only candidate is w = -alpha_M/beta_M when beta_M != 0, every w is
-    one when beta_M = alpha_M = 0 (a flat fiber), and there is none
-    otherwise.  Every candidate is tested on every form, and e_n is a common
-    zero exactly when every gamma_i is 0.
+    Q_1 has a w term.  Over y the only candidate is w = -alpha_M/beta_M when
+    beta_M != 0, every w is one when beta_M = alpha_M = 0 (a flat fiber), and
+    there is none otherwise.  Every candidate is tested on both forms, and
+    e_n is a common zero exactly when gamma_0 = gamma_1 = 0.
 
     The y are generated in slices whose arrays hold at most `_CHUNK` entries,
     and only the zeros are kept.  POINT_SCAN_LIMIT bounds the points
@@ -146,7 +145,7 @@ def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray
     _require_visits(p, nvars, base, "the canonical points of P^(n-1)")
     if nvars**2 * (p - 1) ** 3 >= 2**53:
         raise PrecondError(f"scans over F_{p} in {nvars} variables need nvars^2 (p - 1)^3 < 2^53")
-    g0, g1 = grams[0], grams[1] if len(grams) > 1 else np.zeros_like(grams[0])
+    g0, g1 = grams
     if g0[n, n] or g1[n, n]:
         m = (int(g1[n, n]) * g0 - int(g0[n, n]) * g1) % p
     else:
@@ -154,7 +153,7 @@ def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray
     visited, m_vanishes = base, not m.any()
     if m_vanishes:
         _require_visits(p, nvars, base * (p + 1), "every fiber flat, since M = 0")
-    forms = np.array([m, *grams])
+    forms = np.array([m, g0, g1])
     k, gammas = len(forms), forms[1:, n, n].copy()
     # y @ coeffs is y^T G_i for each form i with column n doubled: for y with
     # last coordinate 0, its product with y is alpha_i, and column n is beta_i

@@ -9,10 +9,10 @@ Input files are UTF-8 JSON of the shape
 
 where ``field`` is either ``{"kind": "rationals"}`` or
 ``{"kind": "prime", "p": 11}``, and each term ``[i, j, c]`` with ``i <= j``
-gives the coefficient of ``x_i x_j``.  Coefficients are integers or exact
-``"num/den"`` strings; floats are rejected.  The dimension n runs from 2 to
-`MAX_N`, checked before any matrix is allocated.  Parse diagnostics name
-the offending field (and the line for malformed JSON).
+gives the coefficient of ``x_i x_j``.  Coefficients are read by `fields`:
+integers or exact ``"num/den"`` strings, never floats or booleans.  The
+dimension n runs from 2 to `MAX_N`, checked before any matrix is allocated.
+Parse diagnostics name the offending field (and the line for malformed JSON).
 
 Reports are serialized with sorted keys and no timestamps, so a fixed input
 produces byte-identical output across runs.
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import PrecondError
-from .fields import QQ, Field, PrimeField
+from .fields import QQ, Field, PrimeField, exact_int
 from .pencil import Pencil, _gram_from_terms
 
 # the largest n an input may declare: an analyze over Q at n = 24 takes about
@@ -45,10 +45,7 @@ def parse_field_spec(spec: Any, where: str = "field") -> Field:
     if kind == "prime":
         if set(spec) != {"kind", "p"}:
             raise PrecondError(f"{where}: expected exactly the keys 'kind' and 'p'")
-        p = spec["p"]
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise PrecondError(f"{where}.p: expected an integer, got {p!r}")
-        return PrimeField(p)
+        return PrimeField(exact_int(spec["p"], f"{where}.p"))
     raise PrecondError(f"{where}.kind: expected 'rationals' or 'prime', got {kind!r}")
 
 
@@ -68,9 +65,8 @@ def _term_list(raw: Any, where: str) -> list[list[Any]]:
         spot = f"{where}[{k}]"
         if not isinstance(term, list) or len(term) != 3:
             raise PrecondError(f"{spot}: expected [i, j, coefficient]")
-        for name, idx in (("i", term[0]), ("j", term[1])):
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise PrecondError(f"{spot}: index {name} must be an integer, got {idx!r}")
+        exact_int(term[0], f"{spot}: index i")
+        exact_int(term[1], f"{spot}: index j")
     return raw
 
 
@@ -85,9 +81,7 @@ def parse_pencil(doc: Any) -> Pencil:
     if extra:
         raise PrecondError(f"top level: unexpected keys {extra}")
     field = parse_field_spec(doc["field"])
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise PrecondError(f"n: expected an integer, got {n!r}")
+    n = exact_int(doc["n"], "n")
     if n < 2:
         raise PrecondError(f"n: need n >= 2, got {n}")
     if n > MAX_N:
@@ -98,18 +92,16 @@ def parse_pencil(doc: Any) -> Pencil:
 
 def load_pencil(path: str) -> tuple[Pencil, str]:
     """Read a pencil file; returns the pencil and the sha256 of the raw bytes."""
-    import hashlib  # only file input is hashed; OpenSSL is a few MB of RSS
-
-    data = _read_input(path)
-    return parse_pencil(_decode(data, path)), hashlib.sha256(data).hexdigest()
+    doc, digest = load_json(path)
+    return parse_pencil(doc), digest
 
 
 def load_json(path: str) -> tuple[Any, str]:
     """Read any JSON input file; returns the document and its sha256."""
-    import hashlib
+    import hashlib  # only file input is hashed; OpenSSL is a few MB of RSS
 
     data = _read_input(path)
-    return _decode(data, path), hashlib.sha256(data).hexdigest()
+    return decode(data, path), hashlib.sha256(data).hexdigest()
 
 
 def _read_input(path: str) -> bytes:
@@ -120,15 +112,17 @@ def _read_input(path: str) -> bytes:
         raise PrecondError(f"cannot read {path}: {exc}") from exc
 
 
-def _decode(data: bytes, path: str) -> Any:
+def decode(data: bytes | str, where: str) -> Any:
+    """The one JSON decoder for outside input, file bytes or inline text such
+    as ``--point``; diagnostics start with `where`, the path or the flag."""
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
-        raise PrecondError(f"{path}: not UTF-8: {exc}") from exc
+        raise PrecondError(f"{where}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise PrecondError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise PrecondError(f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal beyond the int conversion limit
-        raise PrecondError(f"{path}: {exc}") from exc
+        raise PrecondError(f"{where}: {exc}") from exc
 
 
 # -- report envelope -----------------------------------------------------

@@ -12,6 +12,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, PrecondError
+from .fields import exact_int
 
 Mat = tuple[tuple[int, int, int], ...]
 
@@ -25,11 +26,13 @@ GEN_C: Mat = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 IDENTITY: Mat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def mat_from(rows: Iterable[Iterable[int]]) -> Mat:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    if len(out) != 3 or any(len(r) != 3 for r in out):
-        raise PrecondError("lattice matrices are 3x3")
-    return out  # type: ignore[return-value]
+def mat_from(rows: Sequence[Sequence[int]]) -> Mat:
+    """A lattice matrix from 3 lists or tuples of 3 ints (no bools) each."""
+    if not isinstance(rows, (list, tuple)) or len(rows) != 3 or any(
+        not isinstance(r, (list, tuple)) or len(r) != 3 for r in rows
+    ):
+        raise PrecondError("lattice matrices are 3x3: expected 3 rows of 3 integers")
+    return tuple(tuple(exact_int(x, "matrix entry") for x in r) for r in rows)  # type: ignore[return-value]
 
 
 def mmul(x: Mat, y: Mat) -> Mat:
@@ -251,7 +254,11 @@ def torus_rationality(gens: Sequence[Iterable[Iterable[int]]]) -> TorusVerdict:
     # the generators lie in the ambient group exactly when the group they
     # generate does; checking them first keeps the closure finite and small
     for k, x in enumerate(gens):
-        if mat_from(x) not in ambient_set:
+        try:
+            m = mat_from(x)
+        except PrecondError as exc:
+            raise PrecondError(f"generators[{k}]: {exc}") from exc
+        if m not in ambient_set:
             raise PrecondError(f"generators[{k}] does not lie in the lattice symmetry group")
     g = group_closure(gens)
     target = frozenset(obstruction_subgroup().elements)

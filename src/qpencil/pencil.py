@@ -18,7 +18,7 @@ from typing import Any, Iterable, Sequence
 
 from . import univariate as uv
 from .errors import PrecondError
-from .fields import QQ, Field, PrimeField
+from .fields import QQ, Field, PrimeField, parse_at
 from .linalg import dependent, mat_vec
 from .matrices import SymMatrix, congruent, det_poly
 from .poly import Poly
@@ -230,12 +230,7 @@ def _gram_from_terms(field: Field, n: int, terms: Iterable[tuple[int, int, Any]]
         if (i, j) in seen:
             raise PrecondError(f"{spot}: duplicate term ({i}, {j})")
         seen.add((i, j))
-        if isinstance(raw, float):
-            raise PrecondError(f"{spot}: coefficients must be exact (integer or 'num/den' string)")
-        try:
-            c = field.parse(raw)
-        except PrecondError as exc:
-            raise PrecondError(f"{spot}: {exc}") from exc
+        c = parse_at(field, raw, spot)
         if i == j:
             g[i][i] = c
         else:

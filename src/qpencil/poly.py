@@ -240,7 +240,7 @@ class Poly:
             if v in mapping:
                 img = mapping[v]
                 if not isinstance(img, Poly):
-                    img = Poly.const(fld, self.vars, fld.parse(img) if isinstance(img, (int, str)) else img)
+                    img = Poly.const(fld, self.vars, fld.parse(img))
                 elif img.vars != self.vars:
                     raise PrecondError("substitution image in a different ring")
                 images.append(img)

@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 from .curvecounts import CURVE_Q_LIMIT, curve_counts
 from .errors import InternalCheckError, PrecondError
-from .fields import PrimeField
+from .fields import PrimeField, parse_at
 from .linalg import complete_basis, dependent, det, mat_mul, mat_vec, nullspace, rank, rref, solve, transpose
 from .matrices import SymMatrix, congruent, det_poly
 from .pencil import BinaryForm, Pencil, _quadric_poly, pencil_congruent
@@ -79,9 +79,10 @@ def line_to_front(pencil: Pencil, line_rows: Sequence[Sequence[Any]]) -> tuple[P
     fld = pencil.field
     if len(line_rows) != 2 or any(len(r) != pencil.n + 1 for r in line_rows):
         raise PrecondError("a line needs two spanning rows of length n+1")
-    if dependent(fld, *line_rows):
+    rows = [[parse_at(fld, c, f"line_rows[{k}][{i}]") for i, c in enumerate(r)] for k, r in enumerate(line_rows)]
+    if dependent(fld, *rows):
         raise PrecondError("the rows do not span a line")
-    basis_rows = complete_basis(fld, [list(r) for r in line_rows])
+    basis_rows = complete_basis(fld, rows)
     m = transpose(basis_rows)  # columns are the basis vectors
     return pencil_congruent(pencil, m), m
 
@@ -251,7 +252,7 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
     if pencil.n != 5:
         raise PrecondError("the double projection is implemented for n = 5")
     fld = pencil.field
-    x = [fld.parse(c) if isinstance(c, (int, str)) else c for c in point]
+    x = [parse_at(fld, c, f"point[{k}]") for k, c in enumerate(point)]
     if len(x) != 6 or all(fld.is_zero(c) for c in x):
         raise PrecondError("need a projective point with 6 coordinates")
     if not fld.is_zero(pencil.eval_form(0, x)) or not fld.is_zero(pencil.eval_form(1, x)):

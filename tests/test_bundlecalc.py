@@ -69,8 +69,15 @@ def test_poly_from_grid_round_trips():
     assert g.coeff((2, 0, 0, 2)) == Fraction(1)
     ok, bideg = g.is_bihomogeneous(("y1", "z1"), ("y2", "z2"))
     assert ok and bideg == (2, 2)
-    with pytest.raises(PrecondError):
-        poly_from_grid([[1, 2], [3, 4]])
+    for grid, reason in [
+        ([[1, 2], [3, 4]], "3x3"),
+        ([[1, 2, 3], [1, 2, 3], 5], "3x3"),
+        ([[1, 2, 3], [1, 2, 3], [1, 2]], "3x3"),
+        ([[1, 2, 3], [1, 2.5, 3], [1, 2, 3]], r"grid\[1\]\[1\]: .*must be exact"),
+        ([[1, 2, 3], [1, 2, 3], [1, 2, True]], r"grid\[2\]\[2\]: not a coefficient"),
+    ]:
+        with pytest.raises(PrecondError, match=reason):
+            poly_from_grid(grid)
 
 
 def test_hpt_tangent_configuration():

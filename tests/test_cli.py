@@ -201,6 +201,55 @@ def test_torus_cli_rejects_float_matrices(tmp_path):
     assert "integer" in err
 
 
+BIG = "1" * 5000  # over the interpreter's 4300-digit int conversion limit
+POINT = ["double-project", "inputs/smooth_f3.json", "--point"]
+LINE = ["project-line", "inputs/smooth_f3.json", "--line"]
+
+# name: (argv, text the stderr line must hold); for hpt and torus the last
+# argument is the text of the JSON file that the flag names
+BAD_VALUES = {
+    "point-float": (POINT + ["[1.0,0,0,2,2,1]"], "--point[0]: coefficient 1.0 must be exact"),
+    "point-bool": (POINT + ["[1,0,0,true,2,1]"], "--point[3]: not a coefficient"),
+    "point-5000-digits": (POINT + [f"[{BIG},0,0,2,2,1]"], "--point: Exceeds the limit"),
+    "point-wrong-length": (POINT + ["[1,0,0,2,2]"], "--point: expected a list of 6"),
+    "line-5000-digits": (LINE + [f"[[{BIG},0,0,1,0,1],[0,1,1,1,1,1]]"], "--line: Exceeds the limit"),
+    "line-not-json": (LINE + ["[[1,0,0,1,0,1],"], "--line: line 1, column 16"),
+    "g-ragged": (["hpt", "--g", "[[1, 2, 3], [1, 2, 3], 5]"], "grid: expected a 3x3"),
+    "g-float": (["hpt", "--g", "[[1, 2, 3], [1, 2.5, 3], [1, 2, 3]]"], "grid[1][1]: coefficient 2.5 must be exact"),
+    "g-bool": (["hpt", "--g", "[[1, 2, 3], [1, 2, 3], [1, 2, true]]"], "grid[2][2]: not a coefficient"),
+    "torus-bool": (["torus", "--generators", "[[[1, 0, 0], [0, true, 0], [0, 0, 1]]]"], "generators[0]: matrix entry"),
+    "torus-float": (["torus", "--generators", "[[[1.9, 0, 0], [0, 1, 0], [0, 0, 1]]]"], "generators[0]: matrix entry"),
+    "torus-two-rows": (["torus", "--generators", "[[[1, 0, 0], [0, 1, 0]]]"], "generators[0]: lattice matrices are 3x3"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_VALUES)
+def test_bad_inline_and_file_values_exit_2_naming_the_argument(monkeypatch, tmp_path, name):
+    """Each bad value is refused with exit 2 by the reader that owns it
+    (`io.decode` for the JSON, `fields` for the values, the library entry
+    point for the shape).  `cli.run` catches only PrecondError and
+    InternalCheckError, so any other exception, such as the ValueError of an
+    oversized inline integer, escapes it and fails the case."""
+    monkeypatch.chdir(REPO)
+    argv, named = BAD_VALUES[name]
+    if argv[0] in ("hpt", "torus"):
+        path = tmp_path / "value.json"
+        path.write_text(argv[-1])
+        argv = [*argv[:-1], str(path)]
+    code, report, out, err = _run(argv)
+    assert code == 2 and report is None and out == ""
+    assert err.startswith("error: ") and named in err, err
+
+
+def test_oversized_inline_integer_exits_2_without_a_traceback():
+    """The 5000-digit coordinate ended in an uncaught ValueError (exit 1)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    argv = [sys.executable, "-m", "qpencil.cli", *POINT, f"[{BIG},0,0,0,0,0]"]
+    done = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr and "--point" in done.stderr
+
+
 def test_torus_refuses_a_non_symmetry_generator_before_the_closure(tmp_path):
     """Two unipotent generators with a 4000-digit entry generate an infinite
     group; they are refused by name at once, before any closure is taken."""

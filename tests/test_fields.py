@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,9 @@ from hypothesis import given, strategies as st
 
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField, is_prime, legendre
+from qpencil.linalg import rank, rref
+from qpencil.projections import project_from_line
+from qpencil.samples import random_pencil_through_line
 
 
 def test_prime_field_rejects_composites_and_two():
@@ -95,7 +99,7 @@ def test_rational_parse():
         QQ.parse("1/0")
     with pytest.raises(PrecondError):
         QQ.parse(True)
-    with pytest.raises(PrecondError):
+    with pytest.raises(PrecondError, match="exact"):
         QQ.parse(0.5)
 
 
@@ -124,7 +128,48 @@ def test_prime_parse_fractions():
     f = PrimeField(5)
     assert f.parse("3/4") == f.div(3, 4)
     assert f.parse(Fraction(1, 2)) == f.inv(2)
-    with pytest.raises(PrecondError):
-        f.parse("1/5")  # denominator divisible by p
+    messages = []
+    for raw in ("1/5", Fraction(1, 5)):  # denominator divisible by p
+        with pytest.raises(PrecondError) as exc:
+            f.parse(raw)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
     with pytest.raises(PrecondError):
         f.parse("x")
+    with pytest.raises(PrecondError, match="exact"):
+        f.parse(0.5)
+    with pytest.raises(PrecondError):
+        f.parse(True)
+
+
+def test_rational_elimination_on_int_rows_is_exact():
+    """Over Q, int rows are eliminated in Fractions: rank and rref equal those
+    of the same rows as Fractions, and every rref entry is a Fraction.  With
+    1/a a float, the dependent rows (49, 1), (98, 2) had rank 2.  The
+    projection from a line likewise does not depend on the row type."""
+    rng = random.Random("exact-int-rows")
+    cases = [[[49, 1], [98, 2]]]
+    for _ in range(60):
+        # no zero row: elimination leaves a zero input row as it is
+        width = rng.randint(1, 5)
+        rows = [
+            [rng.choice([0, rng.randint(-60, 60)]) for _ in range(width)] + [rng.randint(1, 9)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        if len(rows) > 1 and rng.random() < 0.5:  # plant a dependent row
+            rows[-1] = [rng.choice([-3, 2, 7]) * x for x in rows[0]]
+        cases.append(rows)
+    for rows in cases:
+        as_fractions = [[Fraction(x) for x in r] for r in rows]
+        reduced, pivots = rref(QQ, rows)
+        assert (reduced, pivots) == rref(QQ, as_fractions)
+        assert rank(QQ, rows) == rank(QQ, as_fractions) == len(pivots)
+        assert all(type(c) is Fraction for r in reduced for c in r)
+    assert rank(QQ, [[49, 1], [98, 2]]) == 1
+
+    pencil = random_pencil_through_line(QQ, 4, random.Random(3))
+    int_rows = [[1, 0, 0, 0, 0], [3, 1, 0, 0, 0]]
+    runs = [project_from_line(pencil, rows) for rows in (int_rows, [[Fraction(x) for x in r] for r in int_rows])]
+    assert runs[0].transform == runs[1].transform
+    assert all(type(c) is Fraction for r in runs[0].transform for c in r)
+    assert [str(e) for e in runs[0].curve_equations] == [str(e) for e in runs[1].curve_equations]

@@ -16,6 +16,7 @@ from qpencil.latticegroups import (
     isomorphism_tag,
     klein_subgroups,
     lattice_symmetry_group,
+    mat_from,
     mdet,
     minv,
     mmul,
@@ -188,6 +189,27 @@ def test_non_ambient_generators_are_rejected():
     # an integer involution of determinant -1 that is no lattice symmetry
     with pytest.raises(PrecondError, match="lattice symmetry"):
         torus_rationality([[[1, 0, 0], [0, 1, 0], [0, 0, -1]]])
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([[1.9, 0, 0], [0, 1, 0], [0, 0, 1]], "expected an integer, got 1.9"),
+        ([[1, 0, 0], [0, True, 0], [0, 0, 1]], "expected an integer, got True"),
+        ([[1, 0, 0], [0, 1, 0]], "3x3"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]], "3x3"),
+        ([[1, 0, 0], [0, 1, 0], 5], "3x3"),
+        (5, "3x3"),
+    ],
+    ids=["float", "bool", "two-rows", "long-row", "scalar-row", "scalar"],
+)
+def test_mat_from_refuses_other_shapes_and_non_integers(rows, reason):
+    """Floats were truncated and bools taken as 0/1 by int(), so the first
+    two rows gave the identity; a scalar row raised TypeError."""
+    with pytest.raises(PrecondError, match=reason):
+        mat_from(rows)
+    with pytest.raises(PrecondError, match=r"^generators\[1\]: .*" + reason):
+        torus_rationality([GEN_A, rows])
 
 
 def test_isomorphism_tags():

@@ -98,6 +98,10 @@ def test_projection_rejects_lines_off_the_base_locus():
     good = random_pencil_through_line(F11, 5, rng)
     with pytest.raises(PrecondError, match="span"):
         project_from_line(good, [[1, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0]])
+    # a float coordinate is refused by name, not projected in floats
+    rational = random_pencil_through_line(QQ, 5, rng)
+    with pytest.raises(PrecondError, match=r"line_rows\[1\]\[1\]: .*must be exact"):
+        project_from_line(rational, [[1, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
 
 
 def test_projection_works_over_the_rationals():
@@ -216,3 +220,6 @@ def test_double_projection_guards():
         double_projection(diagonal_pencil(F11, 4), [1, 0, 0, 0, 0])
     with pytest.raises(PrecondError, match="projective"):
         double_projection(p, [0, 0, 0, 0, 0, 0])
+    # over F_7 a float coordinate reached pow() and raised TypeError
+    with pytest.raises(PrecondError, match=r"point\[3\]: .*must be exact"):
+        double_projection(diagonal_pencil(PrimeField(7), 5), [1, 0, 0, 2.0, 0, 0])

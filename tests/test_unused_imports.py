@@ -1,5 +1,6 @@
-"""Lint steps: every name a library module imports is referenced in it, and
-every module-level private function is referenced somewhere in the package.
+"""Lint steps: every name a library module imports is referenced in it,
+every module-level private function is referenced somewhere in the package,
+and only `fields` decides which input values are exact.
 
 The package `__init__.py` is skipped by the import check, because its imports
 are re-exports.
@@ -59,3 +60,41 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert not unreferenced, f"private functions never referenced: {unreferenced}"
+
+
+def _float_or_bool_checks(tree: ast.Module, exempt: str | None) -> list[int]:
+    """Lines of the isinstance calls whose type argument names float or bool,
+    outside the module-level function named `exempt`."""
+    skipped = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == exempt
+        for inner in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and id(node) not in skipped
+        and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id in ("float", "bool") for n in ast.walk(node.args[1]))
+    )
+
+
+def test_only_fields_tells_exact_values_from_floats_and_bools():
+    """Whether an outside value is exact (an int but not a bool, never a
+    float) is decided in fields.py; an isinstance check naming float or bool
+    anywhere else is a second copy of that policy.  io.jsonable is exempt:
+    it converts report values the program made, not input."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "fields.py"
+        for line in _float_or_bool_checks(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+            "jsonable" if path.name == "io.py" else None,
+        )
+    ]
+    assert not found, f"float/bool checks outside fields.py: {found}"
