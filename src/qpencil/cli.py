@@ -9,7 +9,6 @@ re-derives came out wrong — treat as a regression, not a usage error).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Any, Callable, Sequence, TextIO
@@ -49,14 +48,15 @@ def _parse_vector(pencil: Pencil, raw: Any, flag: str) -> list[Any]:
 
 
 # -- subcommand handlers --------------------------------------------------
-# each returns (payload, input-file sha256 or None)
+# each returns (payload of library values, input-file sha256 or None); `run`
+# has io.jsonable convert the payload
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
     pencil, digest = io.load_pencil(args.file)
     rep = smoothness(pencil)
     payload: dict[str, Any] = {
-        "field": io._field_doc(pencil.field),
+        "field": pencil.field,
         "n": pencil.n,
         "smooth": rep.smooth,
         "smoothness_certificate": rep.certificate,
@@ -67,13 +67,13 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
         disc = rep.discriminant
         payload["discriminant"] = {
             "degree": disc.degree,
-            "coefficients": list(disc.coeffs),
+            "coefficients": disc.coeffs,
             "convention": "coefficient i multiplies s0^(degree-i) s1^i",
         }
     payload["singular_points"] = _singular_scan(pencil)
     if pencil.field.characteristic == 0 and rep.smooth:
         dec = pencil_decomposition(pencil, rep)
-        payload["isotopy_class"] = {"parts": list(dec.parts), "label": dec.label()}
+        payload["isotopy_class"] = {"parts": dec.parts, "label": dec.label()}
         if pencil.n == 5:
             v = real_verdict(dec, 5)
             payload["real_verdict"] = {
@@ -82,7 +82,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
                 "rational": v.rational,
                 "reason": v.reason,
                 "topology": v.topology,
-                "walk": list(v.walk),
+                "walk": v.walk,
             }
     return payload, digest
 
@@ -90,7 +90,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
 def _singular_scan(pencil: Pencil) -> dict:
     if isinstance(pencil.field, PrimeField):
         pts = singular_points(pencil)
-        return {"exhaustive": True, "count": len(pts), "points": [list(p) for p in pts]}
+        return {"exhaustive": True, "count": len(pts), "points": pts}
     fld = pencil.field
     m = pencil.n + 1
     found = []
@@ -98,7 +98,7 @@ def _singular_scan(pencil: Pencil) -> dict:
         x = [fld.one if j == i else fld.zero for j in range(m)]
         if fld.is_zero(pencil.eval_form(0, x)) and fld.is_zero(pencil.eval_form(1, x)):
             if singular_at(pencil, x):
-                found.append([fld.fmt(c) for c in x])
+                found.append(x)
     return {
         "exhaustive": False,
         "count": len(found),
@@ -116,10 +116,7 @@ def _cmd_lines(args: argparse.Namespace) -> tuple[dict, str | None]:
         "count": len(lines),
         "points_on_base_locus": count_points(pencil),
     }
-    if len(lines) <= 64:
-        payload["lines"] = sorted([list(u), list(v)] for u, v in lines)
-    else:
-        payload["lines"] = None
+    payload["lines"] = sorted(lines) if len(lines) <= 64 else None
     return payload, digest
 
 
@@ -130,10 +127,10 @@ def _cmd_zeta(args: argparse.Namespace) -> tuple[dict, str | None]:
         "q": data.q,
         "curve": "y^2 = c(t), the double cover branched over the degenerate members",
         "model_note": "c is the signed determinant -det(G0 + t G1); the sign is the rank-6 discriminant normalization",
-        "cover_coefficients_ascending": list(data.f),
+        "cover_coefficients_ascending": data.f,
         "n1": data.n1,
         "n2": data.n2,
-        "lpoly_ascending": list(data.lpoly),
+        "lpoly_ascending": data.lpoly,
         "jacobian_order": data.jacobian_order,
     }, digest
 
@@ -146,8 +143,8 @@ def _cmd_torsor(args: argparse.Namespace) -> tuple[dict, str | None]:
         "q": rep.q,
         "line_count": rep.line_count,
         "jacobian_order": rep.jacobian_order,
-        "curve_counts": list(rep.curve_counts),
-        "lpoly_ascending": list(rep.lpoly),
+        "curve_counts": rep.curve_counts,
+        "lpoly_ascending": rep.lpoly,
         "consistent": rep.consistent,
     }, digest
 
@@ -159,16 +156,15 @@ def _cmd_project_line(args: argparse.Namespace) -> tuple[dict, str | None]:
         raise PrecondError("--line: expected two spanning points [[...], [...]]")
     rows = [_parse_vector(pencil, r, f"--line[{k}]") for k, r in enumerate(raw)]
     proj = project_from_line(pencil, rows)
-    fld = pencil.field
     payload: dict[str, Any] = {
-        "field": io._field_doc(pencil.field),
+        "field": pencil.field,
         "n": pencil.n,
-        "line": [[fld.fmt(c) for c in r] for r in rows],
-        "curve_equations": [str(eq) for eq in proj.curve_equations],
-        "beta": [str(c) for c in proj.beta.components],
-        "beta_inverse": [str(c) for c in proj.beta_inverse.components],
+        "line": rows,
+        "curve_equations": proj.curve_equations,
+        "beta": proj.beta.components,
+        "beta_inverse": proj.beta_inverse.components,
     }
-    if isinstance(fld, PrimeField):
+    if isinstance(pencil.field, PrimeField):
         checked = good = 0
         for pt in points_on_pencil(pencil):
             ok = round_trip(proj, [int(c) for c in pt])
@@ -186,16 +182,15 @@ def _cmd_double_project(args: argparse.Namespace) -> tuple[dict, str | None]:
     pencil, digest = io.load_pencil(args.file)
     point = _parse_vector(pencil, io.decode(args.point, "--point"), "--point")
     dp = double_projection(pencil, point)
-    fld = pencil.field
     return {
-        "field": io._field_doc(pencil.field),
-        "point": [fld.fmt(c) for c in point],
-        "degeneracy_coefficients_ascending": [fld.fmt(c) for c in dp.degeneracy.chart_main()],
-        "twist_factor": fld.fmt(dp.twist_factor),
+        "field": pencil.field,
+        "point": point,
+        "degeneracy_coefficients_ascending": dp.degeneracy.chart_main(),
+        "twist_factor": dp.twist_factor,
         "identity": "det A(t) = -det(M)^2 * F(t, -1)",
         "identity_checked": dp.identity_checked,
         "counts_checked": dp.counts_checked,
-        "curve_counts": list(dp.curve_counts) if dp.curve_counts else None,
+        "curve_counts": dp.curve_counts,
     }, digest
 
 
@@ -246,21 +241,15 @@ def _cmd_torus(args: argparse.Namespace) -> tuple[dict, str | None]:
     if not isinstance(doc, list) or not doc:
         raise PrecondError("generators: expected a nonempty JSON list of 3x3 integer matrices")
     v = torus_rationality(doc)
-    payload: dict[str, Any] = {
+    witness = None if v.witness_subgroup is None else {"subgroup": v.witness_subgroup, "conjugator": v.conjugator}
+    return {
         "order": v.order,
         "structure": v.tag,
         "rational": v.rational,
         "klein_subgroup_count": v.klein_count,
         "unmatched_klein": v.unmatched_klein,
-    }
-    if v.witness_subgroup is None:
-        payload["witness"] = None
-    else:
-        payload["witness"] = {
-            "subgroup": [[list(r) for r in m] for m in v.witness_subgroup],
-            "conjugator": [list(r) for r in v.conjugator],
-        }
-    return payload, digest
+        "witness": witness,
+    }, digest
 
 
 def _cmd_amer(args: argparse.Namespace) -> tuple[dict, str | None]:
@@ -271,9 +260,9 @@ def _cmd_amer(args: argparse.Namespace) -> tuple[dict, str | None]:
         "q": rep.q,
         "nvars": rep.nvars,
         "degree_bound": rep.degree_bound,
-        "common_zero": list(rep.common_zero) if rep.common_zero else None,
+        "common_zero": rep.common_zero,
         "common_zero_count": rep.common_zero_count,
-        "solution": [list(row) for row in rep.solution] if rep.solution else None,
+        "solution": rep.solution,
         "candidates": rep.candidates,
         "consistent": rep.consistent,
     }, digest
@@ -284,15 +273,15 @@ def _cmd_hpt(args: argparse.Namespace) -> tuple[dict, str | None]:
     g = poly_from_grid(doc)
     rep = hpt_check(g)
     return {
-        "g": str(g),
-        "det_bidegree": list(rep.det_bidegree),
-        "factors": [[name, list(b), e] for name, b, e in rep.factors],
-        "factored_class_sum": list(rep.factored_class_sum),
-        "configuration_class_sum": list(rep.configuration_class_sum),
+        "g": g,
+        "det_bidegree": rep.det_bidegree,
+        "factors": rep.factors,
+        "factored_class_sum": rep.factored_class_sum,
+        "configuration_class_sum": rep.configuration_class_sum,
         "fibers": [
             {
                 "fiber": f.fiber,
-                "restriction": list(f.restriction),
+                "restriction": f.restriction,
                 "discriminant": f.discriminant,
                 "restriction_zero": f.restriction_zero,
                 "tangent": f.tangent,
@@ -309,7 +298,7 @@ def _cmd_classes(args: argparse.Namespace) -> tuple[dict, str | None]:
     rows = []
     for dec in decs:
         row: dict[str, Any] = {
-            "parts": list(dec.parts),
+            "parts": dec.parts,
             "label": dec.label(),
             "k": dec.k,
             "real_line": real_line_exists(dec, n),
@@ -401,6 +390,7 @@ def run(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None = Non
     started = time.perf_counter()
     try:
         payload, digest = _HANDLERS[args.cmd](args)
+        payload = io.jsonable(payload)
     except PrecondError as exc:
         print(f"error: {exc}", file=err)
         return 2, None
@@ -410,48 +400,11 @@ def run(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None = Non
     report = io.Report(
         command=("qpencil", *argv),
         input_sha256=digest,
-        status="ok",
         payload=payload,
         timing=None if args.json else time.perf_counter() - started,
     )
-    if args.json:
-        out.write(report.to_json())
-    else:
-        _print_human(report, out)
+    out.write(report.to_json() if args.json else report.to_text())
     return 0, report
-
-
-def _print_human(report: io.Report, out: TextIO) -> None:
-    print(f"qpencil {report.command[1]}: {report.status}", file=out)
-    if report.input_sha256:
-        print(f"input sha256: {report.input_sha256}", file=out)
-    _print_block(report.payload, out, 0)
-    if report.timing is not None:
-        print(f"elapsed: {report.timing:.3f}s", file=out)
-
-
-def _print_block(value: Any, out: TextIO, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list, tuple)) and any(
-                isinstance(x, (dict, list, tuple)) for x in (v.values() if isinstance(v, dict) else v)
-            ):
-                print(f"{pad}{k}:", file=out)
-                _print_block(v, out, indent + 1)
-            else:
-                print(f"{pad}{k}: {_scalar(v)}", file=out)
-    else:
-        for v in value:
-            if isinstance(v, (dict, list, tuple)):
-                print(f"{pad}-", file=out)
-                _print_block(v, out, indent + 1)
-            else:
-                print(f"{pad}- {_scalar(v)}", file=out)
-
-
-def _scalar(v: Any) -> str:
-    return json.dumps(io.jsonable(v))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import univariate as uv
 from .errors import InternalCheckError, PrecondError
-from .fields import Field, PrimeField, legendre
+from .fields import Field, PrimeField, exact_int, legendre
 
 # N2 takes about q^2/2 resultants: 0.2 s at q = 307 and 2.8 s at q = 1009
 CURVE_Q_LIMIT = 1000
@@ -133,7 +133,7 @@ def mumford_order(f: Sequence[int], field: Field) -> int:
     with ``elements`` and ``chi`` (the tests also run it over an F_{q^2}
     reference to calibrate the L-polynomial).
     """
-    coeffs = uv.trim(field, [field.from_int(c) if isinstance(c, int) else c for c in f])
+    coeffs = uv.trim(field, [field.from_int(exact_int(c, f"f[{k}]")) for k, c in enumerate(f)])
     if len(coeffs) - 1 != 5:
         raise PrecondError("the Mumford enumeration needs a degree-5 model")
     if not uv.is_squarefree(field, coeffs):

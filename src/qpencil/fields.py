@@ -148,9 +148,6 @@ class Rationals:
         """An exact value (see `_exact_value`) as a rational."""
         return Fraction(_exact_value(raw))
 
-    def fmt(self, a: Fraction) -> str:
-        return str(a)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "QQ"
 
@@ -217,9 +214,6 @@ class PrimeField:
         if v.denominator % self.p == 0:
             raise PrecondError(f"coefficient {v} has denominator divisible by {self.p}")
         return self.div(v.numerator % self.p, v.denominator % self.p)
-
-    def fmt(self, a: int) -> str:
-        return str(a % self.p)
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))

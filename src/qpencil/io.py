@@ -14,20 +14,27 @@ integers or exact ``"num/den"`` strings, never floats or booleans.  The
 dimension n runs from 2 to `MAX_N`, checked before any matrix is allocated.
 Parse diagnostics name the offending field (and the line for malformed JSON).
 
-Reports are serialized with sorted keys and no timestamps, so a fixed input
-produces byte-identical output across runs.
+Everything that leaves the program is written here too.  `jsonable` turns a
+payload of library values into JSON with one rule per type: a ``Fraction``
+becomes ``"num/den"`` text, an F_p element stays an int, a `Poly` becomes
+its text, a field becomes the spec `parse_field_spec` reads back, and a tuple
+becomes a list.  `Report` renders that JSON value as JSON (sorted keys, no
+timestamps, so a fixed input produces byte-identical output across runs) or
+as indented text.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .errors import PrecondError
-from .fields import QQ, Field, PrimeField, exact_int
+from .errors import InternalCheckError, PrecondError
+from .fields import QQ, Field, PrimeField, Rationals, exact_int
 from .pencil import Pencil, _gram_from_terms
+from .poly import Poly
 
 # the largest n an input may declare: an analyze over Q at n = 24 takes about
 # a second, and the dense (n+1)x(n+1) Grams are built only below this bound
@@ -47,13 +54,6 @@ def parse_field_spec(spec: Any, where: str = "field") -> Field:
             raise PrecondError(f"{where}: expected exactly the keys 'kind' and 'p'")
         return PrimeField(exact_int(spec["p"], f"{where}.p"))
     raise PrecondError(f"{where}.kind: expected 'rationals' or 'prime', got {kind!r}")
-
-
-def _field_doc(field: Field) -> dict:
-    """The field spec that `parse_field_spec` reads back as `field`."""
-    if isinstance(field, PrimeField):
-        return {"kind": "prime", "p": field.p}
-    return {"kind": "rationals"}
 
 
 def _term_list(raw: Any, where: str) -> list[list[Any]]:
@@ -122,30 +122,36 @@ def decode(data: bytes | str, where: str) -> Any:
     except json.JSONDecodeError as exc:
         raise PrecondError(f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal beyond the int conversion limit
-        raise PrecondError(f"{where}: {exc}") from exc
+        raise PrecondError(f"{where}: an integer literal has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 # -- report envelope -----------------------------------------------------
 
 
 def jsonable(value: Any) -> Any:
-    """Recursively convert a payload to JSON-safe values (Fractions to strings)."""
+    """The one writer: a report value as JSON, by the rules in the module
+    docstring.  Any other type is a program error, not bad input."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(jsonable(v) for v in value)
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    raise PrecondError(f"cannot serialize {type(value).__name__} into a report")
+    if isinstance(value, Poly):
+        return str(value)
+    if isinstance(value, PrimeField):
+        return {"kind": "prime", "p": value.p}
+    if isinstance(value, Rationals):
+        return {"kind": "rationals"}
+    raise InternalCheckError(f"cannot serialize {type(value).__name__} into a report")
 
 
 @dataclass(frozen=True)
 class Report:
-    """Envelope for one CLI invocation: command echo, input hash, payload.
+    """Envelope for one CLI invocation: command echo, input hash, and the
+    payload as a JSON value (the output of `jsonable`).
 
     ``timing`` is filled only in human-readable output; JSON reports keep it
     null so identical inputs give byte-identical bytes.
@@ -153,7 +159,6 @@ class Report:
 
     command: tuple[str, ...]
     input_sha256: str | None
-    status: str
     payload: dict
     timing: float | None = None
 
@@ -161,8 +166,40 @@ class Report:
         doc = {
             "command": list(self.command),
             "input_sha256": self.input_sha256,
-            "status": self.status,
-            "payload": jsonable(self.payload),
+            "status": "ok",
+            "payload": self.payload,
             "timing": None,
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def to_text(self) -> str:
+        lines = [f"qpencil {self.command[1]}: ok"]
+        if self.input_sha256:
+            lines.append(f"input sha256: {self.input_sha256}")
+        _text_block(self.payload, 0, lines)
+        if self.timing is not None:
+            lines.append(f"elapsed: {self.timing:.3f}s")
+        return "\n".join(lines) + "\n"
+
+
+def _text_block(value: dict | list, indent: int, lines: list[str]) -> None:
+    """Append the indented text of a JSON object or array to `lines`.  A key
+    whose value holds an object or array, and an item that is one, opens a
+    block one level deeper; every other value is written as JSON after its
+    key or ``-``."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        for k, v in value.items():
+            items = v.values() if isinstance(v, dict) else v
+            if isinstance(v, (dict, list)) and any(isinstance(x, (dict, list)) for x in items):
+                lines.append(f"{pad}{k}:")
+                _text_block(v, indent + 1, lines)
+            else:
+                lines.append(f"{pad}{k}: {json.dumps(v)}")
+    else:
+        for v in value:
+            if isinstance(v, (dict, list)):
+                lines.append(f"{pad}-")
+                _text_block(v, indent + 1, lines)
+            else:
+                lines.append(f"{pad}- {json.dumps(v)}")

@@ -273,7 +273,6 @@ class Poly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        fld = self.field
         chunks = []
         for exp, c in self.sorted_terms():
             factors = [
@@ -281,7 +280,7 @@ class Poly:
                 for v, e in zip(self.vars, exp)
                 if e
             ]
-            cs = fld.fmt(c)
+            cs = str(c)
             if factors and cs == "1":
                 body = "*".join(factors)
             elif factors and cs == "-1":

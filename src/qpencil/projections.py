@@ -71,13 +71,18 @@ class LineProjection:
     curve_equations: tuple[Poly, Poly, Poly]
 
 
+def _is_list_of(value: Any, length: int) -> bool:
+    """Whether `value` is a list or tuple of `length` items."""
+    return isinstance(value, (list, tuple)) and len(value) == length
+
+
 def line_to_front(pencil: Pencil, line_rows: Sequence[Sequence[Any]]) -> tuple[Pencil, list[list[Any]]]:
     """Change coordinates so the given line becomes span(e0, e1).
 
     Returns the new pencil and the matrix M whose columns are the new basis
     vectors (first two spanning the line)."""
     fld = pencil.field
-    if len(line_rows) != 2 or any(len(r) != pencil.n + 1 for r in line_rows):
+    if not _is_list_of(line_rows, 2) or not all(_is_list_of(r, pencil.n + 1) for r in line_rows):
         raise PrecondError("a line needs two spanning rows of length n+1")
     rows = [[parse_at(fld, c, f"line_rows[{k}][{i}]") for i, c in enumerate(r)] for k, r in enumerate(line_rows)]
     if dependent(fld, *rows):
@@ -252,9 +257,11 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
     if pencil.n != 5:
         raise PrecondError("the double projection is implemented for n = 5")
     fld = pencil.field
-    x = [parse_at(fld, c, f"point[{k}]") for k, c in enumerate(point)]
-    if len(x) != 6 or all(fld.is_zero(c) for c in x):
+    if not _is_list_of(point, 6):
         raise PrecondError("need a projective point with 6 coordinates")
+    x = [parse_at(fld, c, f"point[{k}]") for k, c in enumerate(point)]
+    if all(fld.is_zero(c) for c in x):
+        raise PrecondError("need a projective point, not the zero vector")
     if not fld.is_zero(pencil.eval_form(0, x)) or not fld.is_zero(pencil.eval_form(1, x)):
         raise PrecondError("the point does not lie on the base locus")
     a = mat_vec(fld, pencil.g0.to_lists(), x)

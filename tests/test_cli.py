@@ -193,6 +193,16 @@ def test_internal_check_failures_exit_3(monkeypatch):
     assert "internal check failed: planted failure" in err
 
 
+def test_a_payload_value_with_no_writer_rule_exits_3(monkeypatch):
+    """A payload value that `io.jsonable` has no rule for is a program error:
+    exit 3 naming its type, not a traceback from the writer."""
+    monkeypatch.setitem(cli._HANDLERS, "classes", lambda args: ({"x": object()}, None))
+    for argv in (["classes", "--n", "5"], ["classes", "--n", "5", "--json"]):
+        code, report, out, err = _run(argv)
+        assert code == 3 and report is None and out == ""
+        assert "internal check failed: cannot serialize object into a report" in err
+
+
 def test_torus_cli_rejects_float_matrices(tmp_path):
     path = tmp_path / "gens.json"
     path.write_text("[[[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]]")
@@ -202,6 +212,7 @@ def test_torus_cli_rejects_float_matrices(tmp_path):
 
 
 BIG = "1" * 5000  # over the interpreter's 4300-digit int conversion limit
+TOO_LONG = f"an integer literal has more than {sys.get_int_max_str_digits()} digits"
 POINT = ["double-project", "inputs/smooth_f3.json", "--point"]
 LINE = ["project-line", "inputs/smooth_f3.json", "--line"]
 
@@ -210,9 +221,9 @@ LINE = ["project-line", "inputs/smooth_f3.json", "--line"]
 BAD_VALUES = {
     "point-float": (POINT + ["[1.0,0,0,2,2,1]"], "--point[0]: coefficient 1.0 must be exact"),
     "point-bool": (POINT + ["[1,0,0,true,2,1]"], "--point[3]: not a coefficient"),
-    "point-5000-digits": (POINT + [f"[{BIG},0,0,2,2,1]"], "--point: Exceeds the limit"),
+    "point-5000-digits": (POINT + [f"[{BIG},0,0,2,2,1]"], f"--point: {TOO_LONG}"),
     "point-wrong-length": (POINT + ["[1,0,0,2,2]"], "--point: expected a list of 6"),
-    "line-5000-digits": (LINE + [f"[[{BIG},0,0,1,0,1],[0,1,1,1,1,1]]"], "--line: Exceeds the limit"),
+    "line-5000-digits": (LINE + [f"[[{BIG},0,0,1,0,1],[0,1,1,1,1,1]]"], f"--line: {TOO_LONG}"),
     "line-not-json": (LINE + ["[[1,0,0,1,0,1],"], "--line: line 1, column 16"),
     "g-ragged": (["hpt", "--g", "[[1, 2, 3], [1, 2, 3], 5]"], "grid: expected a 3x3"),
     "g-float": (["hpt", "--g", "[[1, 2, 3], [1, 2.5, 3], [1, 2, 3]]"], "grid[1][1]: coefficient 2.5 must be exact"),
@@ -239,6 +250,7 @@ def test_bad_inline_and_file_values_exit_2_naming_the_argument(monkeypatch, tmp_
     code, report, out, err = _run(argv)
     assert code == 2 and report is None and out == ""
     assert err.startswith("error: ") and named in err, err
+    assert "set_int_max_str_digits" not in err  # the bound is stated, not the interpreter's advice
 
 
 def test_oversized_inline_integer_exits_2_without_a_traceback():
@@ -248,6 +260,24 @@ def test_oversized_inline_integer_exits_2_without_a_traceback():
     done = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr and "--point" in done.stderr
+
+
+def test_field_elements_are_json_ints_over_f_p_and_num_den_text_over_q(monkeypatch):
+    """project-line and double-project wrote F_p coordinates as strings,
+    every other subcommand as numbers; now every subcommand writes an F_p
+    element as an int and a rational as "num/den" text."""
+    monkeypatch.chdir(REPO)
+    _, _, out, _ = _run(POINT + ["[1,0,0,2,2,1]", "--json"])
+    payload = json.loads(out)["payload"]
+    assert payload["point"] == [1, 0, 0, 2, 2, 1]
+    assert payload["twist_factor"] == 2
+    assert all(type(c) is int for c in payload["degeneracy_coefficients_ascending"])
+    _, _, out, _ = _run(LINE + ["[[1,0,0,1,0,1],[0,1,1,1,1,1]]", "--json"])
+    assert json.loads(out)["payload"]["line"] == [[1, 0, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]]
+    line = '[["1/2",0,0,0,0,0],[0,0,1,0,0,0]]'
+    code, _, out, err = _run(["project-line", "inputs/toric.json", "--line", line, "--json"])
+    assert code == 0, err
+    assert json.loads(out)["payload"]["line"] == [["1/2", "0", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "0"]]
 
 
 def test_torus_refuses_a_non_symmetry_generator_before_the_closure(tmp_path):

@@ -155,6 +155,11 @@ def test_model_validation():
         curve_counts([0, 0, 1, 0, 0, 1], 5)  # t^2 (t^3 + 1)
     with pytest.raises(PrecondError, match="degree-5"):
         mumford_order([1, 1, 0, 0, 0, 0, 1], PrimeField(5))
+    # coefficients are read by fields.exact_int: True counted as 1, 1.0 hit TypeError
+    with pytest.raises(PrecondError, match=r"f\[0\]: expected an integer"):
+        mumford_order([True, 0, 1, 0, 0, 1], PrimeField(5))
+    with pytest.raises(PrecondError, match=r"f\[5\]: expected an integer"):
+        mumford_order([0, -1, 0, 0, 0, 1.0], PrimeField(5))
     start = time.perf_counter()
     with pytest.raises(PrecondError, match="CURVE_Q_LIMIT"):
         curve_counts(T5_MINUS_T, 1009)

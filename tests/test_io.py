@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpencil.errors import PrecondError
+from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ, PrimeField
-from qpencil.io import MAX_N, Report, _field_doc, jsonable, load_json, load_pencil, parse_field_spec, parse_pencil
+from qpencil.io import MAX_N, Report, jsonable, load_json, load_pencil, parse_field_spec, parse_pencil
 from qpencil.pencil import Pencil
+from qpencil.poly import Poly
 
 GOOD_DOC = {
     "field": {"kind": "rationals"},
@@ -177,10 +178,15 @@ def test_load_json(tmp_path):
 def test_jsonable():
     assert jsonable(Fraction(1, 2)) == "1/2"
     assert jsonable({"a": (1, Fraction(3))}) == {"a": [1, "3"]}
-    assert jsonable(frozenset([3, 1, 2])) == [1, 2, 3]
     assert jsonable(None) is None
     assert jsonable(True) is True
-    with pytest.raises(PrecondError, match="serialize"):
+    assert jsonable(PrimeField(7)) == {"kind": "prime", "p": 7}
+    assert jsonable(QQ) == {"kind": "rationals"}
+    # F_p coefficients are written as the ints they are, as elsewhere
+    assert jsonable(Poly(PrimeField(7), ("x", "y"), {(1, 0): 1, (0, 2): 6})) == "6*y^2 + x"
+    assert jsonable([Poly(QQ, ("x",), {(1,): Fraction(-1, 2)})]) == ["-1/2*x"]
+    # a type with no rule is a program error (exit 3), not bad input
+    with pytest.raises(InternalCheckError, match="cannot serialize object"):
         jsonable(object())
 
 
@@ -188,8 +194,7 @@ def test_report_json_is_deterministic():
     rep = Report(
         command=("qpencil", "analyze", "x.json"),
         input_sha256="ab" * 32,
-        status="ok",
-        payload={"z": 1, "a": Fraction(1, 3)},
+        payload=jsonable({"z": 1, "a": Fraction(1, 3)}),
         timing=1.25,
     )
     out = rep.to_json()
@@ -201,6 +206,15 @@ def test_report_json_is_deterministic():
     assert out.endswith("\n")
 
 
+def test_report_text_walks_the_json_value():
+    rep = Report(
+        command=("qpencil", "toric"),
+        input_sha256=None,
+        payload=jsonable({"n": 5, "rows": [(1, Fraction(1, 2))], "flat": (1, 2)}),
+    )
+    assert rep.to_text() == 'qpencil toric: ok\nn: 5\nrows:\n  -\n    - 1\n    - "1/2"\nflat: [1, 2]\n'
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)])
 def test_field_doc_round_trips(field):
-    assert parse_field_spec(_field_doc(field)) == field
+    assert parse_field_spec(jsonable(field)) == field

@@ -102,6 +102,9 @@ def test_projection_rejects_lines_off_the_base_locus():
     rational = random_pencil_through_line(QQ, 5, rng)
     with pytest.raises(PrecondError, match=r"line_rows\[1\]\[1\]: .*must be exact"):
         project_from_line(rational, [[1, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
+    # a row that is not a list was a TypeError from len()
+    with pytest.raises(PrecondError, match="two spanning rows"):
+        project_from_line(good, [5, [0, 1, 0, 0, 0, 0]])
 
 
 def test_projection_works_over_the_rationals():
@@ -223,3 +226,6 @@ def test_double_projection_guards():
     # over F_7 a float coordinate reached pow() and raised TypeError
     with pytest.raises(PrecondError, match=r"point\[3\]: .*must be exact"):
         double_projection(diagonal_pencil(PrimeField(7), 5), [1, 0, 0, 2.0, 0, 0])
+    # a point that is not a list was a TypeError from iterating it
+    with pytest.raises(PrecondError, match="6 coordinates"):
+        double_projection(toric_pencil(PrimeField(7)), 5)

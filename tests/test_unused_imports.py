@@ -1,6 +1,7 @@
 """Lint steps: every name a library module imports is referenced in it,
 every module-level private function is referenced somewhere in the package,
-and only `fields` decides which input values are exact.
+only `fields` decides which input values are exact, and only `io` imports
+json.
 
 The package `__init__.py` is skipped by the import check, because its imports
 are re-exports.
@@ -98,3 +99,18 @@ def test_only_fields_tells_exact_values_from_floats_and_bools():
         )
     ]
     assert not found, f"float/bool checks outside fields.py: {found}"
+
+
+def test_only_io_imports_json():
+    """Everything that leaves the program is written by io (`jsonable` and
+    `Report`) and every JSON input is read by `io.decode`; a json import
+    anywhere else is a second writer or reader."""
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "io.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
+    ]
+    assert not found, f"json imported outside io.py: {found}"
