@@ -11,25 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TextIO
 
 from . import io
-from .bundlecalc import hpt_check, poly_from_grid
-from .circle import MAX_CLASSES_N, enumerate_classes, pencil_decomposition, real_line_exists, real_verdict
 from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField, parse_at
-from .fqgeom import (
-    _genus2_cover,
-    count_points,
-    enumerate_lines,
-    points_on_pencil,
-    singular_points,
-    torsor_check,
-)
-from .isotropy import amer_harness
-from .latticegroups import torus_rationality
-from .pencil import Pencil, reduce_pencil, singular_at, smoothness
-from .projections import double_projection, project_from_line, round_trip
+
+if TYPE_CHECKING:
+    from .pencil import Pencil
 
 
 def _over_q(pencil: Pencil, q: int | None) -> Pencil:
@@ -37,6 +26,8 @@ def _over_q(pencil: Pencil, q: int | None) -> Pencil:
         if isinstance(pencil.field, PrimeField):
             return pencil
         raise PrecondError("--q is required for a pencil over the rationals")
+    from .pencil import reduce_pencil
+
     return reduce_pencil(pencil, q)
 
 
@@ -49,10 +40,13 @@ def _parse_vector(pencil: Pencil, raw: Any, flag: str) -> list[Any]:
 
 # -- subcommand handlers --------------------------------------------------
 # each returns (payload of library values, input-file sha256 or None); `run`
-# has io.jsonable convert the payload
+# has io.jsonable convert the payload.  Each imports the library modules it
+# runs when it runs, so a process loads only what its subcommand needs.
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .pencil import smoothness
+
     pencil, digest = io.load_pencil(args.file)
     rep = smoothness(pencil)
     payload: dict[str, Any] = {
@@ -72,6 +66,8 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
         }
     payload["singular_points"] = _singular_scan(pencil)
     if pencil.field.characteristic == 0 and rep.smooth:
+        from .circle import pencil_decomposition, real_verdict
+
         dec = pencil_decomposition(pencil, rep)
         payload["isotopy_class"] = {"parts": dec.parts, "label": dec.label()}
         if pencil.n == 5:
@@ -89,8 +85,12 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 def _singular_scan(pencil: Pencil) -> dict:
     if isinstance(pencil.field, PrimeField):
+        from .fqgeom import singular_points
+
         pts = singular_points(pencil)
         return {"exhaustive": True, "count": len(pts), "points": pts}
+    from .pencil import singular_at
+
     fld = pencil.field
     m = pencil.n + 1
     found = []
@@ -108,6 +108,8 @@ def _singular_scan(pencil: Pencil) -> dict:
 
 
 def _cmd_lines(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .fqgeom import count_points, enumerate_lines
+
     pencil, digest = io.load_pencil(args.file)
     pencil = _over_q(pencil, args.q)
     lines = enumerate_lines(pencil)
@@ -121,6 +123,8 @@ def _cmd_lines(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .fqgeom import _genus2_cover
+
     pencil, digest = io.load_pencil(args.file)
     data = _genus2_cover(_over_q(pencil, args.q), "the zeta report")
     return {
@@ -136,6 +140,8 @@ def _cmd_zeta(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_torsor(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .fqgeom import torsor_check
+
     pencil, digest = io.load_pencil(args.file)
     pencil = _over_q(pencil, args.q)
     rep = torsor_check(pencil)
@@ -150,6 +156,8 @@ def _cmd_torsor(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_project_line(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .projections import project_from_line, round_trip
+
     pencil, digest = io.load_pencil(args.file)
     raw = io.decode(args.line, "--line")
     if not isinstance(raw, list) or len(raw) != 2:
@@ -165,6 +173,8 @@ def _cmd_project_line(args: argparse.Namespace) -> tuple[dict, str | None]:
         "beta_inverse": proj.beta_inverse.components,
     }
     if isinstance(pencil.field, PrimeField):
+        from .fqgeom import points_on_pencil
+
         checked = good = 0
         for pt in points_on_pencil(pencil):
             ok = round_trip(proj, [int(c) for c in pt])
@@ -179,6 +189,8 @@ def _cmd_project_line(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_double_project(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .projections import double_projection
+
     pencil, digest = io.load_pencil(args.file)
     point = _parse_vector(pencil, io.decode(args.point, "--point"), "--point")
     dp = double_projection(pencil, point)
@@ -237,6 +249,8 @@ def _cmd_toric(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_torus(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .latticegroups import torus_rationality
+
     doc, digest = io.load_json(args.generators)
     if not isinstance(doc, list) or not doc:
         raise PrecondError("generators: expected a nonempty JSON list of 3x3 integer matrices")
@@ -253,6 +267,8 @@ def _cmd_torus(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_amer(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .isotropy import amer_harness
+
     pencil, digest = io.load_pencil(args.file)
     pencil = _over_q(pencil, args.q)
     rep = amer_harness(pencil.g0, pencil.g1, args.deg, pencil.field)
@@ -269,6 +285,8 @@ def _cmd_amer(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_hpt(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .bundlecalc import hpt_check, poly_from_grid
+
     doc, digest = io.load_json(args.g)
     g = poly_from_grid(doc)
     rep = hpt_check(g)
@@ -293,6 +311,8 @@ def _cmd_hpt(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_classes(args: argparse.Namespace) -> tuple[dict, str | None]:
+    from .circle import enumerate_classes, real_line_exists, real_verdict
+
     n = args.n
     decs = enumerate_classes(n)
     rows = []
@@ -377,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="JSON file: 3x3 coefficient grid of the (2,2) form")
 
     p = add("classes", "enumerate the isotopy classes of smooth pencils in P^n(R)")
-    p.add_argument("--n", type=int, required=True, help=f"projective dimension, 2 <= n <= {MAX_CLASSES_N}")
+    p.add_argument("--n", type=int, required=True, help="projective dimension, 2 <= n <= circle.MAX_CLASSES_N")
 
     return ap
 

@@ -29,12 +29,14 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ, Field, PrimeField, Rationals, exact_int
-from .pencil import Pencil, _gram_from_terms
 from .poly import Poly
+
+if TYPE_CHECKING:
+    from .pencil import Pencil
 
 # the largest n an input may declare: an analyze over Q at n = 24 takes about
 # a second, and the dense (n+1)x(n+1) Grams are built only below this bound
@@ -72,6 +74,8 @@ def _term_list(raw: Any, where: str) -> list[list[Any]]:
 
 def parse_pencil(doc: Any) -> Pencil:
     """Build a pencil from a decoded input document."""
+    from .pencil import Pencil, _gram_from_terms  # torus and hpt read JSON but no pencil
+
     if not isinstance(doc, dict):
         raise PrecondError(f"top level: expected an object, got {type(doc).__name__}")
     missing = [k for k in ("field", "n", "q0", "q1") if k not in doc]

@@ -29,14 +29,12 @@ class Poly:
             exp = tuple(exp)
             if len(exp) != nv or any(e < 0 for e in exp):
                 raise PrecondError(f"bad exponent {exp} for {nv} variables")
+            # the sum also reduces an F_p coefficient into range(p)
+            coeff = field.add(clean.get(exp, field.zero), coeff)
             if field.is_zero(coeff):
-                continue
-            if exp in clean:
-                coeff = field.add(clean[exp], coeff)
-                if field.is_zero(coeff):
-                    del clean[exp]
-                    continue
-            clean[exp] = coeff
+                clean.pop(exp, None)
+            else:
+                clean[exp] = coeff
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "terms", clean)

@@ -307,25 +307,51 @@ def test_zeta_needs_a_threefold(monkeypatch, tmp_path):
     assert code == 2
 
 
-def test_rational_analyze_does_not_load_numpy():
-    """numpy is imported only by the finite-field scans that use it, so a
-    fresh interpreter that imports the package, the CLI and both numpy users
-    and runs an analyze over Q never loads it; hashlib is imported only when
-    an input file is read.  Nor does an analyze of a smooth pencil over F_3,
-    whose singular members each have a one-point kernel."""
+_NO_PENCIL_WORK = ("qpencil.pencil", "qpencil.circle", "qpencil.fqgeom", "numpy")
+_NO_FQ_WORK = (
+    "qpencil.fqgeom",
+    "qpencil.projections",
+    "qpencil.isotropy",
+    "qpencil.bundlecalc",
+    "qpencil.latticegroups",
+    "numpy",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, preload, absent",
+    [
+        (["torus", "--generators", "inputs/full_group.json"], (), _NO_PENCIL_WORK),
+        (["hpt", "--g", "inputs/g_tangent.json"], (), _NO_PENCIL_WORK),
+        (["classes", "--n", "5"], (), _NO_FQ_WORK),
+        (["analyze", "inputs/diagonal.json"], (), _NO_FQ_WORK),
+        (["zeta", "inputs/smooth_f3.json"], (), ("qpencil.circle", "qpencil.projections", "numpy")),
+        (["analyze", "inputs/smooth_f3.json"], ("qpencil.fqgeom", "qpencil.isotropy"), ("numpy",)),
+    ],
+    ids=["torus", "hpt", "classes", "analyze-diagonal", "zeta-smooth-f3", "analyze-smooth-f3"],
+)
+def test_subcommand_loads_only_the_modules_it_runs(argv, preload, absent):
+    """A fresh interpreter that runs one subcommand loads none of the modules
+    that subcommand does not run: each handler imports its library modules
+    when it runs, and the package root re-exports nothing.  numpy is
+    imported only by the finite-field scans that use it, so importing both
+    numpy users does not load it, nor does an analyze of a smooth pencil over
+    F_3, whose singular members each have a one-point kernel.  hashlib is
+    imported only when an input file is read."""
     code = (
-        "import io, sys\n"
-        "import qpencil, qpencil.cli, qpencil.fqgeom, qpencil.isotropy\n"
+        "import importlib, io, sys\n"
+        "import qpencil.cli\n"
+        f"for name in {list(preload)!r}:\n"
+        "    importlib.import_module(name)\n"
         "assert 'hashlib' not in sys.modules\n"
-        "for path in ('inputs/diagonal.json', 'inputs/smooth_f3.json'):\n"
-        "    status, _ = qpencil.cli.run(['analyze', path, '--json'], out=io.StringIO())\n"
-        "    assert status == 0, status\n"
-        "print('numpy' in sys.modules)\n"
+        f"status, _ = qpencil.cli.run({argv!r}, out=io.StringIO())\n"
+        "assert status == 0, status\n"
+        f"print(sorted(name for name in {list(absent)!r} if name in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]", f"{argv[0]} loaded {done.stdout.strip()}"
 
 
 def _smooth_f3_over(tmp_path, p):

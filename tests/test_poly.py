@@ -100,3 +100,16 @@ def test_total_degree_and_homogeneous():
 def test_variable_name_checked():
     with pytest.raises(PrecondError):
         Poly.variable(QQ, VARS, "w")
+
+
+def test_constructor_reduces_prime_field_coefficients():
+    """Over F_7 the coefficient 8 is 1: the constructor reduces it, so the
+    polynomial prints, compares and hashes as ``x``; a coefficient divisible
+    by 7 drops out."""
+    f7 = PrimeField(7)
+    x = Poly.variable(f7, ("x",), "x")
+    eight_x = Poly(f7, ("x",), {(1,): 8, (0,): -7})
+    assert eight_x.terms == {(1,): 1}
+    assert str(eight_x) == str(x)
+    assert eight_x == x and hash(eight_x) == hash(x)
+    assert (eight_x - x).is_zero

@@ -1,19 +1,19 @@
 """Lint steps: every name a library module imports is referenced in it,
 every module-level private function is referenced somewhere in the package,
-only `fields` decides which input values are exact, and only `io` imports
-json.
+only `fields` decides which input values are exact, only `io` imports json,
+and the CLI imports at module level only what every subcommand runs.
 
-The package `__init__.py` is skipped by the import check, because its imports
-are re-exports.
+The package `__init__.py` is checked like any module: it re-exports nothing.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qpencil"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -114,3 +114,34 @@ def test_only_io_imports_json():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
     ]
     assert not found, f"json imported outside io.py: {found}"
+
+
+def _module_level_imports(path: Path) -> set[str]:
+    """The modules a file imports in its top-level statements (so not in a
+    function or an ``if TYPE_CHECKING:`` block), relative ones with their
+    leading dots."""
+    found: set[str] = set()
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if node.module:
+                found.add("." * node.level + node.module)
+            else:  # from . import io
+                found.update("." * node.level + alias.name for alias in node.names)
+    return found
+
+
+def test_cli_imports_library_modules_only_in_the_handlers():
+    """Every `qpencil` process pays for what cli.py imports at module level,
+    so that is the stdlib plus `errors`, `fields` and `io`; each handler
+    imports the modules it runs.  io.py reads the pencil module only when it
+    builds a pencil, because torus and hpt read JSON files but no pencil."""
+    cli_imports = _module_level_imports(SRC / "cli.py")
+    local = sorted(name for name in cli_imports if name.startswith("."))
+    assert local == [".errors", ".fields", ".io"], f"cli.py imports at module level: {local}"
+    outside = sorted(
+        name for name in cli_imports if not name.startswith(".") and name.split(".")[0] not in sys.stdlib_module_names
+    )
+    assert not outside, f"cli.py imports non-stdlib modules at module level: {outside}"
+    assert ".pencil" not in _module_level_imports(SRC / "io.py")
