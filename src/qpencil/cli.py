@@ -18,7 +18,7 @@ from .errors import InternalCheckError, PrecondError
 from .fields import PrimeField, parse_at
 
 if TYPE_CHECKING:
-    from .pencil import Pencil
+    from .pencil import Pencil, SmoothnessReport
 
 
 def _over_q(pencil: Pencil, q: int | None) -> Pencil:
@@ -64,7 +64,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
             "coefficients": disc.coeffs,
             "convention": "coefficient i multiplies s0^(degree-i) s1^i",
         }
-    payload["singular_points"] = _singular_scan(pencil)
+    payload["singular_points"] = _singular_scan(pencil, rep)
     if pencil.field.characteristic == 0 and rep.smooth:
         from .circle import pencil_decomposition, real_verdict
 
@@ -83,8 +83,10 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
     return payload, digest
 
 
-def _singular_scan(pencil: Pencil) -> dict:
+def _singular_scan(pencil: Pencil, rep: SmoothnessReport) -> dict:
     if isinstance(pencil.field, PrimeField):
+        if rep.smooth:  # D squarefree of full degree: Sing(X) is empty
+            return {"exhaustive": True, "count": 0, "points": []}
         from .fqgeom import singular_points
 
         pts = singular_points(pencil)

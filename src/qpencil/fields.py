@@ -99,6 +99,30 @@ def legendre(a: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """The smaller square root of a modulo an odd prime p, by Tonelli-Shanks
+    with the least quadratic non-residue; a non-square is refused."""
+    a %= p
+    if a == 0:
+        return 0
+    if legendre(a, p) != 1:
+        raise PrecondError(f"{a} is not a square mod {p}")
+    # p - 1 = q 2^s with q odd; t = a^q lies in the 2-Sylow subgroup, whose
+    # generator c = z^q comes from the non-residue z, and r^2 = a t throughout
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if legendre(z, p) == -1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:  # t has order 2^i, i < s
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 @dataclass(frozen=True)
 class Rationals:
     """The field of rational numbers; elements are ``Fraction`` values."""

@@ -4,25 +4,27 @@ Point counts and singular points come from the q + 1 members
 a G0 + b G1 of the pencil, [a:b] in P^1(F_q): a character sum over the
 members gives #X(F_q), and the singular points lie in the kernels of the
 singular members, so only the F_q-roots of the discriminant need linear
-algebra.  Lines come from the common zeros of the quadrics, found without a
-scan of P^n(F_q): a member of the pencil without the w^2 term of the last
-coordinate w is linear in w, so over each point y of P^(n-1)(F_q) it fixes
-w, or leaves every w when it vanishes on the whole fiber.  Points are
-canonical representatives, scaled so that the first nonzero coordinate is 1.
-Lines are read off pairs of common zeros, each as the reduced row echelon
-basis (u, v) of its span, a pair of int tuples.  The scans are vectorized
-with numpy, imported on first use, and results come out in a fixed order.
+algebra, and X meets a kernel of dimension at most 2 in the zeros of one
+binary quadratic, solved without a scan.  Lines come from the common zeros
+of the quadrics, found without a scan of P^n(F_q): a member of the pencil
+without the w^2 term of the last coordinate w is linear in w, so over each
+point y of P^(n-1)(F_q) it fixes w, or leaves every w when it vanishes on
+the whole fiber.  Points are canonical representatives, scaled so that the
+first nonzero coordinate is 1.  Lines are read off pairs of common zeros,
+each as the reduced row echelon basis (u, v) of its span, a pair of int
+tuples.  The scans are vectorized with numpy, imported on first use, and
+results come out in a fixed order.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .curvecounts import CurveData, curve_data
 from .errors import InternalCheckError, PrecondError
-from .fields import PrimeField, legendre
+from .fields import PrimeField, legendre, sqrt_mod
 from .linalg import dependent, nullspace, rref
 from .matrices import SymMatrix
 from .pencil import Pencil, _discriminant_or_none, _signed_discriminant, smoothness
@@ -269,24 +271,29 @@ def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
     D = det(s0 G0 + s1 G1) (Reid, *The complete intersection of two or more
     quadrics*, ch. 2).  So Sing(X)(F_q) is the union, over the F_q-roots of
     D (every member when D vanishes identically), of P(ker M)(F_q) on X.
+
+    One form decides each kernel: M = a G0 + b G1 vanishes on ker M, so
+    a Q0 + b Q1 does too, and X meets P(ker M) in the zeros of R = Q0 when
+    b != 0 and of R = Q1 when b = 0.  A kernel of dimension 1 is one point,
+    tested on R; one of dimension 2 is a line, on which R is a binary
+    quadratic solved in plain Python (`_line_zeros`); only a kernel of
+    dimension 3 or more is scanned with numpy (`_kernel_zeros`).
     The points come out in `projective_points` order: by the index of the
     first nonzero coordinate, then by the point.
     """
     p = _require_members(pencil)
     field = pencil.field
-    kernels = [
-        rref(field, nullspace(field, pencil.member(a, b).to_lists()))[0]
-        for a, b, d in _member_values(pencil)
-        if not d
-    ]
     found: set[tuple[int, ...]] = set()
-    for basis in kernels:
-        # a one-point kernel is tested in plain Python, so that smooth
-        # pencils never load numpy
+    for a, b, d in _member_values(pencil):
+        if d:
+            continue
+        basis = rref(field, nullspace(field, pencil.member(a, b).to_lists()))[0]
+        which = 0 if b else 1
         if len(basis) == 1:
-            x = basis[0]
-            if not pencil.eval_form(0, x) and not pencil.eval_form(1, x):
-                found.add(tuple(x))
+            if not pencil.eval_form(which, basis[0]):
+                found.add(tuple(basis[0]))
+        elif len(basis) == 2:
+            found.update(_line_zeros(pencil, which, *basis))
         else:
             found.update(_kernel_zeros(pencil, basis))
     return sorted(found, key=lambda x: (next(i for i, c in enumerate(x) if c), x))
@@ -348,6 +355,35 @@ def _rank_and_delta(rows: list[list[int]], p: int) -> tuple[int, int]:
         a = [[(a[k][l] - a[k][piv] * inv * prow[l]) % p for l in rest] for k in rest]
         r, delta = r + 1, delta * d % p
     return r, delta
+
+
+def _line_zeros(pencil: Pencil, which: int, u: list[int], v: list[int]) -> list[tuple[int, ...]]:
+    """The zeros of the form R = Q_which on the line with reduced row echelon
+    rows u, v.  Its canonical points are u + t v, t in F_p, and v, and
+    R(u + t v) = gamma t^2 + 2 beta t + alpha with alpha = R(u),
+    beta = B_R(u, v) and gamma = R(v).  For gamma != 0 the roots are
+    t = (-beta +- sqrt(beta^2 - alpha gamma)) / gamma; for gamma = 0, v is a
+    zero and the equation is linear in t, or holds for every t when
+    alpha = beta = 0.  The roots take O(log p) multiplications mod p."""
+    p = pencil.field.p
+    alpha, gamma = pencil.eval_form(which, u), pencil.eval_form(which, v)
+    beta = pencil.eval_bilinear(which, u, v)
+    ts: Iterable[int]
+    if gamma:
+        disc = (beta * beta - alpha * gamma) % p
+        if legendre(disc, p) < 0:
+            ts = ()
+        else:
+            s, inv = sqrt_mod(disc, p), pow(gamma, p - 2, p)
+            ts = {(-beta + s) * inv % p, (-beta - s) * inv % p}
+    elif beta:
+        ts = (-alpha * pow(2 * beta, p - 2, p) % p,)
+    else:
+        ts = () if alpha else range(p)
+    zeros = [tuple((x + t * y) % p for x, y in zip(u, v)) for t in ts]
+    if not gamma:
+        zeros.append(tuple(v))
+    return zeros
 
 
 def _kernel_zeros(pencil: Pencil, basis: list[list[int]]) -> Iterator[tuple[int, ...]]:

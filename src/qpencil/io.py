@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import InternalCheckError, PrecondError
 from .fields import QQ, Field, PrimeField, Rationals, exact_int
-from .poly import Poly
 
 if TYPE_CHECKING:
     from .pencil import Pencil
@@ -143,12 +142,14 @@ def jsonable(value: Any) -> Any:
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, Poly):
-        return str(value)
     if isinstance(value, PrimeField):
         return {"kind": "prime", "p": value.p}
     if isinstance(value, Rationals):
         return {"kind": "rationals"}
+    from .poly import Poly  # last, so that a report without polynomials never loads poly
+
+    if isinstance(value, Poly):
+        return str(value)
     raise InternalCheckError(f"cannot serialize {type(value).__name__} into a report")
 
 

@@ -12,6 +12,7 @@ is exposed for the n = 5 story.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,8 +28,13 @@ BLOCKS = ((0, 1), (2, 3), (4, 5))
 PLANE_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
     itertools.product(*BLOCKS)
 )
-# each plane with the bitmask of its three zero coordinates
-_PLANE_MASKS = tuple((t, sum(1 << i for i in t)) for t in PLANE_TRIPLES)
+# bit j of a line's zero mask is set when x_j vanishes identically on it
+_BITS = tuple(1 << j for j in range(6))
+# the planes containing a line, indexed by its zero mask: those whose three
+# zero coordinates are all set
+_HOMES: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
+    tuple(t for t in PLANE_TRIPLES if all(zeros >> i & 1 for i in t)) for zeros in range(64)
+)
 
 
 def coordinate_points(field: Field) -> list[tuple]:
@@ -42,7 +48,10 @@ def toric_singular_points(field: Field) -> list[tuple]:
     """The singular locus of the base locus: the six coordinate points.
 
     Over a prime field this is `fqgeom.singular_points`, exhaustive over
-    the kernels of the singular members.  Over the rationals no finite
+    the kernels of the singular members: the three members x0 x1 - x4 x5,
+    x0 x1 - x2 x3 and x2 x3 - x4 x5 each have a 2-dimensional kernel, a
+    coordinate line whose two vertices are the zeros of one binary
+    quadratic, so no numpy scan runs.  Over the rationals no finite
     search is exhaustive, so we argue by monomial support: each
     2x2 minor of the Jacobian is (up to sign and a factor of 4) a product of
     one variable from each of two blocks, so on a singular point at most one
@@ -115,12 +124,14 @@ class ToricLineCensus:
 
 def classify_line(line: tuple[Sequence[int], Sequence[int]]) -> list[tuple[int, int, int]]:
     """The planes (by index triple) containing the line spanned by the rows
-    (u, v); empty if nonplanar.
+    (u, v); empty if nonplanar."""
+    return list(_HOMES[_zero_mask(line)])
 
-    Bit j of `zeros` is set when x_j vanishes identically on the line."""
+
+def _zero_mask(line: tuple[Sequence[int], Sequence[int]]) -> int:
+    """Bit j set when x_j vanishes identically on the line with rows (u, v)."""
     u, v = line
-    zeros = sum(1 << j for j, (a, b) in enumerate(zip(u, v)) if not (a or b))
-    return [t for t, mask in _PLANE_MASKS if zeros & mask == mask]
+    return sum(bit for a, b, bit in zip(u, v, _BITS) if not (a or b))
 
 
 def toric_line_census(q: int) -> ToricLineCensus:
@@ -130,23 +141,22 @@ def toric_line_census(q: int) -> ToricLineCensus:
     side is combinatorial: each of the 8 planes is a P^2 with q^2+q+1 lines;
     a line lies in two planes iff it joins two coordinate vertices of a
     common edge, and there are 12 such shared lines; the lines in no plane
-    come in 4 (q-1)^2 torus translates.  Total: 12 q^2.
+    come in 4 (q-1)^2 torus translates.  Total: 12 q^2.  The lines are
+    counted by their zero-coordinate masks, and each mask by its planes.
     """
     p = PrimeField(q)
     lines = enumerate_lines(toric_pencil(p))
-    per_plane = {t: 0 for t in PLANE_TRIPLES}
+    per_plane = dict.fromkeys(PLANE_TRIPLES, 0)
     planar_set = 0
-    nonplanar = 0
     multiplicity_sum = 0
-    for line in lines:
-        homes = classify_line(line)
-        multiplicity_sum += len(homes)
+    for zeros, count in Counter(map(_zero_mask, lines)).items():
+        homes = _HOMES[zeros]
+        multiplicity_sum += count * len(homes)
         if homes:
-            planar_set += 1
+            planar_set += count
             for t in homes:
-                per_plane[t] += 1
-        else:
-            nonplanar += 1
+                per_plane[t] += count
+    nonplanar = len(lines) - planar_set
     pred_per_plane = q * q + q + 1
     pred_planar = 8 * pred_per_plane - 12
     pred_nonplanar = 4 * (q - 1) ** 2

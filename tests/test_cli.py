@@ -307,7 +307,7 @@ def test_zeta_needs_a_threefold(monkeypatch, tmp_path):
     assert code == 2
 
 
-_NO_PENCIL_WORK = ("qpencil.pencil", "qpencil.circle", "qpencil.fqgeom", "numpy")
+_NO_PENCIL_WORK = ("qpencil.pencil", "qpencil.circle", "qpencil.fqgeom", "qpencil.poly", "numpy")
 _NO_FQ_WORK = (
     "qpencil.fqgeom",
     "qpencil.projections",
@@ -322,7 +322,8 @@ _NO_FQ_WORK = (
     "argv, preload, absent",
     [
         (["torus", "--generators", "inputs/full_group.json"], (), _NO_PENCIL_WORK),
-        (["hpt", "--g", "inputs/g_tangent.json"], (), _NO_PENCIL_WORK),
+        # hpt reads its (2,2) form as a Poly
+        (["hpt", "--g", "inputs/g_tangent.json"], (), tuple(m for m in _NO_PENCIL_WORK if m != "qpencil.poly")),
         (["classes", "--n", "5"], (), _NO_FQ_WORK),
         (["analyze", "inputs/diagonal.json"], (), _NO_FQ_WORK),
         (["zeta", "inputs/smooth_f3.json"], (), ("qpencil.circle", "qpencil.projections", "numpy")),
@@ -336,8 +337,25 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, preload, absent):
     when it runs, and the package root re-exports nothing.  numpy is
     imported only by the finite-field scans that use it, so importing both
     numpy users does not load it, nor does an analyze of a smooth pencil over
-    F_3, whose singular members each have a one-point kernel.  hashlib is
+    F_3, whose smoothness certificate rules out singular points.  hashlib is
     imported only when an input file is read."""
+    assert _loaded_modules(argv, preload, absent) == [], f"{argv[0]} loaded them"
+
+
+def test_analyze_of_the_toric_pencil_over_f3_loads_no_numpy(tmp_path):
+    """The toric pencil over F_3 is singular, and each of its three singular
+    members has a 2-dimensional kernel: its points are the roots of one
+    binary quadratic, found without the numpy scan."""
+    path = _input_over(tmp_path, "toric", 3)
+    code, report, _, err = _run(["analyze", path, "--json"])
+    assert code == 0, err
+    assert report.payload["singular_points"]["count"] == 6
+    assert _loaded_modules(["analyze", path], (), ("numpy",)) == []
+
+
+def _loaded_modules(argv, preload, absent):
+    """The modules of `absent` that a fresh interpreter has loaded after it
+    imports `preload` and runs `qpencil <argv>`, which must exit 0."""
     code = (
         "import importlib, io, sys\n"
         "import qpencil.cli\n"
@@ -346,31 +364,37 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, preload, absent):
         "assert 'hashlib' not in sys.modules\n"
         f"status, _ = qpencil.cli.run({argv!r}, out=io.StringIO())\n"
         "assert status == 0, status\n"
-        f"print(sorted(name for name in {list(absent)!r} if name in sys.modules))\n"
+        f"print(*sorted(name for name in {list(absent)!r} if name in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]", f"{argv[0]} loaded {done.stdout.strip()}"
+    return done.stdout.split()
 
 
-def _smooth_f3_over(tmp_path, p):
-    """inputs/smooth_f3.json with its field re-declared as F_p."""
-    doc = json.loads((REPO / "inputs" / "smooth_f3.json").read_text())
-    doc["field"]["p"] = p
-    path = tmp_path / f"smooth_over_{p}.json"
+def _input_over(tmp_path, name, p):
+    """inputs/<name>.json with its field re-declared as F_p."""
+    doc = json.loads((REPO / "inputs" / f"{name}.json").read_text())
+    doc["field"] = {"kind": "prime", "p": p}
+    path = tmp_path / f"{name}_over_{p}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
 
 def test_analyze_over_a_larger_prime_is_exhaustive_within_the_member_budget(tmp_path):
-    """Over F_37 the old scan of P^5 (37^6 points) was refused; the p + 1
-    members are not.  Over F_(10^9 + 7) the members are refused at once."""
-    code, report, _, err = _run(["analyze", _smooth_f3_over(tmp_path, 37), "--json"])
-    assert code == 0, err
-    assert report.payload["singular_points"] == {"exhaustive": True, "count": 0, "points": []}
+    """A smooth pencil has no singular points by its smoothness certificate,
+    so analyze scans no member, at p = 37 and at p = 10^9 + 7 alike.  The
+    toric pencil is singular, and over F_(10^9 + 7) its p + 1 members are
+    refused at once."""
+    for p in (37, 10**9 + 7):
+        start = time.perf_counter()
+        code, report, _, err = _run(["analyze", _input_over(tmp_path, "smooth_f3", p), "--json"])
+        assert time.perf_counter() - start < 1
+        assert code == 0, err
+        assert report.payload["smooth"] is True
+        assert report.payload["singular_points"] == {"exhaustive": True, "count": 0, "points": []}
     start = time.perf_counter()
-    code, report, _, err = _run(["analyze", _smooth_f3_over(tmp_path, 10**9 + 7), "--json"])
+    code, report, _, err = _run(["analyze", _input_over(tmp_path, "toric", 10**9 + 7), "--json"])
     assert time.perf_counter() - start < 1
     assert code == 2 and report is None
     assert "MEMBER_LIMIT" in err
@@ -381,7 +405,7 @@ def test_zeta_refuses_a_large_prime_before_counting(tmp_path):
     CURVE_Q_LIMIT exits 2 at once.  `--q 100003` on the F_3 file exits 2
     before that, on the field mismatch."""
     cases = [
-        (["zeta", _smooth_f3_over(tmp_path, 100003)], "CURVE_Q_LIMIT"),
+        (["zeta", _input_over(tmp_path, "smooth_f3", 100003)], "CURVE_Q_LIMIT"),
         (["zeta", "inputs/smooth_f3.json", "--q", "100003"], "lives over F_3"),
     ]
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpencil.errors import PrecondError
-from qpencil.fields import QQ, PrimeField, is_prime, legendre
+from qpencil.fields import QQ, PrimeField, is_prime, legendre, sqrt_mod
 from qpencil.linalg import rank, rref
 from qpencil.projections import project_from_line
 from qpencil.samples import random_pencil_through_line
@@ -81,6 +81,36 @@ def test_legendre_multiplicative_mod_7():
         for b in range(1, 7):
             assert legendre(a * b, 7) == legendre(a, 7) * legendre(b, 7)
     assert legendre(0, 7) == 0
+
+
+def test_sqrt_mod_is_the_smaller_root_for_every_residue_below_102():
+    for p in range(3, 102):
+        if not is_prime(p):
+            continue
+        roots = {}
+        for x in range(p):
+            roots.setdefault(x * x % p, x)  # the smaller root comes first
+        for a in range(p):
+            if a in roots:
+                assert sqrt_mod(a, p) == roots[a], (a, p)
+            else:
+                with pytest.raises(PrecondError, match="not a square"):
+                    sqrt_mod(a, p)
+
+
+@pytest.mark.parametrize("p, two_adic", [(998244353, 23), (10**9 + 7, 1)])
+def test_sqrt_mod_at_large_primes(p, two_adic):
+    """998244353 = 119 * 2^23 + 1 runs the Tonelli-Shanks loop through 23
+    levels of the 2-Sylow subgroup; 10^9 + 7 = 3 mod 4 needs none."""
+    assert (p - 1) % 2**two_adic == 0 and (p - 1) // 2**two_adic % 2 == 1
+    rng = random.Random(p)
+    for x in [1, 2, p - 1, p // 2] + [rng.randrange(1, p) for _ in range(200)]:
+        assert sqrt_mod(x * x, p) == min(x, p - x)
+        assert sqrt_mod(x * x + p, p) == min(x, p - x)
+    non_residue = next(z for z in range(2, p) if legendre(z, p) == -1)
+    with pytest.raises(PrecondError, match="not a square"):
+        sqrt_mod(non_residue, p)
+    assert sqrt_mod(0, p) == 0
 
 
 def test_quadratic_character():

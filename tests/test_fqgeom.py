@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qpencil.errors import PrecondError
-from qpencil.fields import QQ, PrimeField
+from qpencil.fields import QQ, PrimeField, legendre
 from qpencil import fqgeom
 from qpencil.fqgeom import (
     ELIMINATION_LIMIT,
@@ -30,8 +30,16 @@ from qpencil.fqgeom import (
     singular_points,
     torsor_check,
 )
+from qpencil.linalg import mat_vec, rank
 from qpencil.matrices import SymMatrix
-from qpencil.pencil import Pencil, _discriminant_or_none, diagonal_pencil, singular_at, toric_pencil
+from qpencil.pencil import (
+    Pencil,
+    _discriminant_or_none,
+    diagonal_pencil,
+    pencil_congruent,
+    singular_at,
+    toric_pencil,
+)
 from qpencil.samples import random_pencil, random_symmetric
 
 from conftest import REPO
@@ -339,6 +347,90 @@ def test_toric_singular_points_over_f3():
 
 def test_smooth_pencil_has_no_singular_points():
     assert singular_points(diagonal_pencil(F5, 3)) == []
+
+
+# binary quadratics gamma t^2 + 2 beta t + alpha by their zeros on P^1
+_LINE_FORMS = ("residue", "non-residue", "zero", "gamma = 0", "gamma = beta = 0", "R = 0")
+
+
+def _line_form(kind, p, rng):
+    """(alpha, beta, gamma) of a form of the given kind, and its number of
+    zeros on P^1(F_p): the discriminant beta^2 - alpha gamma a nonzero
+    square, a non-square or zero; a linear form; a nonzero constant; or 0."""
+    beta, gamma = rng.randrange(p), rng.randrange(1, p)
+    inv = pow(gamma, p - 2, p)
+    if kind == "residue":
+        s = rng.randrange(1, p)
+        return (beta * beta - s * s) * inv % p, beta, gamma, 2
+    if kind == "non-residue":
+        c = next(z for z in range(2, p) if legendre(z, p) == -1)
+        return (beta * beta - c) * inv % p, beta, gamma, 0
+    if kind == "zero":
+        return beta * beta * inv % p, beta, gamma, 1
+    if kind == "gamma = 0":
+        return rng.randrange(p), rng.randrange(1, p), 0, 2
+    if kind == "gamma = beta = 0":
+        return rng.randrange(1, p), 0, 0, 1
+    return 0, 0, 0, p + 1
+
+
+def _planted_line_kernel(fld, n, member, form, rng):
+    """A pencil whose member a G0 + b G1, (a, b) = `member`, has the kernel
+    span(e0, e1), on which the form that decides it (Q0 for b != 0, Q1 for
+    b = 0) has the Gram [[alpha, beta], [beta, gamma]], `form`."""
+    p, m = fld.p, n + 1
+    while True:
+        block = random_symmetric(fld, m - 2, rng).to_lists()
+        if rank(fld, block) == m - 2:
+            break
+    kernel_member = [[0] * m, [0] * m] + [[0, 0, *row] for row in block]
+    deciding = random_symmetric(fld, m, rng).to_lists()
+    alpha, beta, gamma = form
+    deciding[0][0], deciding[0][1], deciding[1][0], deciding[1][1] = alpha, beta, beta, gamma
+    a, b = member
+    if b:
+        inv = pow(b, p - 2, p)
+        other = [[(x - a * y) * inv % p for x, y in zip(r, s)] for r, s in zip(kernel_member, deciding)]
+        grams = (deciding, other)
+    else:
+        grams = (kernel_member, deciding)
+    return _pencil_of(fld, n, grams)
+
+
+@pytest.mark.parametrize("p, n", [(5, 3), (7, 3), (5, 4)])
+def test_two_dimensional_kernels_match_the_minors_scan(p, n):
+    """A member with a 2-dimensional kernel K, at [1:0], [0:1] and [1:lambda],
+    meets X in the zeros of one binary quadratic: their number on P(K) is
+    fixed by its kind, and every point agrees with the minors scan.  Each
+    pencil is taken as planted, with K = span(e0, e1) and the form's
+    coefficients as chosen, and after a random change of coordinates."""
+    fld = PrimeField(p)
+    rng = random.Random(f"line kernels/{p}/{n}")
+    for member in ((1, 0), (0, 1), (1, rng.randrange(1, p))):
+        for kind in _LINE_FORMS:
+            *form, zeros = _line_form(kind, p, rng)
+            planted = _planted_line_kernel(fld, n, member, form, rng)
+            while True:
+                change = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(n + 1)]
+                if rank(fld, change) == n + 1:
+                    break
+            for pencil in (planted, pencil_congruent(planted, change)):
+                where = (p, n, member, kind)
+                sing = singular_points(pencil)
+                assert sing == _minors_scan(pencil), where
+                kernel = pencil.member(*member).to_lists()
+                assert len(kernel) - rank(fld, kernel) == 2, where
+                assert sum(not any(mat_vec(fld, kernel, x)) for x in sing) == zeros, where
+
+
+def test_two_dimensional_kernels_need_no_scan_bound():
+    """Over F_200003 the common-zero scan refuses 2 variables, since
+    4 (p - 1)^3 >= 2^53; the toric pencil's three 2-dimensional kernels are
+    solved as binary quadratics instead."""
+    p = 200003
+    assert 4 * (p - 1) ** 3 >= 2**53
+    sing = singular_points(toric_pencil(PrimeField(p)))
+    assert sing == [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 
 
 def _cone_over_curve(fld, rng):

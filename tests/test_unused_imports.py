@@ -136,7 +136,8 @@ def test_cli_imports_library_modules_only_in_the_handlers():
     """Every `qpencil` process pays for what cli.py imports at module level,
     so that is the stdlib plus `errors`, `fields` and `io`; each handler
     imports the modules it runs.  io.py reads the pencil module only when it
-    builds a pencil, because torus and hpt read JSON files but no pencil."""
+    builds a pencil, because torus and hpt read JSON files but no pencil,
+    and the poly module only when a report holds a polynomial."""
     cli_imports = _module_level_imports(SRC / "cli.py")
     local = sorted(name for name in cli_imports if name.startswith("."))
     assert local == [".errors", ".fields", ".io"], f"cli.py imports at module level: {local}"
@@ -144,4 +145,5 @@ def test_cli_imports_library_modules_only_in_the_handlers():
         name for name in cli_imports if not name.startswith(".") and name.split(".")[0] not in sys.stdlib_module_names
     )
     assert not outside, f"cli.py imports non-stdlib modules at module level: {outside}"
-    assert ".pencil" not in _module_level_imports(SRC / "io.py")
+    io_imports = _module_level_imports(SRC / "io.py")
+    assert ".pencil" not in io_imports and ".poly" not in io_imports, f"io.py imports at module level: {io_imports}"
