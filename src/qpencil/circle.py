@@ -9,7 +9,10 @@ cyclically, is a complete invariant of the real pencil up to isotopy, and is
 always a composition of k into an odd number of parts.
 
 Everything here is exact: roots are isolated with Sturm sequences, and every
-signature is computed twice on antipodal arcs and cross-checked.
+signature is computed twice on antipodal arcs, by two algorithms, and
+cross-checked.  On the members (1, t) the signature comes from the signs of
+the leading principal minors that the discriminant's elimination already
+gave (Jacobi's rule), and elsewhere from a symmetric elimination.
 """
 
 from __future__ import annotations
@@ -85,6 +88,19 @@ def _swap(sig: tuple[int, int]) -> tuple[int, int]:
     return (sig[1], sig[0])
 
 
+def _jacobi_signature(minors: tuple[list[int], ...], t: Fraction) -> tuple[int, int] | None:
+    """(positive, negative) inertia of the member (1, t) by Jacobi's rule
+    (Gantmacher, The Theory of Matrices I, ch. X §3): with every leading
+    principal minor Δ_k(t) nonzero, the negative index is the number V of
+    sign changes in 1, Δ_1(t), ..., Δ_m(t), so the signature is (m - V, V).
+    None when some Δ_k(t) vanishes."""
+    signs = [uv._sign_at(d, t) for d in minors]
+    if not all(signs):
+        return None
+    v = sum(a != b for a, b in zip([1] + signs, signs))
+    return len(signs) - v, v
+
+
 def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCircle:
     """Compute the index circle of a smooth pencil over the rationals;
     `report` is `smoothness(p)` when the caller already holds it."""
@@ -113,7 +129,13 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
     def member(s0: int, s1: int) -> list[list[int]]:
         return [[s0 * a + s1 * b for a, b in zip(r0, r1)] for r0, r1 in zip(z0, z1)]
 
-    sigs_plus = [signature_pair(member(t.denominator, t.numerator)) for t in samples]
+    def plus(t: Fraction) -> tuple[int, int]:
+        # Jacobi's rule on the report's minors; elimination when there are
+        # none or one vanishes at t
+        sig = _jacobi_signature(report.minors, t) if report.minors else None
+        return signature_pair(member(t.denominator, t.numerator)) if sig is None else sig
+
+    sigs_plus = [plus(t) for t in samples]
     sigs_minus = [signature_pair(member(-t.denominator, -t.numerator)) for t in samples]
     for t, sp, sm in zip(samples, sigs_plus, sigs_minus):
         if sm != _swap(sp):

@@ -84,9 +84,9 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _singular_scan(pencil: Pencil, rep: SmoothnessReport) -> dict:
+    if rep.smooth:  # D squarefree of full degree: Sing(X) is empty over any field
+        return {"exhaustive": True, "count": 0, "points": []}
     if isinstance(pencil.field, PrimeField):
-        if rep.smooth:  # D squarefree of full degree: Sing(X) is empty
-            return {"exhaustive": True, "count": 0, "points": []}
         from .fqgeom import singular_points
 
         pts = singular_points(pencil)

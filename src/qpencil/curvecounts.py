@@ -9,8 +9,8 @@ the numerator L(T) of the zeta function:
 with c1 = -(q + 1 - N1) ... in elementary-symmetric terms: if p1 = q+1-N1 and
 p2 = q^2+1-N2 are the root power sums, then e1 = p1, e2 = (p1^2 - p2)/2, and
 L(T) = 1 - e1 T + e2 T^2 - q e1 T^3 + q^2 T^4.  The order of the Jacobian
-over F_q is L(1); an independent brute-force order via Mumford pairs is
-provided for calibration on degree-5 models.  Both counts use F_q arithmetic
+over F_q is L(1); the tests calibrate it against a brute-force order from
+Mumford pairs on degree-5 models.  Both counts use F_q arithmetic
 alone: N2 is read off the norms f(a) f(a') at conjugate pairs of F_{q^2}
 (see `curve_counts`), so no extension field is built.
 """
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import univariate as uv
 from .errors import InternalCheckError, PrecondError
-from .fields import Field, PrimeField, exact_int, legendre
+from .fields import PrimeField, legendre
 
 # N2 takes about q^2/2 resultants: 0.2 s at q = 307 and 2.8 s at q = 1009
 CURVE_Q_LIMIT = 1000
@@ -123,38 +123,3 @@ def curve_data(f: Sequence[int], q: int) -> CurveData:
     lp = lpolynomial(n1, n2, q)
     weil_check(lp, q)
     return CurveData(q, tuple(c % q for c in f), n1, n2, lp)
-
-
-def mumford_order(f: Sequence[int], field: Field) -> int:
-    """Order of Jac(y^2 = f) by listing Mumford pairs, for deg f = 5.
-
-    Counts the identity, plus pairs (u, v) with u monic of degree 1 or 2,
-    deg v < deg u, and u | v^2 - f.  Works over any finite-field strategy
-    with ``elements`` and ``chi`` (the tests also run it over an F_{q^2}
-    reference to calibrate the L-polynomial).
-    """
-    coeffs = uv.trim(field, [field.from_int(exact_int(c, f"f[{k}]")) for k, c in enumerate(f)])
-    if len(coeffs) - 1 != 5:
-        raise PrecondError("the Mumford enumeration needs a degree-5 model")
-    if not uv.is_squarefree(field, coeffs):
-        raise PrecondError("f must be squarefree")
-    total = 1  # identity
-    elements = list(field.elements())
-    # degree-1 u = t - a, v = b: condition b^2 = f(a)
-    for a in elements:
-        fa = uv.evaluate(field, coeffs, a)
-        total += 1 + field.chi(fa)
-    # degree-2 u = t^2 + u1 t + u0, v = v1 t + v0: u | v^2 - f
-    diffs = []
-    for v1 in elements:
-        for v0 in elements:
-            v = uv.trim(field, [v0, v1])
-            diffs.append(uv.sub(field, uv.mul(field, v, v), coeffs))
-    for u1 in elements:
-        for u0 in elements:
-            u = [u0, u1, field.one]
-            for diff in diffs:
-                _, r = uv.divmod_poly(field, diff, u)
-                if not r:
-                    total += 1
-    return total

@@ -46,18 +46,6 @@ ELIMINATION_LIMIT = 4 * 10**6
 _CHUNK = 1 << 19
 
 
-def gaussian_binomial(m: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^m."""
-    if k < 0 or k > m:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (m - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
-
-
 def projective_point_count(q: int, dim: int) -> int:
     return (q ** (dim + 1) - 1) // (q - 1)
 

@@ -13,7 +13,9 @@ t = 2^K, K = bitlength(B) + 1, one fraction-free (Bareiss) elimination
 over Z gives the determinant at 2^K, and its balanced base-2^K digits are
 the coefficients.  Over the rationals all denominators are cleared first;
 over F_p the representatives are lifted to Z and the result is reduced
-mod p.  No eigenvalues, no floats.
+mod p.  When the elimination swaps no rows, its pivots are the leading
+principal minors at 2^K, decoded the same way on request (over the
+rationals, for Jacobi's signature rule).  No eigenvalues, no floats.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def signature_pair(g: list[list[int]]) -> tuple[int, int]:
     return pos, negv
 
 
-def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]]) -> list:
+def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]], minors: bool = False):
     """Determinant of a square matrix over F[t], for F the rationals or a
     prime field, as one integer Bareiss elimination at t = 2^K.
 
@@ -163,6 +165,12 @@ def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]]) -> list:
     and the integer determinant is divided by L^m; over F_p the
     representatives are lifted to balanced integers in (-p/2, p/2) and the
     integer determinant is reduced mod p.
+
+    With `minors` (rationals only) the result is the pair of the determinant
+    and the leading principal minors Δ_1, ..., Δ_m of L times the matrix, a
+    tuple of ascending int coefficient lists from the same elimination, or
+    None in place of the minors when the determinant vanishes or the
+    elimination swapped rows (then some Δ_k vanishes identically).
     """
     m = len(rows)
     if m == 0 or any(len(row) != m for row in rows):
@@ -171,11 +179,15 @@ def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]]) -> list:
         scale = math.lcm(*(c.denominator for row in rows for e in row for c in e))
         ints = [[[c.numerator * (scale // c.denominator) for c in e] for e in row] for row in rows]
         den = scale**m
-        return [Fraction(c, den) for c in _det_zt(ints)]
+        coeffs, deltas = _det_zt(ints, minors)
+        det = [Fraction(c, den) for c in coeffs]
+        return (det, deltas) if minors else det
+    if minors:
+        raise PrecondError("leading minors are decoded over the rationals only")
     if isinstance(field, PrimeField):
         p, half = field.p, field.p // 2
         ints = [[[(c + half) % p - half for c in e] for e in row] for row in rows]
-        return _trim([c % p for c in _det_zt(ints)])
+        return _trim([c % p for c in _det_zt(ints)[0]])
     raise PrecondError(f"det_poly works over the rationals or a prime field, not {field!r}")
 
 
@@ -185,13 +197,18 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _det_zt(rows: list[list[list[int]]]) -> list[int]:
-    """Determinant of a square matrix over Z[t] by Kronecker substitution.
+def _det_zt(rows: list[list[list[int]]], minors: bool = False) -> tuple[list[int], tuple[list[int], ...] | None]:
+    """Determinant of a square matrix over Z[t] by Kronecker substitution,
+    and with `minors` its leading principal minors Δ_1, ..., Δ_m.
 
     Every coefficient of the determinant is at most
     B = prod_i sum_j |e_ij|_1 in absolute value (B bounds the permanent of
     the entries' 1-norms), so with K = bitlength(B) + 1 the integer
-    determinant at t = 2^K holds them as balanced base-2^K digits.
+    determinant at t = 2^K holds them as balanced base-2^K digits.  A
+    nonzero determinant has no zero row, so B bounds every Δ_k as well, and
+    the pivots of an elimination without row swaps, Δ_k(2^K), are decoded
+    alike.  Otherwise, or without `minors`, the minors are None: a zero row
+    makes K = 1, too narrow for any nonzero digit.
     """
     bound = math.prod(sum(abs(c) for e in row for c in e) for row in rows)
     width = bound.bit_length() + 1
@@ -204,35 +221,45 @@ def _det_zt(rows: list[list[list[int]]]) -> list[int]:
                 v = (v << width) + c
             out.append(v)
         packed.append(out)
-    det = _bareiss(packed)
-    coeffs = []
+    det, pivots = _bareiss(packed)
+    coeffs = _balanced_digits(det, width)
+    if not (minors and coeffs and pivots):
+        return coeffs, None
+    return coeffs, tuple(_balanced_digits(v, width) for v in pivots)
+
+
+def _balanced_digits(v: int, width: int) -> list[int]:
+    """The balanced base-2^width digits of v, least significant first."""
+    digits = []
     half, mask = 1 << (width - 1), (1 << width) - 1
-    while det:
-        digit = det & mask
+    while v:
+        digit = v & mask
         if digit >= half:
             digit -= 1 << width
-        coeffs.append(digit)
-        det = (det - digit) >> width
-    return coeffs
+        digits.append(digit)
+        v = (v - digit) >> width
+    return digits
 
 
-def _bareiss(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix; `a` is overwritten.
+def _bareiss(a: list[list[int]]) -> tuple[int, list[int] | None]:
+    """Determinant of a square integer matrix, and its pivots when no row
+    was swapped (None otherwise); `a` is overwritten.
 
     Step k replaces each entry below and right of the pivot by
     (a_kk a_ij - a_ik a_kj) / (previous pivot), a division that is exact
     because every intermediate entry is a minor of the input (Sylvester's
-    identity).  A zero pivot is swapped with a nonzero entry below it.
+    identity).  Without swaps the pivot of step k is the leading principal
+    minor of order k + 1.  A zero pivot is swapped with a nonzero entry below it.
     """
     m = len(a)
-    sign, prev = 1, 1
+    sign, prev, swapped = 1, 1, False
     for k in range(m - 1):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, m) if a[i][k]), None)
             if swap is None:
-                return 0
+                return 0, None
             a[k], a[swap] = a[swap], a[k]
-            sign = -sign
+            sign, swapped = -sign, True
         pivot, row_k = a[k][k], a[k]
         for row in a[k + 1:]:
             lead = row[k]
@@ -244,4 +271,4 @@ def _bareiss(a: list[list[int]]) -> int:
                         f"remainder {rem} (integers at t = 2^K)"
                     )
         prev = pivot
-    return sign * a[m - 1][m - 1]
+    return sign * a[m - 1][m - 1], None if swapped else [a[k][k] for k in range(m)]

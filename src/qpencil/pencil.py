@@ -182,8 +182,10 @@ class Pencil:
         return form
 
 
-def _discriminant_or_none(p: Pencil) -> BinaryForm | None:
-    """det(s0 G0 + s1 G1), or None when it is the zero polynomial.
+def _discriminant_or_none(p: Pencil, minors: bool = False):
+    """det(s0 G0 + s1 G1), or None when it is the zero polynomial; with
+    `minors` (over the rationals), the pair of it and the leading principal
+    minors of G0 + t G1 that `det_poly` decodes from the same elimination.
 
     The determinant is taken over F[t] of G0 + t G1; by homogeneity its
     coefficient of t^k is the coefficient of s0^(m-k) s1^k.
@@ -191,10 +193,9 @@ def _discriminant_or_none(p: Pencil) -> BinaryForm | None:
     fld = p.field
     m = p.n + 1
     rows = [[[a, b] for a, b in zip(r0, r1)] for r0, r1 in zip(p.g0.entries, p.g1.entries)]
-    d = det_poly(fld, rows)
-    if not d:
-        return None
-    return BinaryForm(fld, tuple(d + [fld.zero] * (m + 1 - len(d))))
+    d, deltas = det_poly(fld, rows, minors=True) if minors else (det_poly(fld, rows), None)
+    form = BinaryForm(fld, tuple(d + [fld.zero] * (m + 1 - len(d)))) if d else None
+    return (form, deltas) if minors else form
 
 
 def _quadric_poly(field: Field, gram: Sequence[Sequence[Any]], vars_: tuple[str, ...]) -> Poly:
@@ -246,6 +247,12 @@ class SmoothnessReport:
     # gcd of each chart polynomial with its derivative (monic coeff tuples)
     chart_main_gcd: tuple
     chart_other_gcd: tuple
+    # over the rationals: the leading principal minors Δ_1..Δ_(n+1) of
+    # L·(G0 + t G1), L > 0 clearing every denominator, as ascending int
+    # coefficient lists from the elimination that gave the discriminant;
+    # None over F_p, for a degenerate pencil, or when that elimination
+    # swapped rows (some Δ_k vanishes identically)
+    minors: tuple | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -273,12 +280,12 @@ def smoothness(p: Pencil) -> SmoothnessReport:
     dehomogenizations have gcd 1 with their derivatives (`chart_gcds`).
     """
     fld = p.field
-    disc = _discriminant_or_none(p)
+    disc, minors = _discriminant_or_none(p, minors=True) if fld == QQ else (_discriminant_or_none(p), None)
     if disc is None:
         return SmoothnessReport(False, None, (fld.one,), (fld.one,))
     ga, gb = disc.chart_gcds()
     smooth = len(ga) == 1 and len(gb) == 1
-    return SmoothnessReport(smooth, disc, tuple(ga), tuple(gb))
+    return SmoothnessReport(smooth, disc, tuple(ga), tuple(gb), minors)
 
 
 def singular_at(p: Pencil, x: Sequence[Any]) -> bool:

@@ -242,13 +242,6 @@ def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_in(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    if a >= b:
-        raise PrecondError("need a < b")
-    return sign_variations(chain, a) - sign_variations(chain, b)
-
-
 def cauchy_bound(c: Sequence[Fraction]) -> Fraction:
     c = trim(QQ, list(c))
     if len(c) < 2:
@@ -278,8 +271,19 @@ def isolate_real_roots(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]
         f, _ = divmod_poly(QQ, f, [Fraction(x) for x in chain[-1]])
         chain = sturm_chain(f)
 
+    # the bisection revisits its points, so each point's sign variations
+    # are taken once per call
+    variations: dict[Fraction, int] = {}
+
+    def variations_at(x: Fraction) -> int:
+        v = variations.get(x)
+        if v is None:
+            v = variations[x] = sign_variations(chain, x)
+        return v
+
     def count(a: Fraction, b: Fraction) -> int:
-        return count_roots_in(chain, a, b)
+        """Number of distinct real roots in the half-open interval (a, b]."""
+        return variations_at(a) - variations_at(b)
 
     def fsign(x: Fraction) -> int:
         return _sign_at(chain[0], x)

@@ -1,11 +1,13 @@
 """Index circles, odd decompositions, and real rationality verdicts."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qpencil import circle as circle_mod, univariate as uv
+from qpencil import circle as circle_mod, io, univariate as uv
 from qpencil.circle import (
     IndexCircle,
     OddDecomposition,
@@ -20,8 +22,10 @@ from qpencil.circle import (
 )
 from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ
-from qpencil.matrices import _integer_grams
-from qpencil.pencil import Pencil, diagonal_pencil, pencil_congruent, pencil_recombined
+from qpencil.matrices import _integer_grams, signature_pair
+from qpencil.pencil import Pencil, diagonal_pencil, pencil_congruent, pencil_recombined, smoothness
+
+from conftest import INPUTS
 
 
 def _block_pencil():
@@ -195,7 +199,8 @@ def _faulty_signatures(monkeypatch, wrong):
 def test_antipodal_sample_check_names_the_sample_and_both_signatures(monkeypatch):
     p = _block_pencil()
     t0 = uv.sample_points_between(uv.isolate_real_roots(p.discriminant_form().chart_main()))[0]
-    # the first call is the member (1, t0)
+    # the (1, t) samples take Jacobi's rule, so the first elimination is the
+    # member (-1, -t0)
     truth = _faulty_signatures(monkeypatch, lambda g, call, sig: (sig[0] + 1, sig[1] - 1) if call == 0 else sig)
     with pytest.raises(InternalCheckError, match="antipodal signatures disagree") as err:
         index_circle(p)
@@ -218,13 +223,131 @@ def test_antipodal_arc_check_names_the_arc_and_both_signatures(monkeypatch):
     p = diagonal_pencil(QQ, 5)
     circle = index_circle(p)
     (a, b), k = circle.arc_signatures[0], circle.root_count
-    # every signature off by (+1, +1): each antipodal pair still swaps, but
-    # no pair sums to n + 1 = 6
-    _faulty_signatures(monkeypatch, lambda g, call, sig: (sig[0] + 1, sig[1] + 1))
+    # every signature off by (+1, +1), on both routes (Jacobi's rule at the
+    # (1, t) samples, elimination elsewhere): each antipodal pair still
+    # swaps, but no pair sums to n + 1 = 6
+    off = lambda sig: (sig[0] + 1, sig[1] + 1)
+    jacobi = circle_mod._jacobi_signature
+    monkeypatch.setattr(circle_mod, "_jacobi_signature", lambda minors, t: off(jacobi(minors, t)))
+    _faulty_signatures(monkeypatch, lambda g, call, sig: off(sig))
     with pytest.raises(InternalCheckError, match="antipodal arc identity fails at arc 0") as err:
         index_circle(p)
     msg = str(err.value)
     assert str((a + 1, b + 1)) in msg and str((b + 1, a + 1)) in msg and f"arc {k}" in msg
+
+
+def test_jump_free_circle_checks_name_both_routes(monkeypatch):
+    """Two rotation blocks give D = (t^2 + 1)(t^2 + 4), with no real root and
+    det G1 != 0: a jump-free circle in P^3 with the one sample t = 0, where
+    Δ_1 = t vanishes, so (1, 0), (-1, 0) and (0, 1) are all eliminated, in
+    that order."""
+    g0 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
+    g1 = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+    p = Pencil.from_gram(QQ, *[[[Fraction(e) for e in row] for row in g] for g in (g0, g1)])
+    circle = index_circle(p)
+    assert circle.jump_points == () and circle.arc_signatures == ((2, 2),)
+    assert circle_mod._jacobi_signature(smoothness(p).minors, Fraction(0)) is None
+    _faulty_signatures(monkeypatch, lambda g, call, sig: (3, 1) if call == 2 else sig)
+    with pytest.raises(InternalCheckError, match=r"constant circle disagrees at \(0, 1\): \(1, 0\) has \(2, 2\), \(0, 1\) has \(3, 1\)"):
+        index_circle(p)
+    monkeypatch.undo()
+    # antipodal pairs that agree with the pole, yet are not balanced
+    _faulty_signatures(monkeypatch, lambda g, call, sig: (1, 3) if call == 1 else (3, 1))
+    with pytest.raises(InternalCheckError, match="jump-free circle must be antipodally balanced"):
+        index_circle(p)
+
+
+def _samples(rep):
+    return uv.sample_points_between(uv.isolate_real_roots(rep.discriminant.chart_main()))
+
+
+def _plus_elimination(p, t):
+    """Signature of the member (1, t) by symmetric elimination."""
+    z0, z1 = _integer_grams(p.g0.entries, p.g1.entries)
+    return signature_pair([[t.denominator * a + t.numerator * b for a, b in zip(r0, r1)] for r0, r1 in zip(z0, z1)])
+
+
+def _battery_pencil(rng, n, kind):
+    """A random pencil over Q with entries in [-9, 9]: dense, diagonal, or
+    dense with a zero (0, 0) entry in Q0 and, half the time, in Q1 too."""
+    grams = []
+    for _ in range(2):
+        g = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                if kind != "diagonal" or i == j:
+                    g[i][j] = g[j][i] = Fraction(rng.randint(-9, 9))
+        grams.append(g)
+    if kind == "corner":
+        grams[0][0][0] = Fraction(0)
+        if rng.random() < 0.5:
+            grams[1][0][0] = Fraction(0)  # Δ_1 ≡ 0: the elimination swaps rows
+    return Pencil.from_gram(QQ, *grams)
+
+
+def test_jacobi_signatures_equal_elimination_on_a_seeded_battery():
+    """At every (1, t) sample of smooth random pencils with n <= 24, Jacobi's
+    rule on the smoothness report's minors gives the elimination's
+    signature.  The battery reaches both fallbacks: a minor vanishing at a
+    sample (Δ_1 = c·t at the sample 0, among others), and a row swap, which
+    leaves the report without minors."""
+    rng = random.Random(2024)
+    agree = vanish = swapped = 0
+    for n in list(range(2, 13)) + [16, 20, 24]:
+        for kind in ("dense", "diagonal", "corner"):
+            for _ in range(3 if n <= 12 else 1):
+                p = _battery_pencil(rng, n, kind)
+                rep = smoothness(p)
+                if not rep.smooth:
+                    continue
+                for t in _samples(rep):
+                    if rep.minors is None:
+                        swapped += 1
+                        continue
+                    assert len(rep.minors) == n + 1
+                    jacobi = circle_mod._jacobi_signature(rep.minors, t)
+                    if jacobi is None:
+                        vanish += 1
+                        continue
+                    assert jacobi == _plus_elimination(p, t), (n, kind, t)
+                    agree += 1
+    assert agree > 300 and vanish > 0 and swapped > 0, (agree, vanish, swapped)
+
+
+def test_a_planted_wrong_minor_is_caught_against_elimination():
+    """Negating Δ_2 moves the Jacobi signature of (1, t) wherever Δ_1 and
+    Δ_3 share a sign; the antipodal check against the eliminated (-1, -t)
+    names both sides."""
+    p = diagonal_pencil(QQ, 5)  # Δ_k = (1 + t)(1 + 2t)...(1 + (k-1)t)
+    rep = smoothness(p)
+    minors = list(rep.minors)
+    minors[1] = [-c for c in minors[1]]
+    wrong = dataclasses.replace(rep, minors=tuple(minors))
+    t0 = _samples(rep)[0]  # below every root, where Δ_1, Δ_3 > 0 > Δ_2
+    plus = circle_mod._jacobi_signature(wrong.minors, t0)
+    minus = _plus_elimination(p, t0)[::-1]
+    assert plus != minus[::-1]
+    with pytest.raises(InternalCheckError, match="antipodal signatures disagree") as err:
+        index_circle(p, wrong)
+    msg = str(err.value)
+    assert f"t = {t0}" in msg and f"(1, t) has {plus}" in msg and f"(-1, -t) has {minus}" in msg
+
+
+def test_analyze_diagonal_eliminates_only_off_the_jacobi_route(monkeypatch):
+    """On inputs/diagonal.json, elimination runs once per (-1, -t) sample,
+    plus once for the north member (0, 1) when det G1 != 0, plus once per
+    (1, t) sample where a minor vanishes; here det G1 = 0 and no minor
+    vanishes at a sample, so that is one call for each of the 6 samples."""
+    p, _ = io.load_pencil(str(INPUTS / "diagonal.json"))
+    rep = smoothness(p)
+    samples = _samples(rep)
+    north = not QQ.is_zero(rep.discriminant.coeffs[-1])
+    fallbacks = sum(circle_mod._jacobi_signature(rep.minors, t) is None for t in samples)
+    calls = []
+    real = circle_mod.signature_pair
+    monkeypatch.setattr(circle_mod, "signature_pair", lambda g: calls.append(g) or real(g))
+    index_circle(p, rep)
+    assert len(calls) == len(samples) + north + fallbacks == 6
 
 
 def test_class_is_a_pencil_invariant():

@@ -23,7 +23,6 @@ from qpencil.fqgeom import (
     _gram_array,
     count_points,
     enumerate_lines,
-    gaussian_binomial,
     points_on_pencil,
     projective_point_count,
     projective_points,
@@ -69,14 +68,6 @@ def test_projective_points_enumerates_each_point_once():
         assert row[lead] == 1
         seen.add(tuple(int(c) for c in row))
     assert len(seen) == 13
-
-
-def test_gaussian_binomial_counts_lines_in_p5():
-    # lines in P^5(F_3): the Gaussian binomial [6 choose 2]_3
-    assert gaussian_binomial(6, 2, 3) == 11011
-    assert gaussian_binomial(4, 1, 3) == projective_point_count(3, 3)
-    assert gaussian_binomial(6, 2, 3) == gaussian_binomial(6, 4, 3)  # duality
-    assert gaussian_binomial(6, 7, 3) == 0
 
 
 # -- quadric point counts -------------------------------------------------

@@ -317,7 +317,8 @@ class _OffByOne(int):
 
 
 def test_inexact_bareiss_division_names_divisor_and_remainder():
-    assert _bareiss([[2, 0, 1], [1, 1, 0], [0, 0, 1]]) == 2
+    # no row swap: the pivots are the leading principal minors 2, 2, 2
+    assert _bareiss([[2, 0, 1], [1, 1, 0], [0, 0, 1]]) == (2, [2, 2, 2])
     # the corrupted pivot 2 makes step 0 produce [[3, 0], [1, 3]], and step 1
     # then divides 3·3 - 1·0 = 9 by the previous pivot 2
     with pytest.raises(InternalCheckError) as err:

@@ -1,6 +1,7 @@
 """Pencil construction, discriminants, smoothness, and reductions."""
 
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -288,10 +289,18 @@ def test_toric_pencil_is_not_smooth():
 
 
 def test_smoothness_of_degenerate_pencil():
+    """A zero row makes D vanish identically and leaves no digit width to
+    decode the leading minors with, so over the rationals none is decoded
+    and the report comes back at once."""
     g = SymMatrix.diagonal(QQ, [Fraction(1)] * 3 + [Fraction(0)])
-    rep = smoothness(Pencil(QQ, 3, g, g))
+    done = []
+    worker = threading.Thread(target=lambda: done.append(smoothness(Pencil(QQ, 3, g, g))), daemon=True)
+    worker.start()
+    worker.join(1)
+    assert done, "smoothness of a degenerate pencil did not return within 1 s"
+    rep = done[0]
     assert rep.degenerate and not rep.smooth and rep.degree == -1
-    assert rep.discriminant is None
+    assert rep.discriminant is None and rep.minors is None
 
 
 # -- singular points ----------------------------------------------------
