@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Any, Sequence
 
-from .errors import InternalCheckError, PrecondError
+from .errors import InternalCheckError, PrecondError, check
 from .fields import QQ, Field, parse_at
 from .matrices import SymMatrix
 from .poly import Poly
@@ -49,9 +49,7 @@ def secant_multiplicity(d: int, g: int) -> int:
     sec, sigma = secant_degrees(d, g)
     num = 4 * sec - sigma
     if num % d != 0:
-        raise InternalCheckError(
-            f"secant multiplicity identity fails at (d,g)=({d},{g}): {num} not divisible by {d}"
-        )
+        raise InternalCheckError("m·d + sigma = 4·sec has an integer m", four_sec_minus_sigma=num, d=d, g=g)
     return num // d
 
 
@@ -79,7 +77,7 @@ def bundle_parameter_counts(d: int) -> BundleParameterCounts:
     family = 6 * 2 * (d + 1) + 3 * 3 * (d + 2) + 4 * (d + 3) - 22 - 6
     generic = 7 * (4 * d + 3) - 7
     if family > generic:
-        raise InternalCheckError(f"family count {family} exceeds generic count {generic}")
+        raise InternalCheckError("family count <= generic count", family=family, generic=generic)
     return BundleParameterCounts(
         family=family,
         generic=generic,
@@ -206,11 +204,10 @@ def hpt_check(g: Poly) -> HptReport:
 
     det = diag[0] * diag[1] * diag[2] * diag[3]  # the matrix is diagonal
     expected = y1 * y1 * y2 * y2 * z1 * z1 * z2 * z2 * g
-    if det != expected:
-        raise InternalCheckError("determinant of the diagonal matrix is not y1²y2²z1²z2²·g")
+    check("det of the diagonal matrix = y1²y2²z1²z2²·g", det=det, expected=expected)
     ok, det_bideg = det.is_bihomogeneous(_GROUP1, _GROUP2)
-    if not ok or bidkey(det_bideg) != (6, 6):
-        raise InternalCheckError(f"determinant bidegree {det_bideg} is not (6,6)")
+    check("the determinant is bihomogeneous", bihomogeneous=ok, expected=True)
+    check("determinant bidegree = (6,6)", bidegree=bidkey(det_bideg), expected=(6, 6))
     # y1, z1 cut (1,0)-divisors, y2, z2 cut (0,1)-divisors, g cuts a (2,2)-curve
     factors = (
         ("y1", (1, 0), 2),
@@ -224,8 +221,8 @@ def hpt_check(g: Poly) -> HptReport:
     )
     # alternative grouping: twice the (2,2) curve plus the four simple fibers
     configuration = (2 * 2 + 1 + 1, 2 * 2 + 1 + 1)
-    if factored != (6, 6) or configuration != (6, 6):
-        raise InternalCheckError("divisor class bookkeeping does not sum to (6,6)")
+    check("factor classes sum to (6,6)", factored=factored, expected=(6, 6))
+    check("configuration classes sum to (6,6)", configuration=configuration, expected=(6, 6))
 
     a = _coeff_grid(g)
     four = fld.from_int(4)
@@ -267,10 +264,12 @@ def singular_fiber_count(chi_total: int, chi_smooth: int, chi_nodal: int) -> int
     num = 2 * chi_smooth - chi_total
     den = chi_smooth - chi_nodal
     if num % den != 0:
-        raise InternalCheckError("fiber count equation has no integer solution")
+        raise InternalCheckError(
+            "(2 - k)·chi_smooth + k·chi_nodal = chi_total has an integer k", numerator=num, denominator=den
+        )
     k = num // den
     if k < 0:
-        raise InternalCheckError("fiber count came out negative")
+        raise InternalCheckError("fiber count k >= 0", k=k)
     return k
 
 
@@ -280,6 +279,5 @@ def dp6_fiber_count() -> int:
     a smooth sextic del Pezzo fiber has 6, a nodal one 5, whence 8 fibers."""
     chi_total = 4 - 4 + 2 + 2
     count = singular_fiber_count(chi_total, 6, 5)
-    if count != 8:
-        raise InternalCheckError(f"expected 8 singular fibers, solver returned {count}")
+    check("dp6 singular fiber count = 8", count=count, expected=8)
     return count

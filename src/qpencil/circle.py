@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univariate as uv
-from .errors import InternalCheckError, PrecondError
+from .errors import InternalCheckError, PrecondError, check
 from .fields import QQ
 from .matrices import _integer_grams, signature_pair
 from .pencil import Pencil, SmoothnessReport, smoothness
@@ -73,16 +73,6 @@ class IndexCircle:
         """k = number of real projective roots of the discriminant form."""
         return len(self.jump_points) // 2
 
-    def positive_walk(self) -> list[int]:
-        """Positive indices in ccw order, starting with the arc that precedes
-        the first jump point (a full constant circle when k = 0)."""
-        if not self.jump_points:
-            return [self.arc_signatures[0][0]]
-        # arcs[i] follows jump i; the arc preceding jump 0 is the last one
-        walk = [self.arc_signatures[-1][0]]
-        walk.extend(sig[0] for sig in self.arc_signatures[:-1])
-        return walk
-
 
 def _swap(sig: tuple[int, int]) -> tuple[int, int]:
     return (sig[1], sig[0])
@@ -119,7 +109,7 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
     m = len(roots)
     k = m + (1 if inf_jump else 0)
     if (k - (n + 1)) % 2:
-        raise InternalCheckError("root count has the wrong parity")
+        raise InternalCheckError("root count k ≡ n + 1 (mod 2)", k=k, n=n)
 
     # the members (1, t) and (-1, -t) at t = num/den are positive multiples
     # of ±(den·Z0 + num·Z1), and (0, 1) of Z1, with Z0, Z1 the Grams scaled
@@ -139,23 +129,16 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
     sigs_minus = [signature_pair(member(-t.denominator, -t.numerator)) for t in samples]
     for t, sp, sm in zip(samples, sigs_plus, sigs_minus):
         if sm != _swap(sp):
-            raise InternalCheckError(
-                f"antipodal signatures disagree at the sample t = {t}: "
-                f"(1, t) has {sp}, (-1, -t) has {sm}, expected {_swap(sp)}"
-            )
+            raise InternalCheckError("antipodal signatures at a sample", t=t, plus=sp, minus=sm, expected=_swap(sp))
 
     jumps: list[JumpPoint] = []
     arcs: list[tuple[int, int]] = []
 
     if m == 0 and not inf_jump:
         # constant circle
-        sig, sig_north = sigs_plus[0], signature_pair(z1)
-        if sig != sig_north:
-            raise InternalCheckError(
-                f"constant circle disagrees at (0, 1): (1, 0) has {sig}, (0, 1) has {sig_north}"
-            )
-        if sig[0] != sig[1]:
-            raise InternalCheckError("jump-free circle must be antipodally balanced")
+        sig = sigs_plus[0]
+        check("constant circle: sig(1, 0) = sig(0, 1)", plus=sig, north=signature_pair(z1))
+        check("jump-free circle is antipodally balanced", positive=sig[0], negative=sig[1])
         return IndexCircle(n, (), (sig,), ())
 
     north = JumpPoint("+", True, None)
@@ -170,40 +153,38 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
         jumps = finite_plus + finite_minus
         # the arc after the last '+' jump passes through (0, 1); check all
         # three routes onto it agree
-        sig_north = signature_pair(z1)
-        if not (sigs_plus[m] == sig_north == sigs_minus[0]):
-            raise InternalCheckError(
-                f"arc through (0,1) is inconsistent: (1, t) at t = {samples[m]} has "
-                f"{sigs_plus[m]}, (0, 1) has {sig_north}, (-1, -t) at t = {samples[0]} has "
-                f"{sigs_minus[0]}"
-            )
-        if not (sigs_minus[m] == _swap(sig_north) == sigs_plus[0]):
-            raise InternalCheckError(
-                f"arc through (0,-1) is inconsistent: (-1, -t) at t = {samples[m]} has "
-                f"{sigs_minus[m]}, (0, -1) has {_swap(sig_north)}, (1, t) at t = {samples[0]} "
-                f"has {sigs_plus[0]}"
-            )
+        sig_north, ends = signature_pair(z1), {"t_first": samples[0], "t_last": samples[m]}
+        check(
+            "arc through (0, 1): sig(1, t_last) = sig(0, 1) = sig(-1, -t_first)",
+            plus=sigs_plus[m], north=sig_north, minus=sigs_minus[0], where=ends,
+        )
+        check(
+            "arc through (0, -1): sig(-1, -t_last) = sig(0, -1) = sig(1, t_first)",
+            minus=sigs_minus[m], south=_swap(sig_north), plus=sigs_plus[0], where=ends,
+        )
         arcs = sigs_plus[1:] + sigs_minus[1:]
 
-    if len(arcs) != len(jumps) or len(arcs) != 2 * k:
-        raise InternalCheckError("arc/jump bookkeeping is off")
+    check("arcs = jumps = 2k", arcs=len(arcs), jumps=len(jumps), two_k=2 * k)
 
     for i, sig in enumerate(arcs):
-        anti = arcs[(i + k) % (2 * k)]
-        if anti != _swap(sig) or sig[0] + sig[1] != n + 1:
+        j = (i + k) % (2 * k)
+        if arcs[j] != _swap(sig):
             raise InternalCheckError(
-                f"antipodal arc identity fails at arc {i}: it has {sig}, its antipode "
-                f"(arc {(i + k) % (2 * k)}) has {anti}; need swapped pairs summing to {n + 1}"
+                "antipodal arcs swap signatures", arc=i, signature=sig, antipode=j, antipode_signature=arcs[j]
+            )
+        if sig[0] + arcs[j][0] != n + 1:
+            raise InternalCheckError(
+                "antipodal positive indices sum to n + 1",
+                n=n, arc=i, signature=sig, antipode=j, antipode_signature=arcs[j],
             )
 
     signs = []
     for i in range(len(arcs)):
         d = arcs[i][0] - arcs[i - 1][0]
         if d not in (1, -1):
-            raise InternalCheckError(f"index jump of size {d}")
+            raise InternalCheckError("index jumps are ±1", arc=i, jump=d)
         signs.append(d)
-    if sum(1 for s in signs if s == 1) != k:
-        raise InternalCheckError("positive jump count differs from root count")
+    check("positive jumps = root count", positive_jumps=signs.count(1), root_count=k)
 
     return IndexCircle(n, tuple(jumps), tuple(arcs), tuple(signs))
 
@@ -268,12 +249,9 @@ def decomposition(circle: IndexCircle) -> OddDecomposition:
         elif run:
             parts.append(run)
             run = 0
-    if run:  # pragma: no cover - rot ends with -1
-        parts.append(run)
     if len(parts) % 2 == 0:
-        raise InternalCheckError("even number of runs in the jump word")
-    if sum(parts) != circle.root_count:
-        raise InternalCheckError("run lengths do not add up to the root count")
+        raise InternalCheckError("the jump word has an odd number of runs", runs=parts)
+    check("run lengths sum to the root count", run_sum=sum(parts), root_count=circle.root_count)
     return OddDecomposition(canonical_parts(tuple(parts)))
 
 
@@ -321,23 +299,21 @@ def signature_walk(dec: OddDecomposition, n: int) -> list[int]:
         gap = dec.parts[(j - s) % length]
         word.extend([1] * run)
         word.extend([-1] * gap)
-    if len(word) != 2 * k:
-        raise InternalCheckError("jump word has the wrong length")
+    check("jump word length = 2k", length=len(word), two_k=2 * k)
     for i in range(2 * k):
         if word[(i + k) % (2 * k)] != -word[i]:
-            raise InternalCheckError("jump word is not antipodal")
+            raise InternalCheckError("the jump word is antipodal", position=i, word=word)
     head = sum(word[:k])
     if (n + 1 - head) % 2:
-        raise InternalCheckError("walk start level is not integral")
+        raise InternalCheckError("walk start (n + 1 - head)/2 is integral", n=n, head=head)
     level = (n + 1 - head) // 2
     walk = [level]
     for w in word[:-1]:
         level += w
         walk.append(level)
     if not all(0 <= x <= n + 1 for x in walk):
-        raise InternalCheckError("walk leaves the index range")
-    if walk[-1] + word[-1] != walk[0]:
-        raise InternalCheckError("walk does not close up")
+        raise InternalCheckError("walk stays in 0..n + 1", walk=walk, n=n)
+    check("the walk closes up", end=walk[-1] + word[-1], start=walk[0])
     return walk
 
 

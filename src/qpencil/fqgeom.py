@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .curvecounts import CurveData, curve_data
-from .errors import InternalCheckError, PrecondError
+from .errors import InternalCheckError, PrecondError, check
 from .fields import PrimeField, legendre, sqrt_mod
 from .linalg import dependent, nullspace, rref
 from .matrices import SymMatrix
@@ -247,8 +247,13 @@ def count_points(pencil: Pencil) -> int:
         if r % 2 == 0:
             rank_deficient += p ** (m - r // 2) * legendre((-1) ** (r // 2) * delta, p)
     total = p**m + (p - 1) * (p ** (m // 2) * chi_sum + rank_deficient)
-    n_aff = _exact_quotient(total, p * p, "q^2 N_aff = q^m + (q - 1) sum S(M)", "q^m + (q - 1) sum S(M)")
-    return _exact_quotient(n_aff - 1, p - 1, "#X = (N_aff - 1)/(q - 1)", "N_aff - 1")
+    n_aff, rem = divmod(total, p * p)
+    if rem:
+        raise InternalCheckError("q^2 N_aff = q^m + (q - 1) sum S(M)", right_side=total, q_squared=p * p, remainder=rem)
+    points, rem = divmod(n_aff - 1, p - 1)
+    if rem:
+        raise InternalCheckError("#X = (N_aff - 1)/(q - 1)", n_aff=n_aff, q=p, remainder=rem)
+    return points
 
 
 def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
@@ -387,13 +392,6 @@ def _kernel_zeros(pencil: Pencil, basis: list[list[int]]) -> Iterator[tuple[int,
     return map(tuple, (_common_zeros(p, len(basis), grams) @ b % p).tolist())
 
 
-def _exact_quotient(num: int, den: int, identity: str, what: str) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise InternalCheckError(f"{identity}: {what} = {num} is not divisible by {den} (remainder {rem})")
-    return q
-
-
 def _require_prime(pencil: Pencil) -> int:
     if not isinstance(pencil.field, PrimeField):
         raise PrecondError("F_q geometry needs a prime-field pencil")
@@ -484,10 +482,7 @@ def torsor_check(pencil: Pencil) -> TorsorReport:
     """
     data = _genus2_cover(pencil, "the torsor comparison")
     lines = enumerate_lines(pencil)
-    if len(lines) != data.jacobian_order:
-        raise InternalCheckError(
-            f"line count {len(lines)} differs from Jacobian order {data.jacobian_order}"
-        )
+    check("line count = |Jac C(F_q)|", line_count=len(lines), jacobian_order=data.jacobian_order)
     return TorsorReport(
         q=data.q,
         line_count=len(lines),

@@ -150,7 +150,7 @@ def jsonable(value: Any) -> Any:
 
     if isinstance(value, Poly):
         return str(value)
-    raise InternalCheckError(f"cannot serialize {type(value).__name__} into a report")
+    raise InternalCheckError("every report value has a writer rule", type=type(value).__name__)
 
 
 @dataclass(frozen=True)

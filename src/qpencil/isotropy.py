@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .errors import InternalCheckError, PrecondError
+from .errors import InternalCheckError, PrecondError, check
 from .fields import PrimeField
 from .fqgeom import _gram_array, _quadric_values
 from .linalg import rank
@@ -276,14 +276,13 @@ def amer_harness(f: SymMatrix, g: SymMatrix, degree_bound: int, field: PrimeFiel
         solution=solution,
         candidates=total,
     )
-    if common is not None and solution is None:
-        raise InternalCheckError(
-            "a common zero is itself a constant solution, but the search found none"
-        )
-    if solution is not None and common is None:
-        raise InternalCheckError(
-            "polynomial solution without a common zero: the equivalence is violated"
-        )
+    # a common zero is itself a constant solution, and a solution gives a common zero
+    check(
+        "Amer's equivalence: a common zero iff a polynomial solution",
+        common_zero=common is not None,
+        polynomial_solution=solution is not None,
+        where={"zero": common, "solution": solution},
+    )
     return report
 
 
@@ -307,4 +306,4 @@ def _verify_polynomial_solution(
             gpart = mul(field, tshift, scale(field, g[i, j], prod))
             total = add(field, total, add(field, fpart, gpart))
     if not is_zero_poly(field, total):
-        raise InternalCheckError("candidate solution fails exact re-verification")
+        raise InternalCheckError("(f + t·g)(x(t)) = 0", residual=total, solution=coeffs)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import InternalCheckError, PrecondError
+from .errors import InternalCheckError, PrecondError, check
 from .fields import exact_int
 
 Mat = tuple[tuple[int, int, int], ...]
@@ -114,7 +114,7 @@ def group_closure(
         frontier = nxt
     for x in seen:
         if minv(x) not in seen:
-            raise InternalCheckError("closure is not closed under inverses")
+            raise InternalCheckError("the closure holds every inverse", element=x, inverse=minv(x))
     elements = tuple(sorted(seen))
     return IntMatrixGroup(generators=tuple(mats), elements=elements, name=name)
 
@@ -123,8 +123,7 @@ def lattice_symmetry_group() -> IntMatrixGroup:
     """The full lattice symmetry group ⟨a, b, c⟩ of order 48, a product of a
     symmetric group on four letters and the central inversion."""
     g = group_closure([GEN_A, GEN_B, GEN_C], name="full")
-    if g.order != 48:
-        raise InternalCheckError(f"full symmetry group has order {g.order}, expected 48")
+    check("full symmetry group order = 48", order=g.order, expected=48)
     return g
 
 
@@ -145,12 +144,11 @@ def obstruction_subgroup() -> IntMatrixGroup:
     dbl = mmul(GEN_B, t34)  # commuting product: a double transposition
     bc = mmul(GEN_B, GEN_C)
     g = group_closure([dbl, bc], name="obstruction")
-    if g.order != 4 or isomorphism_tag(g) != "klein":
-        raise InternalCheckError("obstruction subgroup is not a Klein four-group")
-    for x in g.elements:
-        trace = x[0][0] + x[1][1] + x[2][2]
-        if trace != (3 if x == IDENTITY else -1):
-            raise InternalCheckError("obstruction subgroup has the wrong lattice character")
+    check("obstruction subgroup order = 4", order=g.order, expected=4)
+    check("obstruction subgroup is a Klein four-group", tag=isomorphism_tag(g), expected="klein")
+    character = [x[0][0] + x[1][1] + x[2][2] for x in g.elements]
+    expected = [3 if x == IDENTITY else -1 for x in g.elements]
+    check("lattice character of the obstruction subgroup", character=character, expected=expected)
     return g
 
 

@@ -134,7 +134,7 @@ def _divide_exactly(block: list[list[int]], divisor: int, step: int, kind: str) 
         for x in row:
             q, r = divmod(x, divisor)
             if r:
-                raise InternalCheckError(f"inertia step {step} ({kind}): division by {divisor} left the remainder {r}")
+                raise InternalCheckError("exact inertia division", step=step, kind=kind, divisor=divisor, remainder=r)
             out[-1].append(q)
     return out
 
@@ -266,9 +266,6 @@ def _bareiss(a: list[list[int]]) -> tuple[int, list[int] | None]:
             for j in range(k + 1, m):
                 row[j], rem = divmod(pivot * row[j] - lead * row_k[j], prev)
                 if rem:
-                    raise InternalCheckError(
-                        f"Bareiss step {k}: division by the previous pivot {prev} left the "
-                        f"remainder {rem} (integers at t = 2^K)"
-                    )
+                    raise InternalCheckError("exact Bareiss division", step=k, previous_pivot=prev, remainder=rem)
         prev = pivot
     return sign * a[m - 1][m - 1], None if swapped else [a[k][k] for k in range(m)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .curvecounts import CURVE_Q_LIMIT, curve_counts
-from .errors import InternalCheckError, PrecondError
+from .errors import InternalCheckError, PrecondError, check
 from .fields import PrimeField, parse_at
 from .linalg import complete_basis, dependent, det, mat_mul, mat_vec, nullspace, rank, rref, solve, transpose
 from .matrices import SymMatrix, congruent, det_poly
@@ -277,19 +277,16 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
             break
         if rank(fld, basis + [v]) == len(basis) + 1:
             basis.append(v)
-    if len(basis) != 4:
-        raise InternalCheckError("kernel of the gradient pair is too small")
+    check("the kernel of the gradient pair completes x to 4 vectors", vectors=len(basis), expected=4)
     v4 = solve(fld, [a, b], [fld.one, fld.zero])
     v5 = solve(fld, [a, b], [fld.zero, fld.one])
     basis += [v4, v5]
-    if rank(fld, basis) != 6:
-        raise InternalCheckError("adapted basis is degenerate")
+    check("the adapted basis has rank 6", rank=rank(fld, basis), expected=6)
     m = transpose(basis)
     norm = pencil_congruent(pencil, m)
     for g, dual in ((norm.g0, 4), (norm.g1, 5)):
         expect_row = [fld.one if j == dual else fld.zero for j in range(6)]
-        if [g[0, j] for j in range(6)] != expect_row:
-            raise InternalCheckError("adapted Gram does not have the expected first row")
+        check("the adapted Gram's first row is dual to x", first_row=[g[0, j] for j in range(6)], expected=expect_row)
 
     # tails on (x1..x5), then substitute x5 = t x4 and form A(t) = t*S0 - S1
     tvars = ("t",)
@@ -323,11 +320,13 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
         for j in range(4):
             limit = 1 + (i == 3) + (j == 3)
             if rows[i][j].total_degree() > limit:
-                raise InternalCheckError("bundle matrix entry exceeds its degree bound")
+                raise InternalCheckError(
+                    "bundle matrix entry degree bound", entry=(i, j), degree=rows[i][j].total_degree(), bound=limit
+                )
 
     dpoly = det_poly(fld, [[e.univariate_in("t") for e in row] for row in rows])
     if len(dpoly) > 7:
-        raise InternalCheckError("degeneracy determinant has degree > 6")
+        raise InternalCheckError("degeneracy determinant degree <= 6", degree=len(dpoly) - 1)
     coeffs = dpoly + [fld.zero] * (7 - len(dpoly))
     sextic = BinaryForm(fld, tuple(coeffs))
     if sextic.is_zero:
@@ -340,15 +339,10 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
     disc = pencil.discriminant_form()
     mdet = det(fld, m)
     twist = fld.neg(fld.mul(mdet, mdet))
-    # exact identity: det A(t) == -det(M)^2 * F(t, -1), coefficient by coefficient
+    # exact identity, coefficient by coefficient (ascending in t)
     cs = disc.coeffs
-    for k in range(7):
-        target = fld.mul(twist, cs[6 - k] if k % 2 == 0 else fld.neg(cs[6 - k]))
-        if coeffs[k] != target:
-            raise InternalCheckError(
-                "degeneracy determinant is not -det(M)^2 times the discriminant"
-                f" along (t : -1); coefficient of t^{k} is {coeffs[k]}, expected {target}"
-            )
+    target = [fld.mul(twist, cs[6 - k] if k % 2 == 0 else fld.neg(cs[6 - k])) for k in range(7)]
+    check("det A(t) = -det(M)^2 * F(t, -1)", det_a=coeffs, twisted_discriminant=target)
 
     counts: tuple[int, int] | None = None
     checked = False
@@ -361,10 +355,7 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
         mx = [int(c) if k % 2 == 1 else (-int(c)) % q for k, c in enumerate(reversed(disc.coeffs))]
         counts = curve_counts(sx, q)
         disc_counts = curve_counts(mx, q)
-        if counts != disc_counts:
-            raise InternalCheckError(
-                f"degeneracy curve counts {counts} differ from matched discriminant counts {disc_counts}"
-            )
+        check("degeneracy curve counts = discriminant curve counts", degeneracy=counts, discriminant=disc_counts)
         checked = True
 
     return DoubleProjection(

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InternalCheckError, PrecondError
+from .errors import InternalCheckError, PrecondError, check
 from .fields import QQ, Field, PrimeField
 from .fqgeom import enumerate_lines, singular_points
 from .pencil import toric_pencil
@@ -61,11 +61,8 @@ def toric_singular_points(field: Field) -> list[tuple]:
     p = toric_pencil(field)
     if isinstance(field, PrimeField):
         found = singular_points(p)
-        expected = sorted(
-            tuple(int(c) for c in pt) for pt in coordinate_points(field)
-        )
-        if sorted(found) != expected:
-            raise InternalCheckError("toric singular scan differs from the six coordinate points")
+        expected = sorted(tuple(int(c) for c in pt) for pt in coordinate_points(field))
+        check("toric singular points = the six coordinate points", found=sorted(found), expected=expected)
         return [tuple(field.from_int(c) for c in pt) for pt in sorted(found)]
     if field != QQ:
         raise PrecondError("unsupported field for the singular-locus computation")
@@ -84,12 +81,11 @@ def toric_singular_points(field: Field) -> list[tuple]:
         if m.is_zero:
             continue
         if len(m.terms) != 1:
-            raise InternalCheckError("a Jacobian minor is not a monomial")
+            raise InternalCheckError("every nonzero Jacobian minor is a monomial", minor=m)
         (exp,) = m.terms
         support = [i for i, e in enumerate(exp) if e]
-        blocks_hit = {_block_of(i) for i in support}
-        if len(blocks_hit) != len(support):
-            raise InternalCheckError("a Jacobian minor has two variables in one block")
+        blocks = {_block_of(i) for i in support}
+        check("Jacobian minor: one variable per block", blocks=len(blocks), variables=len(support), where={"minor": m})
     # hence: vanishing of all minors forces the support of the point into a
     # single block, and x_a x_b = 0 within that block leaves one coordinate
     return coordinate_points(field)
@@ -161,8 +157,7 @@ def toric_line_census(q: int) -> ToricLineCensus:
     pred_planar = 8 * pred_per_plane - 12
     pred_nonplanar = 4 * (q - 1) ** 2
     pred_total = 12 * q * q
-    if multiplicity_sum != 8 * pred_per_plane:
-        raise InternalCheckError("per-plane multiplicities do not sum to 8(q^2+q+1)")
+    check("per-plane multiplicities sum to 8(q^2+q+1)", multiplicity_sum=multiplicity_sum, expected=8 * pred_per_plane)
     return ToricLineCensus(
         q=q,
         total=len(lines),

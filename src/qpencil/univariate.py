@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .errors import InternalCheckError, PrecondError
+from .errors import InternalCheckError, PrecondError, check
 from .fields import QQ, Field, Rationals
 from .matrices import _trim
 
@@ -331,11 +331,10 @@ def isolate_real_roots(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]
 
     split(lo0, hi0)
 
-    if len(out) != total:
-        raise InternalCheckError("root isolation lost a root")
-    for (_, b1), (a2, _) in zip(out, out[1:]):
-        if b1 > a2:
-            raise InternalCheckError("root isolation produced overlapping intervals")
+    check("isolated roots = Sturm root count", isolated=len(out), sturm_count=total)
+    for left, right in zip(out, out[1:]):
+        if left[1] > right[0]:
+            raise InternalCheckError("isolating intervals do not overlap", left=left, right=right)
     return out
 
 

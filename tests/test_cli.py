@@ -200,7 +200,7 @@ def test_a_payload_value_with_no_writer_rule_exits_3(monkeypatch):
     for argv in (["classes", "--n", "5"], ["classes", "--n", "5", "--json"]):
         code, report, out, err = _run(argv)
         assert code == 3 and report is None and out == ""
-        assert "internal check failed: cannot serialize object into a report" in err
+        assert "internal check failed: every report value has a writer rule: type = object" in err
 
 
 def test_torus_cli_rejects_float_matrices(tmp_path):

@@ -1,6 +1,7 @@
 """Point counts, singular points and line enumeration over prime fields, and
 the torsor identity."""
 
+import io
 import itertools
 import os
 import random
@@ -11,9 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from qpencil.errors import PrecondError
+from qpencil import cli
+from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ, PrimeField, legendre
 from qpencil import fqgeom
+from qpencil.io import load_pencil
 from qpencil.fqgeom import (
     ELIMINATION_LIMIT,
     MEMBER_LIMIT,
@@ -561,6 +564,25 @@ def test_torsor_check_on_a_seeded_pencil():
     assert rep.jacobian_order == 16
     assert rep.curve_counts == (5, 13)
     assert sum(rep.lpoly) == rep.jacobian_order
+
+
+def test_a_lost_line_fails_the_torsor_identity_naming_both_sides(monkeypatch):
+    """A line scan that drops one line breaks lines = |Jac C(F_q)|: the
+    error names the identity and both counts, and the CLI exits 3 with them."""
+    monkeypatch.chdir(REPO)
+    pencil, _ = load_pencil("inputs/smooth_f3.json")
+    order = torsor_check(pencil).jacobian_order
+    monkeypatch.setattr(fqgeom, "enumerate_lines", lambda p: enumerate_lines(p)[:-1])
+    with pytest.raises(InternalCheckError) as err:
+        torsor_check(pencil)
+    assert err.value.identity == "line count = |Jac C(F_q)|"
+    assert err.value.values == {"line_count": order - 1, "jacobian_order": order}
+    out, errs = io.StringIO(), io.StringIO()
+    code, report = cli.run(["torsor", "inputs/smooth_f3.json"], out=out, err=errs)
+    assert code == 3 and report is None and out.getvalue() == ""
+    assert errs.getvalue() == (
+        f"internal check failed: line count = |Jac C(F_q)|: line_count = {order - 1}, jacobian_order = {order}\n"
+    )
 
 
 def test_torsor_check_guards():

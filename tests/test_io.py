@@ -186,7 +186,7 @@ def test_jsonable():
     assert jsonable(Poly(PrimeField(7), ("x", "y"), {(1, 0): 1, (0, 2): 6})) == "6*y^2 + x"
     assert jsonable([Poly(QQ, ("x",), {(1,): Fraction(-1, 2)})]) == ["-1/2*x"]
     # a type with no rule is a program error (exit 3), not bad input
-    with pytest.raises(InternalCheckError, match="cannot serialize object"):
+    with pytest.raises(InternalCheckError, match="every report value has a writer rule: type = object"):
         jsonable(object())
 
 

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from qpencil import isotropy
-from qpencil.errors import PrecondError
+from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import PrimeField, QQ
 from qpencil.fqgeom import _gram_array, _quadric_values, projective_points
 from qpencil.linalg import invert
@@ -278,6 +278,25 @@ def test_amer_harness_finds_the_planted_zero():
     assert rep.common_zero is not None
     assert rep.solution is not None
     assert rep.consistent
+
+
+def test_a_tampered_solution_fails_the_exact_replay(monkeypatch):
+    """The replay of (f + t·g)(x(t)) = 0 catches a solution with one
+    coefficient changed, naming the nonzero residual and the solution."""
+    half = F3.inv(F3.from_int(2))
+    f = SymMatrix.from_rows([[0, half, 0], [half, 0, 0], [0, 0, 0]])  # x0 x1
+    g = SymMatrix.from_rows([[0, 0, half], [0, 0, 0], [half, 0, 0]])  # x0 x2
+    assert amer_harness(f, g, 1, F3).solution == ((0, 0, 0), (0, 0, 1))  # x(t) = (0, 0, t)
+    replay = isotropy._verify_polynomial_solution
+
+    def tamper(f, g, coeffs, field):  # x(t) = (1, 0, t), so (f + t·g)(x(t)) = t^2
+        replay(f, g, ((1, 0, 0),) + coeffs[1:], field)
+
+    monkeypatch.setattr(isotropy, "_verify_polynomial_solution", tamper)
+    with pytest.raises(InternalCheckError) as err:
+        amer_harness(f, g, 1, F3)
+    assert err.value.identity == "(f + t·g)(x(t)) = 0"
+    assert str(err.value) == "(f + t·g)(x(t)) = 0: residual = [0, 0, 1], solution = ((1, 0, 0), (0, 0, 1))"
 
 
 def test_amer_harness_guards():

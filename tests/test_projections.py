@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qpencil.errors import PrecondError
+from qpencil import projections
+from qpencil.errors import InternalCheckError, PrecondError
+from qpencil.io import load_pencil
 from qpencil.fields import QQ, PrimeField
 from qpencil.fqgeom import points_on_pencil
 from qpencil.linalg import dependent, rank
@@ -19,6 +21,8 @@ from qpencil.projections import (
     to_projection_coordinates,
 )
 from qpencil.samples import random_pencil_through_line, random_point_on_pencil
+
+from conftest import REPO
 
 F11 = PrimeField(11)
 
@@ -183,6 +187,23 @@ def test_double_projection_identity(q, seed):
         for j in range(4):
             e = dp.bundle_matrix[i, j]
             assert e.total_degree() <= 1 + (i == 3) + (j == 3)
+
+
+def test_a_doubled_determinant_fails_the_degeneracy_identity_naming_both_sides(monkeypatch):
+    """det A(t) = -det(M)^2 F(t, -1) coefficient by coefficient: a
+    determinant twice too large is caught, with both coefficient lists."""
+    monkeypatch.chdir(REPO)
+    pencil, _ = load_pencil("inputs/smooth_f3.json")
+    point = [1, 0, 0, 2, 2, 1]
+    good = double_projection(pencil, point).degeneracy.coeffs
+    det_poly = projections.det_poly
+    monkeypatch.setattr(projections, "det_poly", lambda fld, rows: [2 * c % 3 for c in det_poly(fld, rows)])
+    with pytest.raises(InternalCheckError) as err:
+        double_projection(pencil, point)
+    doubled = [2 * c % 3 for c in good]
+    assert err.value.identity == "det A(t) = -det(M)^2 * F(t, -1)"
+    assert err.value.values == {"det_a": doubled, "twisted_discriminant": list(good)}
+    assert f"det_a = {doubled}, twisted_discriminant = {list(good)}" in str(err.value)
 
 
 def test_double_projection_over_the_rationals():

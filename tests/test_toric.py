@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from qpencil import toric
+from qpencil.errors import InternalCheckError
 from qpencil.fields import QQ, PrimeField
 from qpencil.pencil import singular_at, toric_pencil
 from qpencil.toric import (
@@ -31,6 +33,17 @@ def test_six_singular_points(field):
     p = toric_pencil(field)
     for pt in sing:
         assert singular_at(p, list(pt))
+
+
+def test_a_missing_singular_point_names_both_point_lists(monkeypatch):
+    scan = toric.singular_points
+    monkeypatch.setattr(toric, "singular_points", lambda p: sorted(scan(p))[1:])
+    with pytest.raises(InternalCheckError) as err:
+        toric_singular_points(PrimeField(3))
+    vertices = [tuple(int(j == i) for j in range(6)) for i in range(6)]
+    assert err.value.identity == "toric singular points = the six coordinate points"
+    assert err.value.values == {"found": sorted(vertices)[1:], "expected": sorted(vertices)}
+    assert f"found = {sorted(vertices)[1:]}, expected = {sorted(vertices)}" in str(err.value)
 
 
 def test_rational_singular_points_are_the_vertices():

@@ -1,7 +1,8 @@
 """Lint steps: every name a library module imports is referenced in it,
 every module-level private function is referenced somewhere in the package,
 only `fields` decides which input values are exact, only `io` imports json,
-and the CLI imports at module level only what every subcommand runs.
+only `errors` words a failed check, and the CLI imports at module level only
+what every subcommand runs.
 
 The package `__init__.py` is checked like any module: it re-exports nothing.
 """
@@ -114,6 +115,36 @@ def test_only_io_imports_json():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
     ]
     assert not found, f"json imported outside io.py: {found}"
+
+
+def _check_calls(tree: ast.Module) -> list[ast.Call]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        in ("InternalCheckError", "check")
+    ]
+
+
+def test_only_errors_words_a_failed_check():
+    """Every `InternalCheckError(...)` and `check(...)` outside errors.py
+    names its identity by a constant string and passes its values as
+    keywords, so errors.py alone turns a failed identity into a message."""
+    calls = {
+        f"{path.name}:{node.lineno}": node
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "errors.py"
+        for node in _check_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    }
+    worded = [
+        where
+        for where, node in calls.items()
+        if len(node.args) != 1
+        or not (isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str))
+        or any(kw.arg is None for kw in node.keywords)
+    ]
+    assert len(calls) > 50 and not worded, f"identity not a constant, or values not keywords: {worded}"
 
 
 def _module_level_imports(path: Path) -> set[str]:
