@@ -9,6 +9,7 @@ re-derives came out wrong — treat as a regression, not a usage error).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TextIO
@@ -87,8 +88,12 @@ def _singular_scan(pencil: Pencil, rep: SmoothnessReport) -> dict:
     if rep.smooth:  # D squarefree of full degree: Sing(X) is empty over any field
         return {"exhaustive": True, "count": 0, "points": []}
     if isinstance(pencil.field, PrimeField):
-        from .fqgeom import singular_points
+        from .fqgeom import member_scan_bound, singular_points
 
+        # over budget, the rest of the report stands without the scan
+        bound = member_scan_bound(pencil.field.p, pencil.n + 1, rep.degenerate)
+        if bound is not None:
+            return {"exhaustive": False, "skipped": bound}
         pts = singular_points(pencil)
         return {"exhaustive": True, "count": len(pts), "points": pts}
     from .pencil import singular_at
@@ -430,6 +435,14 @@ def run(argv: Sequence[str], out: TextIO | None = None, err: TextIO | None = Non
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """The entry point of the `qpencil` script and of `python -m qpencil.cli`.
+
+    numpy's OpenBLAS starts a thread per core when numpy is imported, which
+    costs a one-shot process tens of milliseconds of CPU, and no qpencil
+    matrix product is large enough to use a second thread; so one thread
+    is the default here, where a caller's own setting is kept, and not at
+    import, which library users share."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code, _ = run(sys.argv[1:] if argv is None else argv)
     return code
 

@@ -292,10 +292,23 @@ def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda x: (next(i for i, c in enumerate(x) if c), x))
 
 
+def member_scan_bound(p: int, m: int, degenerate: bool) -> str | None:
+    """The bound, as ``NAME = value``, that a scan of the p + 1 members of a
+    pencil in m variables over F_p exceeds, or None within budget: the
+    members count against MEMBER_LIMIT and, when D vanishes identically
+    (`degenerate`), eliminating each one, (p + 1) m^3, against
+    ELIMINATION_LIMIT."""
+    if p + 1 > MEMBER_LIMIT:
+        return f"MEMBER_LIMIT = {MEMBER_LIMIT}"
+    if degenerate and (p + 1) * m**3 > ELIMINATION_LIMIT:
+        return f"ELIMINATION_LIMIT = {ELIMINATION_LIMIT}"
+    return None
+
+
 def _require_members(pencil: Pencil) -> int:
     """p, once the p + 1 members are within MEMBER_LIMIT."""
     p = _require_prime(pencil)
-    if p + 1 > MEMBER_LIMIT:
+    if member_scan_bound(p, pencil.n + 1, False):
         raise PrecondError(f"the {p + 1} members of a pencil over F_{p} exceed MEMBER_LIMIT = {MEMBER_LIMIT}")
     return p
 
@@ -308,7 +321,7 @@ def _member_values(pencil: Pencil) -> Iterator[tuple[int, int, int]]:
     disc = _discriminant_or_none(pencil)
     if disc is None:
         work = (p + 1) * (pencil.n + 1) ** 3
-        if work > ELIMINATION_LIMIT:
+        if member_scan_bound(p, pencil.n + 1, True):
             raise PrecondError(
                 f"D vanishes identically, and eliminating the {p + 1} members over F_{p} "
                 f"takes (q + 1) m^3 = {work}, over ELIMINATION_LIMIT = {ELIMINATION_LIMIT}"

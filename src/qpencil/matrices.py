@@ -6,12 +6,14 @@ after clearing denominators: split off one square at a time at a nonzero
 diagonal entry, or a hyperbolic pair when the whole remaining diagonal
 vanishes, each remaining block being the rational one times the determinant
 of the pivots taken so far (exact division, as in Bareiss elimination).
+Every block is symmetric, so only its upper triangle is built and divided.
 The determinant over F[t], for F the rationals or a prime field, is taken
 over Z[t] by Kronecker substitution: with B = prod_i sum_j |e_ij|_1
 bounding every coefficient of the determinant, each entry is evaluated at
 t = 2^K, K = bitlength(B) + 1, one fraction-free (Bareiss) elimination
 over Z gives the determinant at 2^K, and its balanced base-2^K digits are
-the coefficients.  Over the rationals all denominators are cleared first;
+the coefficients.  Over the rationals all denominators are cleared first
+(when every one is 1, the numerators are the integers);
 over F_p the representatives are lifted to Z and the result is reduced
 mod p.  When the elimination swaps no rows, its pivots are the leading
 principal minors at 2^K, decoded the same way on request (over the
@@ -97,53 +99,87 @@ def _inertia_z(a: list[list[int]]) -> tuple[int, int, int]:
     (d·A - a·aᵀ)/D and D becomes d.  When the whole diagonal is zero, an
     entry d at (i, j) splits off a hyperbolic pair (+1, -1); the block
     becomes -d·(d·A - a_i·a_jᵀ - a_j·a_iᵀ)/D² and D becomes -d²/D.
+
+    Every block is symmetric, so only its upper triangle is built and
+    divided: row k of `u` holds the entries (k, k), (k, k + 1), ... of the
+    block, and the input is read from its upper triangle alone.
     """
+    u = [row[k:] for k, row in enumerate(a)]
     pos = neg = step = 0
     minor = 1
-    while a:
-        m = len(a)
-        piv = next((i for i in range(m) if a[i][i]), None)
+    while u:
+        m = len(u)
+        piv = next((i for i in range(m) if u[i][0]), None)
         if piv is not None:
-            d, p_row = a[piv][piv], a[piv]
+            p = _full_row(u, piv)
+            d = p[piv]
             pos, neg = (pos + 1, neg) if (d > 0) == (minor > 0) else (pos, neg + 1)
-            rest = [k for k in range(m) if k != piv]
-            block = [[d * row[l] - row[piv] * p_row[l] for l in rest] for row in (a[k] for k in rest)]
-            a, minor = _divide_exactly(block, minor, step, "diagonal pivot"), d
+            upper = []
+            for k in range(m):
+                if k != piv:
+                    pk = p[k]
+                    upper.append([d * x - pk * y for x, y in zip(u[k], p[k:])])
+                    if k < piv:
+                        del upper[-1][piv - k]
+            u, minor = _divide_exactly(upper, minor, step, "diagonal pivot"), d
         else:
-            pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            pair = next(((i, i + j) for i in range(m) for j in range(1, m - i) if u[i][j]), None)
             if pair is None:
                 return pos, neg, m
             i, j = pair
-            d, ri, rj = a[i][j], a[i], a[j]
+            ri, rj = _full_row(u, i), _full_row(u, j)
+            d = ri[j]
             pos, neg = pos + 1, neg + 1
-            rest = [k for k in range(m) if k != i and k != j]
-            block = [[-d * (d * row[l] - row[i] * rj[l] - row[j] * ri[l]) for l in rest] for row in (a[k] for k in rest)]
-            a = _divide_exactly(block, minor * minor, step, "hyperbolic pair")
+            upper = []
+            for k in range(m):
+                if k != i and k != j:
+                    ik, jk = ri[k], rj[k]
+                    upper.append([-d * (d * x - ik * yj - jk * yi) for x, yi, yj in zip(u[k], ri[k:], rj[k:])])
+                    for c in (j, i):
+                        if k < c:
+                            del upper[-1][c - k]
+            u = _divide_exactly(upper, minor * minor, step, "hyperbolic pair")
             minor = _divide_exactly([[-d * d]], minor, step, "hyperbolic pair")[0][0]
         step += 1
     return pos, neg, 0
 
 
+def _full_row(u: list[list[int]], i: int) -> list[int]:
+    """Row i of the symmetric matrix whose upper triangle is `u`."""
+    return [u[k][i - k] for k in range(i)] + u[i]
+
+
 def _divide_exactly(block: list[list[int]], divisor: int, step: int, kind: str) -> list[list[int]]:
-    """The integer block divided entrywise by `divisor`; a remainder raises."""
+    """The rows of an integer block (or of its upper triangle) divided
+    entrywise by `divisor`; a remainder raises."""
     if divisor == 1:
         return block
     out = []
     for row in block:
-        out.append([])
+        quotients = []
         for x in row:
             q, r = divmod(x, divisor)
             if r:
                 raise InternalCheckError("exact inertia division", step=step, kind=kind, divisor=divisor, remainder=r)
-            out[-1].append(q)
+            quotients.append(q)
+        out.append(quotients)
     return out
 
 
 def _integer_grams(*grams: Sequence[Sequence[Any]]) -> list[list[list[int]]]:
     """The rational matrices `grams` (entries int or Fraction), each times the
     positive lcm of the denominators of all their entries, as int lists."""
-    scale = math.lcm(*(x.denominator for g in grams for row in g for x in row))
-    return [[[x.numerator * (scale // x.denominator) for x in row] for row in g] for g in grams]
+    return _scaled_to_integers(grams)[0]
+
+
+def _scaled_to_integers(blocks: Sequence[Sequence[Sequence[Any]]]) -> tuple[list[list[list[int]]], int]:
+    """The rationals `blocks[b][i][j]` (ints or Fractions) times the
+    positive lcm L of all their denominators, as nested int lists, and L.
+    When every denominator is 1 the numerators are taken as they are."""
+    scale = math.lcm(*[x.denominator for b in blocks for row in b for x in row])
+    if scale == 1:
+        return [[[x.numerator for x in row] for row in b] for b in blocks], 1
+    return [[[x.numerator * (scale // x.denominator) for x in row] for row in b] for b in blocks], scale
 
 
 def signature_pair(g: list[list[int]]) -> tuple[int, int]:
@@ -176,11 +212,10 @@ def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]], minors: bool
     if m == 0 or any(len(row) != m for row in rows):
         raise PrecondError("determinant needs a nonempty square matrix")
     if isinstance(field, Rationals):
-        scale = math.lcm(*(c.denominator for row in rows for e in row for c in e))
-        ints = [[[c.numerator * (scale // c.denominator) for c in e] for e in row] for row in rows]
-        den = scale**m
+        ints, scale = _scaled_to_integers(rows)
         coeffs, deltas = _det_zt(ints, minors)
-        det = [Fraction(c, den) for c in coeffs]
+        den = scale**m
+        det = [Fraction(c) for c in coeffs] if den == 1 else [Fraction(c, den) for c in coeffs]
         return (det, deltas) if minors else det
     if minors:
         raise PrecondError("leading minors are decoded over the rationals only")

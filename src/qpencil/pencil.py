@@ -64,13 +64,20 @@ class BinaryForm:
         """Dehomogenization F(t, 1) as an ascending coefficient list."""
         return uv.trim(self.field, list(reversed(self.coeffs)))
 
-    def chart_gcds(self) -> tuple[list, list]:
+    def chart_gcds(self, chain: Sequence[Sequence[int]] | None = None) -> tuple[list, list]:
         """The monic gcds of F(1, t) and of F(t, 1) with their derivatives
         ([1] for a constant chart).  F of degree d is squarefree exactly when
-        F(1, t) is squarefree of degree >= d - 1; then the second is [1]."""
+        F(1, t) is squarefree of degree >= d - 1; then the second is [1].
+
+        Over the rationals the first is the last member of the Sturm chain
+        of F(1, t), made monic; `chain` is `univariate.sturm_chain(F(1, t))`
+        when the caller already holds it."""
         fld = self.field
         a, b = self.chart_main(), self.chart_other()
-        ga = uv.gcd_poly(fld, a, uv.derivative(fld, a)) if len(a) > 1 else [fld.one]
+        if fld == QQ and a:
+            ga = uv.monic(fld, (uv.sturm_chain(a) if chain is None else chain)[-1])
+        else:
+            ga = uv.gcd_poly(fld, a, uv.derivative(fld, a)) if len(a) > 1 else [fld.one]
         if (len(ga) == 1 and len(a) >= self.degree) or len(b) < 2:
             return ga, [fld.one]
         return ga, uv.gcd_poly(fld, b, uv.derivative(fld, b))
@@ -253,6 +260,10 @@ class SmoothnessReport:
     # None over F_p, for a degenerate pencil, or when that elimination
     # swapped rows (some Δ_k vanishes identically)
     minors: tuple | None = None
+    # over the rationals: the Sturm chain of the main chart D(1, t), from
+    # `univariate.sturm_chain`, whose last member gave chart_main_gcd; None
+    # over F_p or for a degenerate pencil
+    chain: tuple | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -278,14 +289,17 @@ def smoothness(p: Pencil) -> SmoothnessReport:
     The base locus is smooth of dimension n-2 iff the discriminant form is
     nonzero of degree n+1 with no repeated projective root, i.e. both chart
     dehomogenizations have gcd 1 with their derivatives (`chart_gcds`).
+    Over the rationals the report keeps the Sturm chain of D(1, t) that
+    gave the first gcd, for root isolation to reuse.
     """
     fld = p.field
     disc, minors = _discriminant_or_none(p, minors=True) if fld == QQ else (_discriminant_or_none(p), None)
     if disc is None:
         return SmoothnessReport(False, None, (fld.one,), (fld.one,))
-    ga, gb = disc.chart_gcds()
+    chain = tuple(uv.sturm_chain(disc.chart_main())) if fld == QQ else None
+    ga, gb = disc.chart_gcds(chain)
     smooth = len(ga) == 1 and len(gb) == 1
-    return SmoothnessReport(smooth, disc, tuple(ga), tuple(gb), minors)
+    return SmoothnessReport(smooth, disc, tuple(ga), tuple(gb), minors, chain)
 
 
 def singular_at(p: Pencil, x: Sequence[Any]) -> bool:

@@ -6,7 +6,10 @@ polynomial is ``[]`` (or any all-zero list).  The first half is field-generic
 rationals is fraction-free: a primitive pseudo-remainder sequence on Python
 ints.  The Sturm machinery at the bottom
 needs an ordered field and is rationals-only; its chains come from the same
-pseudo-remainders, as positive integer multiples of the rational chain.
+pseudo-remainders, as positive integer multiples of the rational chain, so
+the last member of the chain of f is a multiple of gcd(f, f').  A caller
+that already holds the chain (the smoothness report, which took its gcd
+from it) hands it to root isolation instead of building it again.
 """
 
 from __future__ import annotations
@@ -251,8 +254,11 @@ def cauchy_bound(c: Sequence[Fraction]) -> Fraction:
     return bound
 
 
-def isolate_real_roots(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the distinct real roots, in increasing order.
+def isolate_real_roots(
+    c: Sequence[Fraction], chain: Sequence[Sequence[int]] | None = None
+) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals for the distinct real roots, in increasing order;
+    `chain` is `sturm_chain(c)` when the caller already holds it.
 
     Each root is a pair (lo, hi) with f nonzero at both endpoints and exactly
     one root in the open interval — except rational roots stumbled on during
@@ -266,19 +272,21 @@ def isolate_real_roots(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]
         raise PrecondError("cannot isolate roots of the zero polynomial")
     if len(f) == 1:
         return []
-    chain = sturm_chain(f)
+    chain = sturm_chain(f) if chain is None else chain
     if len(chain[-1]) > 1:
         f, _ = divmod_poly(QQ, f, [Fraction(x) for x in chain[-1]])
         chain = sturm_chain(f)
 
     # the bisection revisits its points, so each point's sign variations
-    # are taken once per call
-    variations: dict[Fraction, int] = {}
+    # are taken once per call, keyed by the point's numerator and
+    # denominator (hashing a Fraction takes a modular inverse)
+    variations: dict[tuple[int, int], int] = {}
 
     def variations_at(x: Fraction) -> int:
-        v = variations.get(x)
+        key = x.numerator, x.denominator
+        v = variations.get(key)
         if v is None:
-            v = variations[x] = sign_variations(chain, x)
+            v = variations[key] = sign_variations(chain, x)
         return v
 
     def count(a: Fraction, b: Fraction) -> int:

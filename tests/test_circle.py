@@ -351,6 +351,25 @@ def test_analyze_diagonal_eliminates_only_off_the_jacobi_route(monkeypatch):
     assert len(calls) == len(samples) + north + fallbacks == 6
 
 
+def test_index_circle_reuses_the_report_chain(monkeypatch):
+    """Given the smoothness report, the index circle takes no remainder
+    sequence of its own: root isolation reads the report's Sturm chain of
+    D(1, t), so the circles match those computed before `sturm_chain` and
+    `gcd_poly` were made to raise."""
+    rng = random.Random(20)
+    pencils = [_battery_pencil(rng, n, kind) for n in range(2, 9) for kind in ("dense", "diagonal", "corner")]
+    cases = [(p, rep) for p, rep in ((p, smoothness(p)) for p in pencils) if rep.smooth]
+    expected = [index_circle(p, rep) for p, rep in cases]
+
+    def refuse(*args):
+        raise AssertionError("a remainder sequence was taken again")
+
+    monkeypatch.setattr(uv, "sturm_chain", refuse)
+    monkeypatch.setattr(uv, "gcd_poly", refuse)
+    assert [index_circle(p, rep) for p, rep in cases] == expected
+    assert len(cases) > 15 and any(circle.root_count > 1 for circle in expected)
+
+
 def test_class_is_a_pencil_invariant():
     """Recombining the spanning forms or changing coordinates moves the
     jump points around the circle but never the decomposition."""

@@ -134,6 +134,22 @@ def test_rational_analyze_takes_one_determinant(monkeypatch):
     assert calls == [6]
 
 
+def test_rational_analyze_takes_one_remainder_sequence(monkeypatch):
+    """Over the rationals the smoothness report's Sturm chain of D(1, t)
+    gives its gcd and feeds root isolation, so an analyze runs one
+    remainder sequence of D and its derivative."""
+    from qpencil import univariate as uv
+
+    monkeypatch.chdir(REPO)
+    calls = []
+    for name in ("sturm_chain", "gcd_poly"):
+        real = getattr(uv, name)
+        monkeypatch.setattr(uv, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    code, _, _, err = _run(["analyze", "inputs/diagonal.json", "--json"])
+    assert code == 0, err
+    assert calls == ["sturm_chain"]
+
+
 def test_missing_file_is_a_usage_error(tmp_path, monkeypatch):
     monkeypatch.chdir(REPO)
     code, report, out, err = _run(["analyze", str(tmp_path / "nope.json")])
@@ -385,7 +401,9 @@ def test_analyze_over_a_larger_prime_is_exhaustive_within_the_member_budget(tmp_
     """A smooth pencil has no singular points by its smoothness certificate,
     so analyze scans no member, at p = 37 and at p = 10^9 + 7 alike, and the
     scan is exhaustive over the rationals too.  The toric pencil is
-    singular, and over F_(10^9 + 7) its p + 1 members are refused at once."""
+    singular, and over F_1000003 and F_(10^9 + 7) its p + 1 members exceed
+    MEMBER_LIMIT: the scan is skipped at once, naming the bound, and the
+    rest of the report stands."""
     smooth = [_input_over(tmp_path, "smooth_f3", p) for p in (37, 10**9 + 7)]
     for path in smooth + [str(REPO / "inputs" / "diagonal.json")]:
         start = time.perf_counter()
@@ -394,11 +412,57 @@ def test_analyze_over_a_larger_prime_is_exhaustive_within_the_member_budget(tmp_
         assert code == 0, err
         assert report.payload["smooth"] is True
         assert report.payload["singular_points"] == {"exhaustive": True, "count": 0, "points": []}
-    start = time.perf_counter()
-    code, report, _, err = _run(["analyze", _input_over(tmp_path, "toric", 10**9 + 7), "--json"])
-    assert time.perf_counter() - start < 1
+    for p in (1000003, 10**9 + 7):
+        start = time.perf_counter()
+        code, report, _, err = _run(["analyze", _input_over(tmp_path, "toric", p), "--json"])
+        assert time.perf_counter() - start < 1
+        assert code == 0, err
+        payload = report.payload
+        assert payload["singular_points"] == {"exhaustive": False, "skipped": "MEMBER_LIMIT = 1000000"}
+        assert payload["smooth"] is False and payload["discriminant"]["degree"] == 6
+        assert payload["smoothness_certificate"]["gcd_deg_chart_main"] == 2
+
+
+def _pencil_file(tmp_path, name, p, q0, q1):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"field": {"kind": "prime", "p": p}, "n": 5, "q0": q0, "q1": q1}))
+    return str(path)
+
+
+def test_analyze_skips_only_the_named_scan_budgets(tmp_path):
+    """With D = 0 every member is eliminated: over F_20011 that is
+    (p + 1) 6^3 > ELIMINATION_LIMIT, so the scan is skipped, while over F_7
+    it runs.  Any other refusal still exits 2: over F_1009, Q1 = 0 makes the
+    member [0:1] zero, and its kernel P^5 exceeds POINT_SCAN_LIMIT."""
+    cone = ([[i, i, 1] for i in range(1, 6)], [[i, i, i] for i in range(1, 6)])
+    code, report, _, err = _run(["analyze", _pencil_file(tmp_path, "cone_big", 20011, *cone), "--json"])
+    assert code == 0, err
+    assert report.payload["discriminant"] is None
+    assert report.payload["singular_points"] == {"exhaustive": False, "skipped": "ELIMINATION_LIMIT = 4000000"}
+    code, report, _, err = _run(["analyze", _pencil_file(tmp_path, "cone_small", 7, *cone), "--json"])
+    assert code == 0, err
+    assert report.payload["singular_points"]["exhaustive"] is True
+    assert report.payload["singular_points"]["count"] > 0
+    flat = ([[i, i, 1] for i in range(6)], [])
+    code, report, _, err = _run(["analyze", _pencil_file(tmp_path, "flat", 1009, *flat), "--json"])
     assert code == 2 and report is None
-    assert "MEMBER_LIMIT" in err
+    assert "POINT_SCAN_LIMIT" in err
+
+
+def test_main_defaults_openblas_to_one_thread(monkeypatch, capsys):
+    """The CLI entry point runs numpy on one BLAS thread unless the caller
+    set OPENBLAS_NUM_THREADS; `run`, which library callers use, leaves the
+    environment alone."""
+    argv = ["classes", "--n", "2", "--json"]
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert cli.run(argv)[0] == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert cli.main(argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert cli.main(argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    capsys.readouterr()
 
 
 def test_zeta_refuses_a_large_prime_before_counting(tmp_path):

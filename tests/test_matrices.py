@@ -223,6 +223,24 @@ def test_inexact_inertia_division_names_the_step_divisor_and_remainder():
     assert "step = 1, kind = hyperbolic pair, divisor = 16, remainder = 8" in message
 
 
+def test_symmetric_elimination_divides_the_upper_triangles_only(monkeypatch):
+    """Every Schur block is symmetric, so only its upper triangle is built
+    and divided: eliminating an 8 x 8 matrix by diagonal pivots passes
+    28 + 21 + ... + 1 = 84 entries to `_divide_exactly`, where the whole
+    blocks would be 49 + 36 + ... + 1 = 140."""
+    entries = []
+    divide = matrices._divide_exactly
+
+    def counted(block, divisor, step, kind):
+        entries.append(sum(map(len, block)))
+        return divide(block, divisor, step, kind)
+
+    monkeypatch.setattr(matrices, "_divide_exactly", counted)
+    rows = [[Fraction(9 if i == j else (i * j) % 3 - 1) for j in range(8)] for i in range(8)]
+    assert inertia(SymMatrix.from_rows(rows)) == _fraction_inertia(rows) == (8, 0, 0)
+    assert entries == [28, 21, 15, 10, 6, 3, 1, 0]
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_congruence_determinant_square_factor(seed):

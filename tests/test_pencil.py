@@ -1,5 +1,6 @@
 """Pencil construction, discriminants, smoothness, and reductions."""
 
+import math
 import random
 import threading
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from qpencil import univariate as uv
 from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
+from qpencil.linalg import det
 from qpencil.matrices import SymMatrix
 from qpencil.pencil import (
     BinaryForm,
@@ -278,6 +280,103 @@ def test_one_chart_squarefree_test_matches_both_gcds(field):
         ga, gb = _both_chart_gcds(form)
         assert list(form.chart_gcds()) == [ga, gb], (trial, c)
         assert form.is_squarefree() == (len(ga) == 1 and len(gb) == 1), (trial, c)
+
+
+def _rational_battery(rng):
+    """Pencils over Q with n = 2..12, each (n, kind) once: integral Grams,
+    for odd n with a zero (0, 0) entry in both (Δ_1 = 0, so the
+    discriminant's elimination swaps rows and no minors are decoded), and
+    fractional Grams; diagonal pencils with one ratio b_i/a_i planted twice
+    (a repeated root of F(1, t)) or with b_0 = b_1 = 0 (a double root at
+    s0 = 0, so F(1, t) drops two degrees and the F(t, 1) gcd is taken); and
+    Grams sharing a zero row (D = 0); the last three under a random
+    unimodular change of coordinates."""
+    for trial in range(55):
+        n, kind = trial % 11 + 2, trial % 5
+        m = n + 1
+        if kind == 0:
+            grams = [random_symmetric(QQ, m, rng).to_lists() for _ in range(2)]
+            if n % 2:
+                grams[0][0][0] = grams[1][0][0] = Fraction(0)
+            yield Pencil.from_gram(QQ, *grams)
+            continue
+        if kind == 1:
+            grams = []
+            for _ in range(2):
+                rows = [[Fraction(0)] * m for _ in range(m)]
+                for i in range(m):
+                    for j in range(i, m):
+                        rows[i][j] = rows[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                grams.append(SymMatrix.from_rows(rows))
+            yield Pencil(QQ, n, *grams)
+            continue
+        a = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(m)]
+        b = [Fraction(rng.randint(-5, 5)) for _ in range(m)]
+        if kind == 2:
+            b[1] = b[0] * a[1] / a[0]
+        if kind == 3:
+            b[0] = b[1] = Fraction(0)
+        if kind == 4:
+            a[0] = b[0] = Fraction(0)
+        unimodular = [[Fraction(int(i == j) if j <= i else rng.randint(-2, 2)) for j in range(m)] for i in range(m)]
+        diagonal = Pencil(QQ, n, SymMatrix.diagonal(QQ, a), SymMatrix.diagonal(QQ, b))
+        yield pencil_congruent(diagonal, unimodular)
+
+
+def _values_pin(poly, values):
+    """Whether the polynomial `poly` of degree < len(values) takes `values`
+    at t = 0, 1, ..."""
+    return all(uv.evaluate(QQ, poly, Fraction(t)) == v for t, v in enumerate(values))
+
+
+def test_smoothness_over_the_rationals_matches_the_gcd_reference():
+    """On the rational battery, the report built from one Sturm chain of
+    D(1, t) agrees with a reference that takes D and each leading minor
+    point by point and each chart gcd by `gcd_poly` with the derivative,
+    made monic; and the chain it keeps is the Sturm chain of D(1, t)."""
+    seen = {"repeated": 0, "other_chart": 0, "degenerate": 0, "no_minors": 0}
+    for trial, p in enumerate(_rational_battery(random.Random(20))):
+        m = p.n + 1
+        rep = smoothness(p)
+        scale = math.lcm(*(x.denominator for g in (p.g0, p.g1) for row in g.entries for x in row))
+        pairs = [list(zip(r0, r1)) for r0, r1 in zip(p.g0.entries, p.g1.entries)]
+        members = [[[scale * (a + t * b) for a, b in row] for row in pairs] for t in range(m + 1)]
+        dets = [det(QQ, member) / scale**m for member in members]
+        if not any(dets):
+            assert rep.discriminant is None and rep.minors is None and rep.chain is None and not rep.smooth, trial
+            assert rep.chart_main_gcd == rep.chart_other_gcd == (QQ.one,)
+            seen["degenerate"] += 1
+            continue
+        assert _values_pin(rep.discriminant.chart_main(), dets), trial
+        leading = [[det(QQ, [row[:k] for row in members[t][:k]]) for t in range(k + 1)] for k in range(1, m + 1)]
+        if rep.minors is None:
+            assert not all(any(values) for values in leading), trial
+            seen["no_minors"] += 1
+        else:
+            assert all(_values_pin(delta, values) for delta, values in zip(rep.minors, leading)), trial
+        charts = rep.discriminant.chart_main(), rep.discriminant.chart_other()
+        ga, gb = (uv.monic(QQ, uv.gcd_poly(QQ, c, uv.derivative(QQ, c))) if len(c) > 1 else [QQ.one] for c in charts)
+        smooth = len(ga) == 1 and len(gb) == 1
+        assert rep.smooth == smooth and list(rep.chart_main_gcd) == ga, trial
+        # F(t, 1) is read only when F(1, t) does not settle squarefreeness
+        if len(ga) == 1 and len(charts[0]) > rep.degree:
+            assert rep.chart_other_gcd == (QQ.one,), trial
+        else:
+            assert list(rep.chart_other_gcd) == gb, trial
+            seen["other_chart"] += 1
+        seen["repeated"] += len(ga) > 1
+        assert list(rep.chain) == uv.sturm_chain(charts[0]), trial
+    assert all(seen.values()), seen
+
+
+def test_isolation_reuses_the_report_chain():
+    """Root isolation given the report's chain returns the intervals it
+    finds on its own, squarefree or not."""
+    for trial, p in enumerate(_rational_battery(random.Random(21))):
+        rep = smoothness(p)
+        if rep.discriminant is not None:
+            f = rep.discriminant.chart_main()
+            assert uv.isolate_real_roots(f, rep.chain) == uv.isolate_real_roots(f), trial
 
 
 def test_toric_pencil_is_not_smooth():
