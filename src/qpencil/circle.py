@@ -104,7 +104,7 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
 
     inf_jump = QQ.is_zero(disc.coeffs[-1])  # det(G1) is the s1^(n+1) coefficient
     f = disc.chart_main()
-    roots = uv.isolate_real_roots([Fraction(c) for c in f], report.chain)
+    roots = uv.isolate_real_roots(f, report.chain)
     samples = uv.sample_points_between(roots)
     m = len(roots)
     k = m + (1 if inf_jump else 0)

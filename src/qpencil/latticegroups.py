@@ -71,7 +71,6 @@ class IntMatrixGroup:
 
     generators: tuple[Mat, ...]
     elements: tuple[Mat, ...]
-    name: str | None = None
 
     @property
     def order(self) -> int:
@@ -81,17 +80,13 @@ class IntMatrixGroup:
         return x in set(self.elements)
 
 
-def group_closure(
-    gens: Sequence[Iterable[Iterable[int]]],
-    name: str | None = None,
-    guard: int = CLOSURE_GUARD,
-) -> IntMatrixGroup:
+def group_closure(gens: Sequence[Iterable[Iterable[int]]]) -> IntMatrixGroup:
     """Enumerate the group generated by integer matrices with det ±1.
 
     Breadth-first closure under right multiplication by the generators; a
     finite set closed under multiplication and containing the identity is a
-    group, and inverses are double-checked at the end.  Exceeding ``guard``
-    elements aborts with "infinite or too large".
+    group, and inverses are double-checked at the end.  Exceeding
+    CLOSURE_GUARD elements aborts with "infinite or too large".
     """
     mats = [mat_from(g) for g in gens]
     for m in mats:
@@ -107,22 +102,22 @@ def group_closure(
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > guard:
+                    if len(seen) > CLOSURE_GUARD:
                         raise PrecondError(
-                            f"closure is infinite or too large (> {guard} elements)"
+                            f"closure is infinite or too large (> {CLOSURE_GUARD} elements)"
                         )
         frontier = nxt
     for x in seen:
         if minv(x) not in seen:
             raise InternalCheckError("the closure holds every inverse", element=x, inverse=minv(x))
     elements = tuple(sorted(seen))
-    return IntMatrixGroup(generators=tuple(mats), elements=elements, name=name)
+    return IntMatrixGroup(generators=tuple(mats), elements=elements)
 
 
 def lattice_symmetry_group() -> IntMatrixGroup:
     """The full lattice symmetry group ⟨a, b, c⟩ of order 48, a product of a
     symmetric group on four letters and the central inversion."""
-    g = group_closure([GEN_A, GEN_B, GEN_C], name="full")
+    g = group_closure([GEN_A, GEN_B, GEN_C])
     check("full symmetry group order = 48", order=g.order, expected=48)
     return g
 
@@ -143,7 +138,7 @@ def obstruction_subgroup() -> IntMatrixGroup:
     t34 = mmul(mmul(a2, GEN_B), minv(a2))  # the transposition conjugate to b by a²
     dbl = mmul(GEN_B, t34)  # commuting product: a double transposition
     bc = mmul(GEN_B, GEN_C)
-    g = group_closure([dbl, bc], name="obstruction")
+    g = group_closure([dbl, bc])
     check("obstruction subgroup order = 4", order=g.order, expected=4)
     check("obstruction subgroup is a Klein four-group", tag=isomorphism_tag(g), expected="klein")
     character = [x[0][0] + x[1][1] + x[2][2] for x in g.elements]

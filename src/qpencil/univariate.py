@@ -302,8 +302,6 @@ def isolate_real_roots(
     if total == 0:
         return []
 
-    out: list[tuple[Fraction, Fraction]] = []
-
     def nonroot_below(r: Fraction, floor: Fraction) -> Fraction:
         """A point m in (floor, r) with f(m) != 0 and no root in (m, r)."""
         m = (floor + r) / 2
@@ -318,26 +316,24 @@ def isolate_real_roots(
             m = (r + m) / 2
         return m
 
-    def split(lo: Fraction, hi: Fraction) -> None:
-        # invariant: f(lo) != 0 and f(hi) != 0
-        n = count(lo, hi)
-        if n == 0:
-            return
+    # bisection over a stack of intervals with the leftmost on top, so the
+    # roots come out in increasing order; a root met at a midpoint goes on
+    # as its singleton (mid, mid) between its two non-root neighbours
+    out: list[tuple[Fraction, Fraction]] = []
+    stack = [(lo0, hi0)]
+    while stack:
+        lo, hi = stack.pop()
+        # a singleton is its root; otherwise f(lo) != 0 and f(hi) != 0
+        n = 1 if lo == hi else count(lo, hi)
         if n == 1:
             out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if fsign(mid) == 0:
-            ml = nonroot_below(mid, lo)
-            mr = nonroot_above(mid, hi)
-            split(lo, ml)
-            out.append((mid, mid))
-            split(mr, hi)
-        else:
-            split(lo, mid)
-            split(mid, hi)
-
-    split(lo0, hi0)
+        elif n > 1:
+            mid = (lo + hi) / 2
+            if fsign(mid) == 0:
+                ml, mr = nonroot_below(mid, lo), nonroot_above(mid, hi)
+                stack += [(mr, hi), (mid, mid), (lo, ml)]
+            else:
+                stack += [(mid, hi), (lo, mid)]
 
     check("isolated roots = Sturm root count", isolated=len(out), sturm_count=total)
     for left, right in zip(out, out[1:]):

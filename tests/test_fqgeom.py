@@ -5,6 +5,7 @@ import io
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -32,8 +33,8 @@ from qpencil.fqgeom import (
     singular_points,
     torsor_check,
 )
-from qpencil.linalg import mat_vec, rank
-from qpencil.matrices import SymMatrix
+from qpencil.linalg import mat_vec, rank, rref
+from qpencil.matrices import SymMatrix, det_poly
 from qpencil.pencil import (
     Pencil,
     _discriminant_or_none,
@@ -300,7 +301,14 @@ def _battery_cases(fld, n, rng):
 BATTERY = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(2, 8) if p ** (n + 1) <= 2 * 10**5]
 
 
-def test_member_routes_match_the_scan_on_a_seeded_battery():
+def test_member_routes_match_the_scan_on_a_seeded_battery(monkeypatch):
+    """Both member routes agree with the P^n scan on every kind of pencil,
+    and build no member through the field-generic `Pencil.member`."""
+
+    def generic_member(*args):
+        raise AssertionError("Pencil.member called")
+
+    monkeypatch.setattr(Pencil, "member", generic_member)
     kinds, degenerate, singular = set(), 0, 0
     for p, n in BATTERY:
         fld = PrimeField(p)
@@ -330,6 +338,90 @@ def test_member_sum_sees_the_sign_of_each_member(q):
     split = Pencil(fld, 3, SymMatrix.diagonal(fld, [1, 1, 1, 1]), SymMatrix.diagonal(fld, [0, 0, 1, 1]))
     for pencil in (smooth, split):
         assert count_points(pencil) == len(points_on_pencil(pencil))
+
+
+@pytest.mark.parametrize("q, planted", [(3, 12), (7, 28), (11, 44)])
+def test_a_negated_minor_breaks_the_count(monkeypatch, q, planted):
+    """The sum reads delta off `det_poly`: negated there, the two rank-2
+    members of the split pencil, of determinant 1 on their pivot columns,
+    count 2 q^3 each instead of 0, and X, empty over F_q for q = 3 mod 4,
+    is counted with 2 (q + 1) points."""
+    fld = PrimeField(q)
+    split = Pencil(fld, 3, SymMatrix.diagonal(fld, [1, 1, 1, 1]), SymMatrix.diagonal(fld, [0, 0, 1, 1]))
+    assert count_points(split) == len(points_on_pencil(split)) == 0
+    monkeypatch.setattr(fqgeom, "det_poly", lambda field, rows: [-c % q for c in det_poly(field, rows)])
+    assert count_points(split) == planted
+
+
+def _rank_and_delta(rows, p):
+    """Rank r of a symmetric matrix mod p and the product delta of the
+    nonzero pivots of a congruence diagonalization.  A block with zero
+    diagonal and a nonzero entry at (i, j) is first changed by x_i -> x_i + x_j,
+    which puts 2 a_ij != 0 at (i, i).  Consumes `rows`."""
+    a, r, delta = rows, 0, 1
+    while a:
+        m = len(a)
+        piv = next((i for i in range(m) if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if pair is None:
+                break
+            piv, j = pair
+            a[piv] = [(x + y) % p for x, y in zip(a[piv], a[j])]
+            for row in a:
+                row[piv] = (row[piv] + row[j]) % p
+        d, prow = a[piv][piv], a[piv]
+        inv = pow(d, p - 2, p)
+        rest = [k for k in range(m) if k != piv]
+        a = [[(a[k][l] - a[k][piv] * inv * prow[l]) % p for l in rest] for k in rest]
+        r, delta = r + 1, delta * d % p
+    return r, delta
+
+
+def _symmetric_of_rank(p, m, r, rng):
+    """A^T D A for a random D = diag(d_1, ..., d_r, 0, ...) with d_i != 0 and
+    a random invertible A: a symmetric m x m matrix of rank r."""
+    fld = PrimeField(p)
+    while True:
+        a = [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+        if rank(fld, a) == m:
+            break
+    d = [rng.randrange(1, p) for _ in range(r)] + [0] * (m - r)
+    return [[sum(a[k][i] * d[k] * a[k][j] for k in range(m)) % p for j in range(m)] for i in range(m)]
+
+
+def _zero_diagonal(p, m, rng):
+    """A random symmetric matrix with zero diagonal, the oracle's
+    x_i -> x_i + x_j case."""
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = rng.randrange(p) if rng.random() < 0.5 else 0
+    return rows
+
+
+def test_pivot_minor_matches_the_congruence_diagonalization():
+    """For a symmetric M mod p with pivot columns P in its reduced row
+    echelon form, |P| is the rank and det M[P, P] is nonzero with the
+    Legendre symbol of the product of the congruence pivots: a seeded
+    battery of every rank for m <= 8, and of zero-diagonal matrices."""
+    rng = random.Random("pivot minors")
+    ranks, zero_diagonal = set(), 0
+    for p in (3, 5, 7, 11, 13):
+        fld = PrimeField(p)
+        for m in range(1, 9):
+            cases = [_symmetric_of_rank(p, m, r, rng) for r in range(m + 1) for _ in range(8)]
+            cases += [_zero_diagonal(p, m, rng) for _ in range(16)]
+            for rows in cases:
+                r, delta = _rank_and_delta([list(row) for row in rows], p)
+                pivots = rref(fld, rows)[1]
+                assert len(pivots) == r, (p, rows)
+                minor = det_poly(fld, [[[rows[i][j]] for j in pivots] for i in pivots]) if r else [1]
+                assert minor and legendre(minor[0], p) == legendre(delta, p), (p, rows)
+                ranks.add((m, r))
+                zero_diagonal += r > 0 and not any(rows[i][i] for i in range(m))
+    assert ranks == {(m, r) for m in range(1, 9) for r in range(m + 1)}
+    assert zero_diagonal >= 400, zero_diagonal
 
 
 def test_toric_singular_points_over_f3():
@@ -455,12 +547,12 @@ def _refuses_at_once(fn, pencil, bound, seconds=0.5):
 def test_member_routes_refuse_over_their_budgets_before_work(fn):
     # q + 1 members over MEMBER_LIMIT
     big = PrimeField(10**9 + 7)
-    _refuses_at_once(fn, diagonal_pencil(big, 5), "MEMBER_LIMIT")
+    _refuses_at_once(fn, diagonal_pencil(big, 5), re.escape("MEMBER_LIMIT = 1000000"))
     # D vanishes identically: each of the q + 1 members would be eliminated
     p = 20011
     assert (p + 1) * 6**3 > ELIMINATION_LIMIT and p + 1 <= MEMBER_LIMIT
     cone = _pencil_of(PrimeField(p), 5, [[[0] * 6] + [[0] + [int(i == j) for j in range(5)] for i in range(5)]] * 2)
-    _refuses_at_once(fn, cone, "ELIMINATION_LIMIT")
+    _refuses_at_once(fn, cone, re.escape("ELIMINATION_LIMIT = 4000000"))
 
 
 def test_singular_points_refuse_kernels_over_the_scan_budget():

@@ -1,5 +1,6 @@
 """Dense univariate arithmetic; coefficients ascending."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -237,6 +238,26 @@ def test_isolation_of_a_polynomial_with_multiple_roots(factors, intervals):
     for factor in factors:
         f = uv.mul(QQ, f, [Fraction(c) for c in factor])
     assert uv.isolate_real_roots(f) == [(Fraction(a), Fraction(b)) for a, b in intervals]
+
+
+def test_isolation_leaves_no_reference_cycles():
+    """The bisection keeps its intervals on a stack, not in a closure that
+    calls itself, so with the cyclic collector off, 100 isolations each of
+    (t - 1)(t - 2)(t - 3) and of t (t - 3)(t + 5), whose first midpoint 0 is
+    a root, leave nothing for it to collect."""
+    cases = [
+        (_from_roots([1, 2, 3]), [(0, Fraction(13, 8)), (Fraction(13, 8), Fraction(39, 16)), (Fraction(39, 16), Fraction(13, 4))]),
+        (_from_roots([0, 3, -5]), [(-17, Fraction(-17, 4)), (0, 0), (Fraction(17, 8), 17)]),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for f, intervals in cases:
+            for _ in range(100):
+                assert uv.isolate_real_roots(f) == intervals
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cauchy_bound_contains_roots():
