@@ -22,14 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univariate as uv
-from .errors import InternalCheckError, PrecondError, check
+from .errors import InternalCheckError, PrecondError, check, within
 from .fields import QQ
 from .matrices import _integer_grams, signature_pair
 from .pencil import Pencil, SmoothnessReport, smoothness
 
 # the largest n `enumerate_classes` takes: it lists every composition of
 # k <= n+1 into an odd number of parts, so its work grows about 4x per step
-# of 2 in n (on a 2-core x86 host, n = 18 took 1.4-2.4 s and n = 20 6.9 s)
+# of 2 in n (n = 18 took 1.4-2.4 s and n = 20 6.9 s, 2-core Intel Xeon,
+# CPython 3.11.7)
 MAX_CLASSES_N = 18
 
 
@@ -262,8 +263,9 @@ def pencil_decomposition(p: Pencil, report: SmoothnessReport | None = None) -> O
 def enumerate_classes(n: int) -> list[OddDecomposition]:
     """All odd decompositions admissible in P^n: k = n+1 (mod 2) and
     0 <= k <= n+1, for 2 <= n <= `MAX_CLASSES_N`.  Sorted by (k, number of parts, parts)."""
-    if not 2 <= n <= MAX_CLASSES_N:
-        raise PrecondError(f"n: need 2 <= n <= {MAX_CLASSES_N}, got {n}")
+    if n < 2:
+        raise PrecondError(f"n: need n >= 2, got {n}")
+    within("n", n, MAX_CLASSES_N=MAX_CLASSES_N)
     classes: set[tuple[int, ...]] = set()
     for k in range(0, n + 2):
         if (k - (n + 1)) % 2:

@@ -15,7 +15,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TextIO
 
 from . import io
-from .errors import InternalCheckError, PrecondError
+from .errors import BudgetError, InternalCheckError, PrecondError
 from .fields import PrimeField, parse_at
 
 if TYPE_CHECKING:
@@ -88,13 +88,12 @@ def _singular_scan(pencil: Pencil, rep: SmoothnessReport) -> dict:
     if rep.smooth:  # D squarefree of full degree: Sing(X) is empty over any field
         return {"exhaustive": True, "count": 0, "points": []}
     if isinstance(pencil.field, PrimeField):
-        from .fqgeom import member_scan_bound, singular_points
+        from .fqgeom import singular_points
 
-        # over budget, the rest of the report stands without the scan
-        bound = member_scan_bound(pencil.field.p, pencil.n + 1, rep.degenerate)
-        if bound is not None:
-            return {"exhaustive": False, "skipped": bound}
-        pts = singular_points(pencil)
+        try:
+            pts = singular_points(pencil)
+        except BudgetError as exc:  # the rest of the report stands without the scan
+            return {"exhaustive": False, "skipped": exc.bound}
         return {"exhaustive": True, "count": len(pts), "points": pts}
     from .pencil import singular_at
 

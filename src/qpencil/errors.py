@@ -3,7 +3,11 @@
 Two failure families matter to callers (and to the CLI exit-code contract):
 bad inputs / violated preconditions, and internal consistency checks that a
 correct build should never trip.  This module is the one place that words a
-failed consistency check: callers name the identity and pass the values.
+failed consistency check, where callers name the identity and pass the
+values, and the one place that words a refused budget: every named
+implementation limit is enforced by `within`, whose `BudgetError` names the
+bound, so a caller that can do without the work catches it and reports the
+bound as skipped.
 """
 
 from typing import Any
@@ -15,6 +19,32 @@ class QPencilError(Exception):
 
 class PrecondError(QPencilError):
     """Invalid input or violated precondition (CLI exit code 2)."""
+
+
+class BudgetError(PrecondError):
+    """Work over a named implementation limit, refused before it starts.
+
+    Keeps what was counted (`.what`), how much of it the input needs
+    (`.needed`) and the bound, by the name of its constant (`.name`) and
+    value (`.limit`); `.bound` reads ``NAME = limit``.
+    """
+
+    def __init__(self, what: str, needed: int, name: str, limit: int) -> None:
+        self.what, self.needed, self.name, self.limit = what, needed, name, limit
+        super().__init__(f"{what}: {needed} over {self.bound}")
+
+    @property
+    def bound(self) -> str:
+        return f"{self.name} = {self.limit}"
+
+
+def within(what: str, needed: int, /, **bound: int) -> None:
+    """Raise BudgetError unless `needed` is at most the limit.  The one
+    keyword is the bound, ``NAME=NAME``: the constant's name and its value,
+    read when the caller runs, so a patched module constant takes effect."""
+    ((name, limit),) = bound.items()
+    if needed > limit:
+        raise BudgetError(what, needed, name, limit)
 
 
 class InternalCheckError(QPencilError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .curvecounts import CurveData, curve_data
-from .errors import InternalCheckError, PrecondError, check
+from .errors import InternalCheckError, PrecondError, check, within
 from .fields import PrimeField, legendre, sqrt_mod
 from .linalg import dependent, nullspace, rref
 from .matrices import SymMatrix, det_poly
@@ -35,19 +35,27 @@ from .pencil import Pencil, _discriminant_or_none, _signed_discriminant, smoothn
 if TYPE_CHECKING:
     import numpy as np
 
-# the canonical y of P^(n-1)(F_q) plus q per flat fiber (see _common_zeros)
+# the canonical y of P^(n-1)(F_q) plus q per flat fiber (see _common_zeros),
+# at about 6e6 per second: a scan of P^2(F_31607) with every fiber flat
+# (1.0e9 points) took 159 s, and one of P^2(F_10007) (1.0e8) 17 s
+# (2-core Intel Xeon, CPython 3.11.7)
 POINT_SCAN_LIMIT = 10**9
-# pairs of common zeros the line finder tests: a random n = 7 pencil over
-# F_7 has 4.8e7 and takes about 1 s, so about 2 s at the bound
+# pairs of common zeros the line finder tests: random pencils with n = 7
+# over F_7 (4.8e7 pairs) and n = 8 over F_5 (6.4e7) took 1.6 s and 3.3 s,
+# so about 5 s at the bound (2-core Intel Xeon, CPython 3.11.7)
 PAIR_TEST_LIMIT = 10**8
 # q + 1 members of the pencil, each one Horner evaluation of D and one
-# Legendre symbol (about 2 s of plain Python at the bound)
+# Legendre symbol: count_points on a smooth n = 5 pencil over F_999983 took
+# 3.0-3.2 s (2-core Intel Xeon, CPython 3.11.7)
 MEMBER_LIMIT = 10**6
 # (q + 1) m^3 for a pencil whose D vanishes identically, where each of the
 # q + 1 members of size m is reduced: at the bound for m = 6 (p = 18503),
-# count_points takes 1.0 s on rank-5 members and 1.3 s on rank-4 ones
-# (Intel Xeon, CPython 3.11)
+# count_points took 2.2-2.6 s and singular_points 1.7-1.9 s on rank-4
+# members (2-core Intel Xeon, CPython 3.11.7)
 ELIMINATION_LIMIT = 4 * 10**6
+# the largest value nvars^2 (p - 1)^3 of a form in a scan, for which float64
+# division by p is exact (`_divisible`); a bound of exactness, not of time
+EXACT_FLOAT_LIMIT = 2**53 - 1
 _CHUNK = 1 << 19
 
 
@@ -62,7 +70,7 @@ def projective_points(p: int, nvars: int) -> np.ndarray:
     import numpy as np
 
     count = projective_point_count(p, nvars - 1)
-    _require_visits(p, nvars, count, "every point")
+    within(f"points of P^{nvars - 1}(F_{p})", count, POINT_SCAN_LIMIT=POINT_SCAN_LIMIT)
     return _points_at(p, nvars, np.arange(count, dtype=np.int64), nvars)
 
 
@@ -130,16 +138,20 @@ def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray
     visited, |P^(n-1)| plus p per flat fiber: the y are counted before the
     scan, every fiber when M = 0 (all are flat), and otherwise the flat
     fibers of each slice before they are expanded.  Every value
-    alpha + beta w + gamma w^2 is below nvars^2 (p - 1)^3, which must stay
-    under 2^53 for `_divisible`.
+    alpha + beta w + gamma w^2 is at most nvars^2 (p - 1)^3, which
+    EXACT_FLOAT_LIMIT keeps below 2^53 for `_divisible`.
     """
     import numpy as np
 
     n = nvars - 1
     base = projective_point_count(p, n - 1)
-    _require_visits(p, nvars, base, "the canonical points of P^(n-1)")
-    if nvars**2 * (p - 1) ** 3 >= 2**53:
-        raise PrecondError(f"scans over F_{p} in {nvars} variables need nvars^2 (p - 1)^3 < 2^53")
+    scan = f"points a scan of P^{n}(F_{p}) visits"
+    within(f"{scan}, the canonical y of P^{n - 1}", base, POINT_SCAN_LIMIT=POINT_SCAN_LIMIT)
+    within(
+        f"the value bound nvars^2 (p - 1)^3 of a scan of P^{n}(F_{p})",
+        nvars**2 * (p - 1) ** 3,
+        EXACT_FLOAT_LIMIT=EXACT_FLOAT_LIMIT,
+    )
     g0, g1 = grams
     if g0[n, n] or g1[n, n]:
         m = (int(g1[n, n]) * g0 - int(g0[n, n]) * g1) % p
@@ -147,7 +159,7 @@ def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray
         m = g1 if g1[:n, n].any() and not g0[:n, n].any() else g0
     visited, m_vanishes = base, not m.any()
     if m_vanishes:
-        _require_visits(p, nvars, base * (p + 1), "every fiber flat, since M = 0")
+        within(f"{scan}, every fiber flat since M = 0", base * (p + 1), POINT_SCAN_LIMIT=POINT_SCAN_LIMIT)
     forms = np.array([m, g0, g1])
     k, gammas = len(forms), forms[1:, n, n].copy()
     # y @ coeffs is y^T G_i for each form i with column n doubled: for y with
@@ -165,7 +177,7 @@ def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray
         flat = (bm == 0) & (am == 0)
         if not m_vanishes:
             visited += p * int(flat.sum())
-            _require_visits(p, nvars, visited, "the flat fibers")
+            within(f"{scan} with the flat fibers", visited, POINT_SCAN_LIMIT=POINT_SCAN_LIMIT)
         # candidates: w = -alpha_M / beta_M over a solved y, every w over a
         # flat one, in y order and then by w
         w = -am * _inverses(bm, p) % p
@@ -183,14 +195,6 @@ def _common_zeros(p: int, nvars: int, grams: Sequence[np.ndarray]) -> np.ndarray
     if not gammas.any():
         found.append(np.eye(1, nvars, n, dtype=np.int64))
     return np.concatenate(found)
-
-
-def _require_visits(p: int, nvars: int, visited: int, what: str) -> None:
-    if visited > POINT_SCAN_LIMIT:
-        raise PrecondError(
-            f"a scan of P^{nvars - 1}(F_{p}) visits {visited} points ({what}), "
-            f"over POINT_SCAN_LIMIT = {POINT_SCAN_LIMIT}"
-        )
 
 
 def _divisible(v: np.ndarray, p: int) -> np.ndarray:
@@ -292,17 +296,25 @@ def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
     b != 0 and of R = Q1 when b = 0.  A kernel of dimension 1 is one point,
     tested on R; one of dimension 2 is a line, on which R is a binary
     quadratic solved in plain Python (`_line_zeros`); only a kernel of
-    dimension 3 or more is scanned with numpy (`_kernel_zeros`).
+    dimension 3 or more is scanned with numpy (`_kernel_zeros`).  X meets
+    P(ker M) in the same points whichever member's form decides it, so a
+    kernel shared by several members (every member when D vanishes
+    identically) is decided once, keyed by its reduced row echelon basis.
     The points come out in `projective_points` order: by the index of the
     first nonzero coordinate, then by the point.
     """
     _require_prime(pencil)
     field = pencil.field
     found: set[tuple[int, ...]] = set()
+    decided: set[tuple[tuple[int, ...], ...]] = set()
     for a, b, d in _member_values(pencil):
         if d:
             continue
         basis = rref(field, nullspace(field, _member_rows(pencil, a, b)))[0]
+        kernel = tuple(map(tuple, basis))
+        if kernel in decided:
+            continue
+        decided.add(kernel)
         which = 0 if b else 1
         if len(basis) == 1:
             if not pencil.eval_form(which, basis[0]):
@@ -314,33 +326,20 @@ def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda x: (next(i for i, c in enumerate(x) if c), x))
 
 
-def member_scan_bound(p: int, m: int, degenerate: bool) -> str | None:
-    """The bound, as ``NAME = value``, that a scan of the p + 1 members of a
-    pencil in m variables over F_p exceeds, or None within budget: the
-    members count against MEMBER_LIMIT and, when D vanishes identically
-    (`degenerate`), reducing each one, (p + 1) m^3, against
-    ELIMINATION_LIMIT."""
-    if p + 1 > MEMBER_LIMIT:
-        return f"MEMBER_LIMIT = {MEMBER_LIMIT}"
-    if degenerate and (p + 1) * m**3 > ELIMINATION_LIMIT:
-        return f"ELIMINATION_LIMIT = {ELIMINATION_LIMIT}"
-    return None
-
-
 def _member_values(pencil: Pencil) -> Iterator[tuple[int, int, int]]:
     """(a, b, D(a, b) mod p) for [a:b] = [1:0], ..., [1:p-1], then [0:1],
     with D = det(s0 G0 + s1 G1) taken once and evaluated by Horner.  The
-    one place the member budget is enforced: MEMBER_LIMIT before D is
-    taken, and ELIMINATION_LIMIT when D vanishes identically, since then
-    every member is reduced."""
+    one place the member budget is enforced: the p + 1 members count against
+    MEMBER_LIMIT before D is taken and, when D vanishes identically, so that
+    every member is reduced, (p + 1) m^3 against ELIMINATION_LIMIT."""
     p, m = pencil.field.p, pencil.n + 1
-    bound = member_scan_bound(p, m, False)
-    disc = None if bound else _discriminant_or_none(pencil)
-    bound = bound or member_scan_bound(p, m, disc is None)
-    if bound:
-        raise PrecondError(
-            f"scanning the {p + 1} members of a pencil over F_{p} in {m} variables "
-            f"(each one reduced when D vanishes identically) is over {bound}"
+    within(f"members of a pencil over F_{p}", p + 1, MEMBER_LIMIT=MEMBER_LIMIT)
+    disc = _discriminant_or_none(pencil)
+    if disc is None:
+        within(
+            f"(p + 1) m^3 to reduce every member in {m} variables over F_{p}, since D = 0",
+            (p + 1) * m**3,
+            ELIMINATION_LIMIT=ELIMINATION_LIMIT,
         )
     coeffs = (0,) if disc is None else disc.coeffs
     descending = coeffs[::-1]  # D(1, t) = sum_i c_i t^i
@@ -436,10 +435,7 @@ def enumerate_lines(pencil: Pencil) -> list[tuple[tuple[int, ...], tuple[int, ..
     lead = (pts != 0).argmax(axis=1)
     per_lead = np.bincount(lead, minlength=pencil.n + 1)
     pairs = int((per_lead * (len(pts) - np.cumsum(per_lead))).sum())  # |lead l| * |lead > l|
-    if pairs > PAIR_TEST_LIMIT:
-        raise PrecondError(
-            f"{len(pts)} common zeros give {pairs} candidate pairs, over PAIR_TEST_LIMIT = {PAIR_TEST_LIMIT}"
-        )
+    within(f"candidate pairs of {len(pts)} common zeros", pairs, PAIR_TEST_LIMIT=PAIR_TEST_LIMIT)
     # x^T G y is below nvars (p - 1)^2, which _common_zeros keeps under 2^53;
     # the first form is tested on blocks of pairs, never one N x N array, and
     # the second on the pairs that pass it

@@ -24,6 +24,17 @@ from .matrices import SymMatrix, congruent, det_poly
 from .poly import Poly
 
 
+def _gcd_with_derivative(field: Field, c: list, chain: Sequence[Sequence[int]] | None = None) -> list:
+    """The monic gcd of c and c' ([1] for a constant): over the rationals the
+    last member of the Sturm chain of c (`chain`, when the caller holds it),
+    over F_p Euclid's algorithm."""
+    if len(c) < 2:
+        return [field.one]
+    if field == QQ:
+        return uv.monic(field, (uv.sturm_chain(c) if chain is None else chain)[-1])
+    return uv.gcd_poly(field, c, uv.derivative(field, c))
+
+
 @dataclass(frozen=True)
 class BinaryForm:
     """A binary form sum_i c_i s0^(d-i) s1^i, stored as coeffs (c_0..c_d)."""
@@ -69,18 +80,14 @@ class BinaryForm:
         ([1] for a constant chart).  F of degree d is squarefree exactly when
         F(1, t) is squarefree of degree >= d - 1; then the second is [1].
 
-        Over the rationals the first is the last member of the Sturm chain
-        of F(1, t), made monic; `chain` is `univariate.sturm_chain(F(1, t))`
-        when the caller already holds it."""
-        fld = self.field
-        a, b = self.chart_main(), self.chart_other()
-        if fld == QQ and a:
-            ga = uv.monic(fld, (uv.sturm_chain(a) if chain is None else chain)[-1])
-        else:
-            ga = uv.gcd_poly(fld, a, uv.derivative(fld, a)) if len(a) > 1 else [fld.one]
-        if (len(ga) == 1 and len(a) >= self.degree) or len(b) < 2:
-            return ga, [fld.one]
-        return ga, uv.gcd_poly(fld, b, uv.derivative(fld, b))
+        Over the rationals each is the last member of the chart's Sturm
+        chain, made monic; `chain` is `univariate.sturm_chain(F(1, t))` when
+        the caller already holds it."""
+        a = self.chart_main()
+        ga = _gcd_with_derivative(self.field, a, chain)
+        if len(ga) == 1 and len(a) >= self.degree:
+            return ga, [self.field.one]
+        return ga, _gcd_with_derivative(self.field, self.chart_other())
 
     def is_squarefree(self) -> bool:
         """Squarefree as a *binary* form: both charts squarefree and the

@@ -176,14 +176,6 @@ class Poly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        if len(degs) != 1:
-            return False
-        return degree is None or degs == {degree}
-
     def is_bihomogeneous(self, group1: Iterable[str], group2: Iterable[str]) -> tuple[bool, tuple[int, int] | None]:
         """Check bihomogeneity in two variable groups; return (flag, bidegree)."""
         i1 = [self.vars.index(n) for n in group1]
@@ -225,33 +217,6 @@ class Poly:
                     term = fld.mul(term, v)
             total = fld.add(total, term)
         return total
-
-    def subs(self, mapping: Mapping[str, "Poly | Any"]) -> "Poly":
-        """Substitute polynomials (or constants) for some variables.
-
-        Unmentioned variables map to themselves.  The result lives in the
-        same ring.
-        """
-        fld = self.field
-        images = []
-        for v in self.vars:
-            if v in mapping:
-                img = mapping[v]
-                if not isinstance(img, Poly):
-                    img = Poly.const(fld, self.vars, fld.parse(img))
-                elif img.vars != self.vars:
-                    raise PrecondError("substitution image in a different ring")
-                images.append(img)
-            else:
-                images.append(Poly.variable(fld, self.vars, v))
-        result = Poly.zero(fld, self.vars)
-        for exp, c in self.terms.items():
-            term = Poly.const(fld, self.vars, c)
-            for img, e in zip(images, exp):
-                if e:
-                    term = term * img**e
-            result = result + term
-        return result
 
     def univariate_in(self, name: str) -> list:
         """Dense ascending coefficient list, requiring all other exponents zero."""

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .curvecounts import CURVE_Q_LIMIT, curve_counts
-from .errors import InternalCheckError, PrecondError, check
+from .curvecounts import curve_counts
+from .errors import BudgetError, InternalCheckError, PrecondError, check
 from .fields import PrimeField, parse_at
 from .linalg import complete_basis, dependent, det, mat_mul, mat_vec, nullspace, rank, rref, solve, transpose
 from .matrices import SymMatrix, congruent, det_poly
@@ -237,10 +237,11 @@ class DoubleProjection:
 
     where M is the adapted basis and F the discriminant form: the degeneracy
     sextic is the discriminant sextic re-read along t |-> (t : -1), times
-    minus a square.  Over a prime field F_q with q <= CURVE_Q_LIMIT the
-    identity is double-checked by point counts of the two hyperelliptic
-    curves y^2 = det A(t) and y^2 = -F(t, -1); above it that route is
-    skipped (`counts_checked` is false) and the exact identity stands alone."""
+    minus a square.  Over a prime field F_q the identity is double-checked
+    by point counts of the two hyperelliptic curves y^2 = det A(t) and
+    y^2 = -F(t, -1); when the counts refuse q (`curvecounts.CURVE_Q_LIMIT`)
+    that route is skipped (`counts_checked` is false) and the exact identity
+    stands alone."""
 
     pencil: Pencil
     transform: tuple[tuple[Any, ...], ...]
@@ -345,18 +346,20 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
     check("det A(t) = -det(M)^2 * F(t, -1)", det_a=coeffs, twisted_discriminant=target)
 
     counts: tuple[int, int] | None = None
-    checked = False
-    if isinstance(fld, PrimeField) and fld.p <= CURVE_Q_LIMIT:
+    if isinstance(fld, PrimeField):
         # second route: the curves y^2 = det A(t) and y^2 = -F(t, -1) differ by
         # the square factor det(M)^2, so their point counts over F_q and F_{q^2}
         # must agree even though the models fed to the counter differ.
         q = fld.p
         sx = [int(c) for c in sextic.chart_main()]
         mx = [int(c) if k % 2 == 1 else (-int(c)) % q for k, c in enumerate(reversed(disc.coeffs))]
-        counts = curve_counts(sx, q)
-        disc_counts = curve_counts(mx, q)
-        check("degeneracy curve counts = discriminant curve counts", degeneracy=counts, discriminant=disc_counts)
-        checked = True
+        try:
+            counts = curve_counts(sx, q)
+        except BudgetError:  # q too large to count: the exact identity stands alone
+            pass
+        else:
+            disc_counts = curve_counts(mx, q)
+            check("degeneracy curve counts = discriminant curve counts", degeneracy=counts, discriminant=disc_counts)
 
     return DoubleProjection(
         pencil=pencil,
@@ -366,6 +369,6 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
         discriminant=disc,
         twist_factor=twist,
         identity_checked=True,
-        counts_checked=checked,
+        counts_checked=counts is not None,
         curve_counts=counts,
     )

@@ -2,14 +2,14 @@
 
 Polynomials are plain ascending coefficient lists ``[c0, c1, ...]``; the zero
 polynomial is ``[]`` (or any all-zero list).  The first half is field-generic
-(works over the rationals and prime fields), except that the gcd over the
-rationals is fraction-free: a primitive pseudo-remainder sequence on Python
-ints.  The Sturm machinery at the bottom
-needs an ordered field and is rationals-only; its chains come from the same
-pseudo-remainders, as positive integer multiples of the rational chain, so
-the last member of the chain of f is a multiple of gcd(f, f').  A caller
-that already holds the chain (the smoothness report, which took its gcd
-from it) hands it to root isolation instead of building it again.
+(works over the rationals and prime fields); its gcd is the Euclidean
+algorithm over any field.  The Sturm machinery at the bottom needs an
+ordered field and is rationals-only; its chains come from primitive
+pseudo-remainder sequences on Python ints, as positive integer multiples of
+the rational chain, so the last member of the chain of f is a multiple of
+gcd(f, f').  That is the one remainder sequence over the rationals: the
+smoothness report takes each chart's gcd with its derivative from it, and
+hands the chain of D(1, t) to root isolation instead of building it again.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import InternalCheckError, PrecondError, check
-from .fields import QQ, Field, Rationals
+from .fields import QQ, Field
 from .matrices import _trim
 
 
@@ -111,15 +111,7 @@ def monic(field: Field, a: Sequence[Any]) -> list:
 
 
 def gcd_poly(field: Field, a: Sequence[Any], b: Sequence[Any]) -> list:
-    """Monic gcd.  Over the rationals it comes from a primitive
-    pseudo-remainder sequence on integer coefficients (Brown and Traub, J.
-    ACM 18, 1971) and is returned with ``Fraction`` coefficients; over any
-    other field it is the Euclidean algorithm."""
-    if isinstance(field, Rationals):
-        a, b = _primitive_multiple(a), _primitive_multiple(b)
-        while b:
-            a, b = b, _primitive(_prem(a, b))
-        return [Fraction(c, a[-1]) for c in a] if a else []
+    """Monic gcd by the Euclidean algorithm, over any field."""
     a = trim(field, a)
     b = trim(field, b)
     while b:

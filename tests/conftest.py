@@ -1,8 +1,10 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+from qpencil.errors import PrecondError
 from qpencil.fields import QQ, PrimeField
 
 REPO = Path(__file__).resolve().parents[1]
@@ -21,3 +23,13 @@ def rng():
 
 def all_fields():
     return [QQ, F3, F5, F11]
+
+
+def refuses_at_once(fn, arg, bound, seconds=0.5):
+    """fn(arg) raises a PrecondError matching `bound` within `seconds`;
+    returns the error."""
+    start = time.perf_counter()
+    with pytest.raises(PrecondError, match=bound) as err:
+        fn(arg)
+    assert time.perf_counter() - start < seconds
+    return err.value

@@ -429,11 +429,14 @@ def _pencil_file(tmp_path, name, p, q0, q1):
     return str(path)
 
 
-def test_analyze_skips_only_the_named_scan_budgets(tmp_path):
+def test_analyze_skips_the_scans_over_budget(tmp_path):
     """With D = 0 every member is eliminated: over F_20011 that is
     (p + 1) 6^3 > ELIMINATION_LIMIT, so the scan is skipped, while over F_7
-    it runs.  Any other refusal still exits 2: over F_1009, Q1 = 0 makes the
-    member [0:1] zero, and its kernel P^5 exceeds POINT_SCAN_LIMIT."""
+    it runs.  A kernel scan over POINT_SCAN_LIMIT is skipped the same way:
+    over F_1009, Q1 = 0 makes the member [0:1] zero, and its kernel is P^5;
+    over F_40009, the member [1:0] of Q0 = x3^2 + x4^2 + x5^2 and
+    Q1 = x0 x3 + x1 x4 + x2 x5 has the kernel span(e0, e1, e2), on which both
+    forms vanish, so every fiber of its scan is flat."""
     cone = ([[i, i, 1] for i in range(1, 6)], [[i, i, i] for i in range(1, 6)])
     code, report, _, err = _run(["analyze", _pencil_file(tmp_path, "cone_big", 20011, *cone), "--json"])
     assert code == 0, err
@@ -443,10 +446,18 @@ def test_analyze_skips_only_the_named_scan_budgets(tmp_path):
     assert code == 0, err
     assert report.payload["singular_points"]["exhaustive"] is True
     assert report.payload["singular_points"]["count"] > 0
+    skipped = {"exhaustive": False, "skipped": "POINT_SCAN_LIMIT = 1000000000"}
     flat = ([[i, i, 1] for i in range(6)], [])
     code, report, _, err = _run(["analyze", _pencil_file(tmp_path, "flat", 1009, *flat), "--json"])
-    assert code == 2 and report is None
-    assert "POINT_SCAN_LIMIT" in err
+    assert code == 0, err
+    assert report.payload["singular_points"] == skipped
+    plane = ([[3, 3, 1], [4, 4, 1], [5, 5, 1]], [[0, 3, 1], [1, 4, 1], [2, 5, 1]])
+    start = time.perf_counter()
+    code, report, _, err = _run(["analyze", _pencil_file(tmp_path, "plane", 40009, *plane), "--json"])
+    assert time.perf_counter() - start < 1
+    assert code == 0, err
+    assert report.payload["smooth"] is False and report.payload["discriminant"]["degree"] == 6
+    assert report.payload["singular_points"] == skipped
 
 
 def test_main_defaults_openblas_to_one_thread(monkeypatch, capsys):
@@ -512,7 +523,7 @@ def test_classes_refuses_n_above_the_input_bound():
     argv = [sys.executable, "-m", "qpencil.cli", "classes", "--n", "40"]
     done = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
-    assert f"n <= {MAX_CLASSES_N}, got 40" in done.stderr
+    assert f"n: 40 over MAX_CLASSES_N = {MAX_CLASSES_N}" in done.stderr
     for n in (20, 40):
         start = time.perf_counter()
         code, report, _, _ = _run(["classes", "--n", str(n)])

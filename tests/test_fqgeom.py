@@ -8,13 +8,12 @@ import random
 import re
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
 
 from qpencil import cli
-from qpencil.errors import InternalCheckError, PrecondError
+from qpencil.errors import BudgetError, InternalCheckError, PrecondError
 from qpencil.fields import QQ, PrimeField, legendre
 from qpencil import fqgeom
 from qpencil.io import load_pencil
@@ -45,7 +44,7 @@ from qpencil.pencil import (
 )
 from qpencil.samples import random_pencil, random_symmetric
 
-from conftest import REPO
+from conftest import REPO, refuses_at_once
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -174,8 +173,8 @@ def test_common_zeros_match_the_scan_order_included():
 def test_common_zeros_refuse_over_the_scan_budget_at_once():
     # |P^4(F_1009)| = 1.04e12 canonical y, over POINT_SCAN_LIMIT before any work
     fld = PrimeField(1009)
-    _refuses_at_once(enumerate_lines, diagonal_pencil(fld, 5), "POINT_SCAN_LIMIT", 1.0)
-    _refuses_at_once(points_on_pencil, diagonal_pencil(fld, 5), "POINT_SCAN_LIMIT", 1.0)
+    refuses_at_once(enumerate_lines, diagonal_pencil(fld, 5), "POINT_SCAN_LIMIT", 1.0)
+    refuses_at_once(points_on_pencil, diagonal_pencil(fld, 5), "POINT_SCAN_LIMIT", 1.0)
 
 
 def test_flat_fibers_are_refused_before_they_are_expanded():
@@ -185,7 +184,7 @@ def test_flat_fibers_are_refused_before_they_are_expanded():
     assert (p + 1) ** 2 > POINT_SCAN_LIMIT >= p + 1
     fld = PrimeField(p)
     cone = Pencil(fld, 2, SymMatrix.diagonal(fld, [1, 1, 1]), SymMatrix.diagonal(fld, [0, 0, 0]))
-    _refuses_at_once(points_on_pencil, cone, "every fiber flat", 1.0)
+    refuses_at_once(points_on_pencil, cone, "every fiber flat", 1.0)
 
 
 def test_flat_fibers_of_each_slice_are_counted_before_expansion(monkeypatch):
@@ -199,8 +198,9 @@ def test_flat_fibers_of_each_slice_are_counted_before_expansion(monkeypatch):
     expected = _scan_common_zeros(7, 4, [g0, g1])
     assert len(expected) == 57  # the plane x0 = 0
     monkeypatch.setattr(fqgeom, "POINT_SCAN_LIMIT", visited - 1)
-    with pytest.raises(PrecondError, match="the flat fibers"):
+    with pytest.raises(BudgetError, match="the flat fibers") as err:
         _common_zeros(7, 4, [g0, g1])
+    assert err.value.bound == f"POINT_SCAN_LIMIT = {visited - 1}"
     monkeypatch.setattr(fqgeom, "POINT_SCAN_LIMIT", visited)
     assert np.array_equal(_common_zeros(7, 4, [g0, g1]), expected)
 
@@ -216,7 +216,7 @@ def test_line_finder_refuses_over_the_pair_budget_before_the_pair_test():
     lead = (zeros != 0).argmax(axis=1)
     pairs = sum(int((lead == l).sum()) * int((lead > l).sum()) for l in range(9))
     assert pairs > PAIR_TEST_LIMIT
-    _refuses_at_once(enumerate_lines, cone, "PAIR_TEST_LIMIT", 1.0)
+    refuses_at_once(enumerate_lines, cone, "PAIR_TEST_LIMIT", 1.0)
 
 
 def test_torsor_check_at_q23_stays_under_200_mb():
@@ -519,6 +519,27 @@ def test_two_dimensional_kernels_need_no_scan_bound():
     assert sing == [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
 
 
+def test_singular_points_decide_a_shared_kernel_once(monkeypatch):
+    """Q0 and Q1 have zero first and second rows and columns, so D vanishes
+    identically and every member's kernel holds span(e0, e1); over F_101 the
+    4x4 blocks form a pencil with no singular member, so each of the 102
+    members has exactly that kernel.  It is decided once, by one binary
+    quadratic, and its 102 points are the whole singular locus."""
+    p = 101
+    fld = PrimeField(p)
+    rng = random.Random("shared kernel/4")
+    grams = [[[0] * 6, [0] * 6] + [[0, 0, *row] for row in random_symmetric(fld, 4, rng).to_lists()] for _ in range(2)]
+    pencil = _pencil_of(fld, 5, grams)
+    assert _discriminant_or_none(pencil) is None
+    assert all(rank(fld, pencil.member(a, b).to_lists()) == 4 for a, b in [(1, t) for t in range(p)] + [(0, 1)])
+    calls = []
+    real = fqgeom._line_zeros
+    monkeypatch.setattr(fqgeom, "_line_zeros", lambda *args: calls.append(args[2:]) or real(*args))
+    line = [(1, t, 0, 0, 0, 0) for t in range(p)] + [(0, 1, 0, 0, 0, 0)]
+    assert singular_points(pencil) == line
+    assert calls == [([1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0])]
+
+
 def _cone_over_curve(fld, rng):
     """The cone in P^4 over a smooth curve in P^3, with vertex (1:0:0:0:0)."""
     curve = random_pencil(fld, 3, rng)
@@ -536,23 +557,16 @@ def test_singular_at_agrees_with_the_singular_point_scan(q):
         assert by_point
 
 
-def _refuses_at_once(fn, pencil, bound, seconds=0.5):
-    start = time.perf_counter()
-    with pytest.raises(PrecondError, match=bound):
-        fn(pencil)
-    assert time.perf_counter() - start < seconds
-
-
 @pytest.mark.parametrize("fn", [count_points, singular_points])
 def test_member_routes_refuse_over_their_budgets_before_work(fn):
     # q + 1 members over MEMBER_LIMIT
     big = PrimeField(10**9 + 7)
-    _refuses_at_once(fn, diagonal_pencil(big, 5), re.escape("MEMBER_LIMIT = 1000000"))
+    refuses_at_once(fn, diagonal_pencil(big, 5), re.escape("MEMBER_LIMIT = 1000000"))
     # D vanishes identically: each of the q + 1 members would be eliminated
     p = 20011
     assert (p + 1) * 6**3 > ELIMINATION_LIMIT and p + 1 <= MEMBER_LIMIT
     cone = _pencil_of(PrimeField(p), 5, [[[0] * 6] + [[0] + [int(i == j) for j in range(5)] for i in range(5)]] * 2)
-    _refuses_at_once(fn, cone, re.escape("ELIMINATION_LIMIT = 4000000"))
+    refuses_at_once(fn, cone, re.escape("ELIMINATION_LIMIT = 4000000"))
 
 
 def test_singular_points_refuse_kernels_over_the_scan_budget():
@@ -561,7 +575,7 @@ def test_singular_points_refuse_kernels_over_the_scan_budget():
     fld = PrimeField(1009)
     pencil = Pencil(fld, 3, SymMatrix.diagonal(fld, [1, 1, 1, 1]), SymMatrix.diagonal(fld, [0] * 4))
     assert (1009**4 - 1) // 1008 > POINT_SCAN_LIMIT
-    _refuses_at_once(singular_points, pencil, "POINT_SCAN_LIMIT")
+    refuses_at_once(singular_points, pencil, "POINT_SCAN_LIMIT")
     # X is the quadric surface sum x_i^2 = 0 of discriminant 1, split: (q + 1)^2 points
     assert count_points(pencil) == 1010**2
 

@@ -77,7 +77,7 @@ def test_parse_pencil_top_level_shape():
 @pytest.mark.parametrize("n", [MAX_N + 1, 10**12])
 def test_parse_pencil_bounds_n_before_allocating(n):
     start = time.perf_counter()
-    with pytest.raises(PrecondError, match=f"at most {MAX_N}"):
+    with pytest.raises(PrecondError, match=f"over MAX_N = {MAX_N}"):
         parse_pencil(dict(GOOD_DOC, n=n))
     assert time.perf_counter() - start < 0.5
     assert parse_pencil(dict(GOOD_DOC, n=MAX_N)).g0.size == MAX_N + 1

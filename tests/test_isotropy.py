@@ -102,7 +102,7 @@ def test_shortcut_verdicts_match_the_exhaustive_scan(q):
 
 def test_witness_scan_budget():
     g = SymMatrix.diagonal(PrimeField(101), [1, 1, 1, 1])
-    with pytest.raises(PrecondError, match="out of bounds"):
+    with pytest.raises(PrecondError, match="WITNESS_SCAN_LIMIT"):
         isotropic_witness(g, PrimeField(101))
 
 

@@ -53,7 +53,7 @@ def test_permutation_factor():
 
 def test_group_closure_guards():
     unipotent = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(PrecondError, match="infinite"):
+    with pytest.raises(PrecondError, match="CLOSURE_GUARD"):
         group_closure([unipotent])
     with pytest.raises(PrecondError, match="invertible"):
         group_closure([[[2, 0, 0], [0, 1, 0], [0, 0, 1]]])

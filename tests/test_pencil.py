@@ -282,6 +282,57 @@ def test_one_chart_squarefree_test_matches_both_gcds(field):
         assert form.is_squarefree() == (len(ga) == 1 and len(gb) == 1), (trial, c)
 
 
+def _euclid_gcd_with_derivative(c):
+    """Reference: the monic gcd of a rational polynomial (ascending
+    coefficients) with its derivative, by Euclid's algorithm on Fractions."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p = p[:-1]
+        return p
+
+    a = trim([Fraction(x) for x in c])
+    b = trim([i * x for i, x in enumerate(a)][1:])
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            factor, shift = r[-1] / b[-1], len(r) - len(b)
+            for i, y in enumerate(b):
+                r[shift + i] -= factor * y
+            r = trim(r)
+        a, b = b, r
+    return [x / a[-1] for x in a]
+
+
+def test_rational_chart_gcds_come_from_sturm_chains(monkeypatch):
+    """Over the rationals both chart gcds are read off Sturm chains, with no
+    second remainder sequence: on seeded forms, a third with a repeated
+    finite root and half with a double root at [1:0] (c_0 = c_1 = 0), so
+    that the F(t, 1) gcd is taken, each agrees with Euclid's algorithm."""
+
+    def refuse(*args):
+        raise AssertionError("gcd_poly over the rationals")
+
+    monkeypatch.setattr(uv, "gcd_poly", refuse)
+    rng = random.Random("rational chart gcds")
+    other_chart = 0
+    for trial in range(120):
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(trial % 4 + 2)]
+        if trial % 3 == 0:
+            r = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            c = uv.mul(QQ, c, [r * r, -2 * r, Fraction(1)])
+        if trial % 2:
+            c = [Fraction(0), Fraction(0), *c]
+        form = BinaryForm(QQ, tuple(c))
+        if form.is_zero:
+            continue
+        a, b = form.chart_main(), form.chart_other()
+        ga, gb = form.chart_gcds()
+        assert [ga, gb] == [_euclid_gcd_with_derivative(a), _euclid_gcd_with_derivative(b)], (trial, c)
+        other_chart += len(ga) > 1 or len(a) < form.degree
+    assert other_chart >= 60
+
+
 def _rational_battery(rng):
     """Pencils over Q with n = 2..12, each (n, kind) once: integral Grams,
     for odd n with a zero (0, 0) entry in both (Δ_1 = 0, so the

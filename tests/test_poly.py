@@ -52,7 +52,7 @@ def test_zero_and_equality():
     assert one + z == one
 
 
-def test_evaluate_matches_subs():
+def test_evaluate():
     x = Poly.variable(QQ, VARS, "x")
     y = Poly.variable(QQ, VARS, "y")
     f = x * x + 2 * y - 1
@@ -60,8 +60,6 @@ def test_evaluate_matches_subs():
 
     vals = [Fraction(3), Fraction(-2), Fraction(7)]
     assert f.evaluate(vals) == 9 - 4 - 1
-    g = f.subs({"x": Poly.const(QQ, VARS, Fraction(3))})
-    assert g.evaluate(vals) == f.evaluate(vals)
 
 
 def test_bihomogeneous_zero_poly():
@@ -87,14 +85,11 @@ def test_univariate_extraction():
         (f + y).univariate_in("x")
 
 
-def test_total_degree_and_homogeneous():
+def test_total_degree():
     x = Poly.variable(QQ, VARS, "x")
     y = Poly.variable(QQ, VARS, "y")
     f = x * x * y - y * y * y
     assert f.total_degree() == 3
-    assert f.is_homogeneous()
-    assert f.is_homogeneous(3)
-    assert not (f + x).is_homogeneous()
 
 
 def test_variable_name_checked():

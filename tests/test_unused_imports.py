@@ -1,13 +1,14 @@
 """Lint steps: every name a library module imports is referenced in it,
 every module-level private function is referenced somewhere in the package,
 only `fields` decides which input values are exact, only `io` imports json,
-only `errors` words a failed check, and the CLI imports at module level only
-what every subcommand runs.
+only `errors` words a failed check, only `errors` words a refused budget,
+and the CLI imports at module level only what every subcommand runs.
 
 The package `__init__.py` is checked like any module: it re-exports nothing.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -145,6 +146,45 @@ def test_only_errors_words_a_failed_check():
         or any(kw.arg is None for kw in node.keywords)
     ]
     assert len(calls) > 50 and not worded, f"identity not a constant, or values not keywords: {worded}"
+
+
+_BOUND_NAME = re.compile(r"[A-Z][A-Z0-9_]*_(LIMIT|GUARD)|MAX_[A-Z0-9_]+")
+
+
+def test_only_errors_words_a_refused_budget():
+    """Every module-level constant named *_LIMIT, *_GUARD or MAX_* is a
+    budget, and is read only as the one keyword of an `errors.within` call,
+    ``within(what, needed, NAME=NAME)``, so errors.py alone compares it and
+    words the refusal, and a caller never re-derives a callee's bound."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
+    bounds = {
+        target.id
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and _BOUND_NAME.fullmatch(target.id)
+    }
+    calls, misused = 0, []
+    for name, tree in sorted(trees.items()):
+        allowed = set()
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == "within":
+                calls += 1
+                kws = node.keywords
+                if len(kws) == 1 and isinstance(kws[0].value, ast.Name) and kws[0].value.id == kws[0].arg in bounds:
+                    allowed.add(id(kws[0].value))
+                else:
+                    misused.append(f"{name}:{node.lineno} within without one NAME=NAME bound")
+        misused += [
+            f"{name}:{node.lineno} {node.id if isinstance(node, ast.Name) else node.attr}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bounds)
+            or (isinstance(node, ast.Attribute) and node.attr in bounds)
+            if id(node) not in allowed
+        ]
+    assert len(bounds) >= 10 and calls >= 15 and not misused, f"budgets read outside errors.within: {misused}"
 
 
 def _module_level_imports(path: Path) -> set[str]:
