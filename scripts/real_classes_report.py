@@ -11,7 +11,7 @@ and the known topological type of the real locus where one is on record.
 
 import argparse
 
-from qpencil.circle import enumerate_classes, real_verdict, signature_walk
+from qpencil.classes import enumerate_classes, real_verdict, signature_walk
 
 
 def report(n: int) -> None:

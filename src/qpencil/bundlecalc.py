@@ -6,7 +6,6 @@ singular-fiber count of the degree-6 fibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Any, Sequence
 
@@ -14,6 +13,7 @@ from .errors import InternalCheckError, PrecondError, check
 from .fields import QQ, Field, parse_at
 from .matrices import SymMatrix
 from .poly import Poly
+from .records import record
 
 HPT_VARS = ("y1", "z1", "y2", "z2")
 _GROUP1 = ("y1", "z1")
@@ -53,7 +53,7 @@ def secant_multiplicity(d: int, g: int) -> int:
     return num // d
 
 
-@dataclass(frozen=True)
+@record
 class BundleParameterCounts:
     family: int
     generic: int
@@ -85,7 +85,7 @@ def bundle_parameter_counts(d: int) -> BundleParameterCounts:
     )
 
 
-@dataclass(frozen=True)
+@record
 class BundleMatrix:
     """A symmetric 4x4 matrix of bihomogeneous polynomials together with the
     declared bidegree of every entry; the declaration is enforced."""
@@ -112,7 +112,7 @@ def bidkey(b: tuple[int, int]) -> tuple[int, int]:
     return (int(b[0]), int(b[1]))
 
 
-@dataclass(frozen=True)
+@record
 class FiberTangency:
     """Tangency of the degeneracy curve {g = 0} along one coordinate fiber.
 
@@ -129,7 +129,7 @@ class FiberTangency:
     tangent: bool
 
 
-@dataclass(frozen=True)
+@record
 class HptReport:
     """Outcome of the specialization-matrix check.
 

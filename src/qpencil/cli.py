@@ -67,7 +67,8 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, str | None]:
         }
     payload["singular_points"] = _singular_scan(pencil, rep)
     if pencil.field.characteristic == 0 and rep.smooth:
-        from .circle import pencil_decomposition, real_verdict
+        from .circle import pencil_decomposition
+        from .classes import real_verdict
 
         dec = pencil_decomposition(pencil, rep)
         payload["isotopy_class"] = {"parts": dec.parts, "label": dec.label()}
@@ -129,7 +130,7 @@ def _cmd_lines(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> tuple[dict, str | None]:
-    from .fqgeom import _genus2_cover
+    from .curvecounts import _genus2_cover
 
     pencil, digest = io.load_pencil(args.file)
     data = _genus2_cover(_over_q(pencil, args.q), "the zeta report")
@@ -317,7 +318,7 @@ def _cmd_hpt(args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _cmd_classes(args: argparse.Namespace) -> tuple[dict, str | None]:
-    from .circle import enumerate_classes, real_line_exists, real_verdict
+    from .classes import enumerate_classes, real_line_exists, real_verdict
 
     n = args.n
     decs = enumerate_classes(n)
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="JSON file: 3x3 coefficient grid of the (2,2) form")
 
     p = add("classes", "enumerate the isotopy classes of smooth pencils in P^n(R)")
-    p.add_argument("--n", type=int, required=True, help="projective dimension, 2 <= n <= circle.MAX_CLASSES_N")
+    p.add_argument("--n", type=int, required=True, help="projective dimension, 2 <= n <= classes.MAX_CLASSES_N")
 
     return ap
 

@@ -12,24 +12,30 @@ L(T) = 1 - e1 T + e2 T^2 - q e1 T^3 + q^2 T^4.  The order of the Jacobian
 over F_q is L(1); the tests calibrate it against a brute-force order from
 Mumford pairs on degree-5 models.  Both counts use F_q arithmetic
 alone: N2 is read off the norms f(a) f(a') at conjugate pairs of F_{q^2}
-(see `curve_counts`), so no extension field is built.
+(see `curve_counts`), so no extension field is built.  `_genus2_cover`
+gives the counting data of the cover y^2 = (signed discriminant)(1, t) of a
+smooth threefold pencil, for both `zeta` and the torsor comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import univariate as uv
 from .errors import InternalCheckError, PrecondError, check, within
 from .fields import PrimeField, legendre
+from .pencil import _require_prime, _signed_discriminant, smoothness
+from .records import record
+
+if TYPE_CHECKING:
+    from .pencil import Pencil
 
 # N2 takes about q^2/2 resultants: 0.2 s at q = 307, and 2.4 s at q = 997,
 # the largest prime within the bound (2-core Intel Xeon, CPython 3.11.7)
 CURVE_Q_LIMIT = 1000
 
 
-@dataclass(frozen=True)
+@record
 class CurveData:
     """Counting data of y^2 = f(t) over F_q."""
 
@@ -121,3 +127,17 @@ def curve_data(f: Sequence[int], q: int) -> CurveData:
     lp = lpolynomial(n1, n2, q)
     weil_check(lp, q)
     return CurveData(q, tuple(c % q for c in f), n1, n2, lp)
+
+
+def _genus2_cover(pencil: Pencil, what: str) -> CurveData:
+    """Counting data of the genus-2 cover y² = c(t) of a smooth threefold
+    pencil over F_q, where c = (signed discriminant)(1, t); `what` names the
+    caller in the precondition errors."""
+    q = _require_prime(pencil)
+    if pencil.n != 5:
+        raise PrecondError(f"{what} needs a threefold pencil (n = 5)")
+    rep = smoothness(pencil)
+    if not rep.smooth:
+        raise PrecondError(f"{what} needs a smooth base locus")
+    cover = _signed_discriminant(rep.discriminant, pencil.n + 1)
+    return curve_data([int(c) for c in cover.chart_main()], q)

@@ -11,11 +11,11 @@ through the norm (see ``curvecounts``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
 from .errors import PrecondError
+from .records import record
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
@@ -123,7 +123,7 @@ def sqrt_mod(a: int, p: int) -> int:
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
+@record
 class Rationals:
     """The field of rational numbers; elements are ``Fraction`` values."""
 
@@ -176,7 +176,7 @@ class Rationals:
         return "QQ"
 
 
-@dataclass(frozen=True)
+@record
 class PrimeField:
     """F_p for an odd prime p; elements are ints in ``range(p)``."""
 

@@ -22,15 +22,15 @@ results come out in a fixed order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .curvecounts import CurveData, curve_data
+from .curvecounts import _genus2_cover
 from .errors import InternalCheckError, PrecondError, check, within
-from .fields import PrimeField, legendre, sqrt_mod
+from .fields import legendre, sqrt_mod
 from .linalg import dependent, nullspace, rref
 from .matrices import SymMatrix, det_poly
-from .pencil import Pencil, _discriminant_or_none, _signed_discriminant, smoothness
+from .pencil import Pencil, _discriminant_or_none, _require_prime
+from .records import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -399,12 +399,6 @@ def _kernel_zeros(pencil: Pencil, basis: list[list[int]]) -> Iterator[tuple[int,
     return map(tuple, (_common_zeros(p, len(basis), grams) @ b % p).tolist())
 
 
-def _require_prime(pencil: Pencil) -> int:
-    if not isinstance(pencil.field, PrimeField):
-        raise PrecondError("F_q geometry needs a prime-field pencil")
-    return pencil.field.p
-
-
 # ----------------------------------------------------------------------
 # lines
 # ----------------------------------------------------------------------
@@ -458,7 +452,7 @@ def enumerate_lines(pencil: Pencil) -> list[tuple[tuple[int, ...], tuple[int, ..
     return list(zip(map(tuple, pts[a[order]].tolist()), map(tuple, pts[b[order]].tolist())))
 
 
-@dataclass(frozen=True)
+@record
 class TorsorReport:
     """Two independent computations of one cardinality: lines on the base
     locus by exhaustive enumeration, and the order of the Jacobian of the
@@ -494,17 +488,3 @@ def torsor_check(pencil: Pencil) -> TorsorReport:
         curve_counts=(data.n1, data.n2),
         lpoly=data.lpoly,
     )
-
-
-def _genus2_cover(pencil: Pencil, what: str) -> CurveData:
-    """Counting data of the genus-2 cover y² = c(t) of a smooth threefold
-    pencil over F_q, where c = (signed discriminant)(1, t); `what` names the
-    caller in the precondition errors."""
-    q = _require_prime(pencil)
-    if pencil.n != 5:
-        raise PrecondError(f"{what} needs a threefold pencil (n = 5)")
-    rep = smoothness(pencil)
-    if not rep.smooth:
-        raise PrecondError(f"{what} needs a smooth base locus")
-    cover = _signed_discriminant(rep.discriminant, pencil.n + 1)
-    return curve_data([int(c) for c in cover.chart_main()], q)

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from .errors import InternalCheckError, PrecondError, within
 from .fields import QQ, Field, PrimeField, Rationals, exact_int
+from .records import record
 
 if TYPE_CHECKING:
     from .pencil import Pencil
@@ -153,7 +153,7 @@ def jsonable(value: Any) -> Any:
     raise InternalCheckError("every report value has a writer rule", type=type(value).__name__)
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     """Envelope for one CLI invocation: command echo, input hash, and the
     payload as a JSON value (the output of `jsonable`).

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -19,6 +18,7 @@ from .fields import PrimeField
 from .fqgeom import _gram_array, _quadric_values
 from .linalg import rank
 from .matrices import SymMatrix, inertia
+from .records import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,7 +98,7 @@ def isotropic_witness(form: SymMatrix, field: PrimeField) -> tuple[int, ...] | N
     return None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AmerReport:
     """Witness data from one run of the polynomial-solution harness.
 

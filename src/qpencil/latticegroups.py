@@ -7,12 +7,12 @@ symmetry group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, PrecondError, check, within
 from .fields import exact_int
+from .records import record
 
 Mat = tuple[tuple[int, int, int], ...]
 
@@ -39,9 +39,14 @@ def mat_from(rows: Sequence[Sequence[int]]) -> Mat:
 
 
 def mmul(x: Mat, y: Mat) -> Mat:
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )  # type: ignore[return-value]
+    # unrolled: the closures and conjugacy tests make most of their products here
+    (a, b, c), (d, e, f), (g, h, i) = x
+    (p, q, r), (s, t, u), (v, w, z) = y
+    return (
+        (a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * z),
+        (d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * z),
+        (g * p + h * s + i * v, g * q + h * t + i * w, g * r + h * u + i * z),
+    )
 
 
 def mdet(x: Mat) -> int:
@@ -67,7 +72,7 @@ def minv(x: Mat) -> Mat:
     return tuple(tuple(c * d for c in row) for row in cof)  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrixGroup:
     """A finite group of 3x3 integer matrices, stored as its full element
     list in a deterministic order."""
@@ -214,7 +219,7 @@ def klein_subgroups(g: IntMatrixGroup) -> list[tuple[Mat, ...]]:
     return sorted(found)
 
 
-@dataclass(frozen=True)
+@record
 class TorusVerdict:
     """Rationality verdict for the torus with this symmetry group.
 

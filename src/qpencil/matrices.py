@@ -23,15 +23,15 @@ rationals, for Jacobi's signature rule).  No eigenvalues, no floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import InternalCheckError, PrecondError
 from .fields import Field, PrimeField, Rationals
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class SymMatrix:
     """An immutable symmetric matrix; entries are field elements or Polys."""
 

@@ -13,15 +13,17 @@ derivative, and of F(t, 1) only when the first chart does not settle it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from . import univariate as uv
 from .errors import PrecondError
 from .fields import QQ, Field, PrimeField, parse_at
 from .linalg import dependent, mat_vec
 from .matrices import SymMatrix, congruent, det_poly
-from .poly import Poly
+from .records import record
+
+if TYPE_CHECKING:
+    from .poly import Poly
 
 
 def _gcd_with_derivative(field: Field, c: list, chain: Sequence[Sequence[int]] | None = None) -> list:
@@ -35,7 +37,7 @@ def _gcd_with_derivative(field: Field, c: list, chain: Sequence[Sequence[int]] |
     return uv.gcd_poly(field, c, uv.derivative(field, c))
 
 
-@dataclass(frozen=True)
+@record
 class BinaryForm:
     """A binary form sum_i c_i s0^(d-i) s1^i, stored as coeffs (c_0..c_d)."""
 
@@ -103,7 +105,7 @@ class BinaryForm:
         return dependent(self.field, self.coeffs, other.coeffs)
 
 
-@dataclass(frozen=True)
+@record
 class Pencil:
     """Two quadratic forms in n+1 variables given by symmetric Gram matrices."""
 
@@ -214,7 +216,11 @@ def _discriminant_or_none(p: Pencil, minors: bool = False):
 
 def _quadric_poly(field: Field, gram: Sequence[Sequence[Any]], vars_: tuple[str, ...]) -> Poly:
     """x^T G x as a polynomial in `vars_`: the Gram entry G[i][j] with i < j
-    is half the coefficient of x_i x_j, so that coefficient is 2 G[i][j]."""
+    is half the coefficient of x_i x_j, so that coefficient is 2 G[i][j].
+    Only the projections and the toric census build the forms as
+    polynomials, so `poly` is imported here, not by every pencil user."""
+    from .poly import Poly
+
     m = len(vars_)
     two = field.from_int(2)
     terms: dict[tuple[int, ...], Any] = {}
@@ -253,7 +259,7 @@ def _gram_from_terms(field: Field, n: int, terms: Iterable[tuple[int, int, Any]]
     return SymMatrix.from_rows(g)
 
 
-@dataclass(frozen=True)
+@record
 class SmoothnessReport:
     smooth: bool
     # det(s0 G0 + s1 G1), or None when it vanishes identically
@@ -341,6 +347,12 @@ def _signed_discriminant(form: BinaryForm, m: int) -> BinaryForm:
         return form
     fld = form.field
     return BinaryForm(fld, tuple(fld.neg(c) for c in form.coeffs))
+
+
+def _require_prime(pencil: Pencil) -> int:
+    if not isinstance(pencil.field, PrimeField):
+        raise PrecondError("F_q geometry needs a prime-field pencil")
+    return pencil.field.p
 
 
 def is_smooth(p: Pencil) -> bool:

@@ -8,7 +8,6 @@ field, together with enough auxiliary data to verify them pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .curvecounts import curve_counts
@@ -18,9 +17,10 @@ from .linalg import complete_basis, dependent, det, mat_mul, mat_vec, nullspace,
 from .matrices import SymMatrix, congruent, det_poly
 from .pencil import BinaryForm, Pencil, _quadric_poly, pencil_congruent
 from .poly import Poly
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class RationalMap:
     """Components of a rational map between projective spaces, all living in
     a polynomial ring over ``source_vars``."""
@@ -50,7 +50,7 @@ class RationalMap:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LineProjection:
     """Projection of the base locus away from one of its lines.
 
@@ -222,7 +222,7 @@ def residual_line(pencil: Pencil, plane_rows: Sequence[Sequence[Any]]) -> tuple[
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DoubleProjection:
     """Double projection of a threefold base locus from a smooth point.
 

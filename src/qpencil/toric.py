@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalCheckError, PrecondError, check
@@ -21,6 +20,7 @@ from .fields import QQ, Field, PrimeField
 from .fqgeom import enumerate_lines, singular_points
 from .pencil import toric_pencil
 from .poly import Poly
+from .records import record
 
 BLOCKS = ((0, 1), (2, 3), (4, 5))
 
@@ -95,7 +95,7 @@ def _block_of(i: int) -> int:
     return i // 2
 
 
-@dataclass(frozen=True)
+@record
 class ToricLineCensus:
     q: int
     total: int
@@ -200,7 +200,7 @@ def dp6_point_count(q: int) -> int:
     return q * q + 4 * q + 1
 
 
-@dataclass(frozen=True)
+@record
 class ComponentBookkeeping:
     """The twelve components of the scheme of lines on the toric base locus:
     eight (dual) planes of degree 1 and four sextic del Pezzo surfaces of

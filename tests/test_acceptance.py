@@ -19,11 +19,11 @@ from qpencil.bundlecalc import (
     secant_degrees,
     secant_multiplicity,
 )
-from qpencil.circle import (
+from qpencil.circle import index_circle
+from qpencil.classes import (
     OddDecomposition,
     canonical_parts,
     enumerate_classes,
-    index_circle,
     real_line_exists,
     real_verdict,
 )

@@ -1,6 +1,5 @@
 """Index circles, odd decompositions, and real rationality verdicts."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,14 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpencil import circle as circle_mod, io, univariate as uv
-from qpencil.circle import (
-    IndexCircle,
+from qpencil.circle import IndexCircle, decomposition, index_circle, pencil_decomposition
+from qpencil.classes import (
     OddDecomposition,
     canonical_parts,
-    decomposition,
     enumerate_classes,
-    index_circle,
-    pencil_decomposition,
     real_line_exists,
     real_verdict,
     signature_walk,
@@ -23,7 +19,14 @@ from qpencil.circle import (
 from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ
 from qpencil.matrices import _integer_grams, signature_pair
-from qpencil.pencil import Pencil, diagonal_pencil, pencil_congruent, pencil_recombined, smoothness
+from qpencil.pencil import (
+    Pencil,
+    SmoothnessReport,
+    diagonal_pencil,
+    pencil_congruent,
+    pencil_recombined,
+    smoothness,
+)
 
 from conftest import INPUTS
 
@@ -323,7 +326,9 @@ def test_a_planted_wrong_minor_is_caught_against_elimination():
     rep = smoothness(p)
     minors = list(rep.minors)
     minors[1] = [-c for c in minors[1]]
-    wrong = dataclasses.replace(rep, minors=tuple(minors))
+    wrong = SmoothnessReport(
+        rep.smooth, rep.discriminant, rep.chart_main_gcd, rep.chart_other_gcd, minors=tuple(minors), chain=rep.chain
+    )
     t0 = _samples(rep)[0]  # below every root, where Δ_1, Δ_3 > 0 > Δ_2
     plus = circle_mod._jacobi_signature(wrong.minors, t0)
     minus = _plus_elimination(p, t0)[::-1]

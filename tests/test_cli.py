@@ -20,7 +20,7 @@ import pytest
 
 from qpencil import cli
 from qpencil import pencil as pencil_mod
-from qpencil.circle import MAX_CLASSES_N, enumerate_classes
+from qpencil.classes import MAX_CLASSES_N, enumerate_classes
 from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.io import MAX_N, Report
 from qpencil.matrices import det_poly
@@ -323,7 +323,9 @@ def test_zeta_needs_a_threefold(monkeypatch, tmp_path):
     assert code == 2
 
 
-_NO_PENCIL_WORK = ("qpencil.pencil", "qpencil.circle", "qpencil.fqgeom", "qpencil.poly", "numpy")
+# records are made by qpencil.records, so no subcommand builds dataclasses
+_NO_CODEGEN = ("dataclasses", "inspect")
+_NO_PENCIL_WORK = ("qpencil.pencil", "qpencil.circle", "qpencil.fqgeom", "qpencil.poly", "numpy", *_NO_CODEGEN)
 _NO_FQ_WORK = (
     "qpencil.fqgeom",
     "qpencil.projections",
@@ -331,7 +333,9 @@ _NO_FQ_WORK = (
     "qpencil.bundlecalc",
     "qpencil.latticegroups",
     "numpy",
+    *_NO_CODEGEN,
 )
+_NO_POLY = ("qpencil.poly",)
 
 
 @pytest.mark.parametrize(
@@ -340,17 +344,33 @@ _NO_FQ_WORK = (
         (["torus", "--generators", "inputs/full_group.json"], (), _NO_PENCIL_WORK),
         # hpt reads its (2,2) form as a Poly
         (["hpt", "--g", "inputs/g_tangent.json"], (), tuple(m for m in _NO_PENCIL_WORK if m != "qpencil.poly")),
-        (["classes", "--n", "5"], (), _NO_FQ_WORK),
-        (["analyze", "inputs/diagonal.json"], (), _NO_FQ_WORK),
-        (["zeta", "inputs/smooth_f3.json"], (), ("qpencil.circle", "qpencil.projections", "numpy")),
-        (["analyze", "inputs/smooth_f3.json"], ("qpencil.fqgeom", "qpencil.isotropy"), ("numpy",)),
+        # the class combinatorics live in qpencil.classes, which needs no pencil
+        (
+            ["classes", "--n", "5"],
+            (),
+            _NO_FQ_WORK + ("qpencil.pencil", "qpencil.matrices", "qpencil.univariate", *_NO_POLY),
+        ),
+        (["analyze", "inputs/diagonal.json"], (), _NO_FQ_WORK + _NO_POLY),
+        # the genus-2 cover lives in qpencil.curvecounts
+        (
+            ["zeta", "inputs/smooth_f3.json"],
+            (),
+            ("qpencil.circle", "qpencil.projections", "qpencil.fqgeom", "numpy", *_NO_CODEGEN),
+        ),
+        (
+            ["analyze", "inputs/smooth_f3.json"],
+            ("qpencil.fqgeom", "qpencil.isotropy"),
+            ("numpy", *_NO_POLY, *_NO_CODEGEN),
+        ),
     ],
     ids=["torus", "hpt", "classes", "analyze-diagonal", "zeta-smooth-f3", "analyze-smooth-f3"],
 )
 def test_subcommand_loads_only_the_modules_it_runs(argv, preload, absent):
     """A fresh interpreter that runs one subcommand loads none of the modules
     that subcommand does not run: each handler imports its library modules
-    when it runs, and the package root re-exports nothing.  numpy is
+    when it runs, and the package root re-exports nothing.  No subcommand
+    imports dataclasses or inspect, and a pencil builds its forms as
+    polynomials only when asked, so analyze loads no qpencil.poly.  numpy is
     imported only by the finite-field scans that use it, so importing both
     numpy users does not load it, nor does an analyze of a smooth pencil over
     F_3, whose smoothness certificate rules out singular points.  hashlib is
@@ -518,7 +538,7 @@ def test_double_project_above_the_curve_bound_keeps_the_exact_identity(tmp_path)
 def test_classes_refuses_n_above_the_input_bound():
     """`classes --n 40` enumerated about 2^40 compositions, and the work grows
     about 4x per step of 2 in n (n = 20 took about 7 s); n above
-    circle.MAX_CLASSES_N = 18 now exits 2 at once."""
+    classes.MAX_CLASSES_N = 18 now exits 2 at once."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     argv = [sys.executable, "-m", "qpencil.cli", "classes", "--n", "40"]
     done = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=60)

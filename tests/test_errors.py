@@ -12,7 +12,7 @@ import pytest
 
 import qpencil
 from qpencil import fqgeom
-from qpencil.circle import enumerate_classes
+from qpencil.classes import enumerate_classes
 from qpencil.curvecounts import curve_counts
 from qpencil.errors import BudgetError, InternalCheckError, PrecondError, check, within
 from qpencil.fields import PrimeField

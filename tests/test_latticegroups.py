@@ -34,6 +34,15 @@ def test_generator_relations():
     assert element_order(IDENTITY) == 1
 
 
+def test_mmul_is_the_row_by_column_product():
+    """The unrolled product agrees with the sum over k of x[i][k] y[k][j]."""
+    rng = random.Random(25)
+    for _ in range(200):
+        x, y = (tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3)) for _ in range(2))
+        expected = tuple(tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3)) for i in range(3))
+        assert mmul(x, y) == expected
+
+
 def test_full_group_structure():
     g = lattice_symmetry_group()
     assert g.order == 48

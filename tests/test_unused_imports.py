@@ -2,7 +2,8 @@
 every module-level private function is referenced somewhere in the package,
 only `fields` decides which input values are exact, only `io` imports json,
 only `errors` words a failed check, only `errors` words a refused budget,
-and the CLI imports at module level only what every subcommand runs.
+the CLI imports at module level only what every subcommand runs, and no
+module imports `dataclasses` (records come from `qpencil.records`).
 
 The package `__init__.py` is checked like any module: it re-exports nothing.
 """
@@ -116,6 +117,19 @@ def test_only_io_imports_json():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
     ]
     assert not found, f"json imported outside io.py: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    """Every record class is made by `qpencil.records`; importing dataclasses
+    (and through it inspect) would cost every `qpencil` process at start-up."""
+    found = [
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert not found, f"dataclasses imported in: {found}"
 
 
 def _check_calls(tree: ast.Module) -> list[ast.Call]:
