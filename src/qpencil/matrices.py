@@ -100,9 +100,10 @@ def _inertia_z(a: list[list[int]]) -> tuple[int, int, int]:
     entry d at (i, j) splits off a hyperbolic pair (+1, -1); the block
     becomes -d·(d·A - a_i·a_jᵀ - a_j·a_iᵀ)/D² and D becomes -d²/D.
 
-    Every block is symmetric, so only its upper triangle is built and
-    divided: row k of `u` holds the entries (k, k), (k, k + 1), ... of the
-    block, and the input is read from its upper triangle alone.
+    Every block is symmetric, so only its upper triangle is built, each
+    entry divided as it is made: row k of `u` holds the entries (k, k),
+    (k, k + 1), ... of the block, and the input is read from its upper
+    triangle alone.
     """
     u = [row[k:] for k, row in enumerate(a)]
     pos = neg = step = 0
@@ -117,11 +118,11 @@ def _inertia_z(a: list[list[int]]) -> tuple[int, int, int]:
             upper = []
             for k in range(m):
                 if k != piv:
-                    pk = p[k]
-                    upper.append([d * x - pk * y for x, y in zip(u[k], p[k:])])
+                    row = _exact_row(d, u[k], p[k], p[k:], minor, step, "diagonal pivot")
                     if k < piv:
-                        del upper[-1][piv - k]
-            u, minor = _divide_exactly(upper, minor, step, "diagonal pivot"), d
+                        del row[piv - k]
+                    upper.append(row)
+            u, minor = upper, d
         else:
             pair = next(((i, i + j) for i in range(m) for j in range(1, m - i) if u[i][j]), None)
             if pair is None:
@@ -130,16 +131,19 @@ def _inertia_z(a: list[list[int]]) -> tuple[int, int, int]:
             ri, rj = _full_row(u, i), _full_row(u, j)
             d = ri[j]
             pos, neg = pos + 1, neg + 1
-            upper = []
+            upper, square = [], minor * minor
             for k in range(m):
                 if k != i and k != j:
                     ik, jk = ri[k], rj[k]
-                    upper.append([-d * (d * x - ik * yj - jk * yi) for x, yi, yj in zip(u[k], ri[k:], rj[k:])])
+                    # -d·inner/D², as the row (-d·inner - 0·inner)/D²
+                    inner = [d * x - ik * yj - jk * yi for x, yi, yj in zip(u[k], ri[k:], rj[k:])]
+                    row = _exact_row(-d, inner, 0, inner, square, step, "hyperbolic pair")
                     for c in (j, i):
                         if k < c:
-                            del upper[-1][c - k]
-            u = _divide_exactly(upper, minor * minor, step, "hyperbolic pair")
-            minor = _divide_exactly([[-d * d]], minor, step, "hyperbolic pair")[0][0]
+                            del row[c - k]
+                    upper.append(row)
+            # D becomes -d²/D, the one-entry row (0·0 - d·d)/D
+            u, minor = upper, _exact_row(0, (0,), d, (d,), minor, step, "hyperbolic pair")[0]
         step += 1
     return pos, neg, 0
 
@@ -149,20 +153,18 @@ def _full_row(u: list[list[int]], i: int) -> list[int]:
     return [u[k][i - k] for k in range(i)] + u[i]
 
 
-def _divide_exactly(block: list[list[int]], divisor: int, step: int, kind: str) -> list[list[int]]:
-    """The rows of an integer block (or of its upper triangle) divided
-    entrywise by `divisor`; a remainder raises."""
+def _exact_row(d: int, x: Sequence[int], c: int, y: Sequence[int], divisor: int, step: int, kind: str) -> list[int]:
+    """The row (d·x - c·y)/divisor for integer rows x and y, each entry
+    divided as it is made, so a block row is updated and divided in one
+    pass; a remainder raises, and a divisor of 1 divides nothing."""
     if divisor == 1:
-        return block
+        return [d * a - c * b for a, b in zip(x, y)]
     out = []
-    for row in block:
-        quotients = []
-        for x in row:
-            q, r = divmod(x, divisor)
-            if r:
-                raise InternalCheckError("exact inertia division", step=step, kind=kind, divisor=divisor, remainder=r)
-            quotients.append(q)
-        out.append(quotients)
+    for a, b in zip(x, y):
+        q, r = divmod(d * a - c * b, divisor)
+        if r:
+            raise InternalCheckError("exact inertia division", step=step, kind=kind, divisor=divisor, remainder=r)
+        out.append(q)
     return out
 
 

@@ -42,6 +42,9 @@ class Poly:
     def __setattr__(self, *_: Any) -> None:  # immutability guard
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return Poly, (self.field, self.vars, self.terms)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -237,13 +237,20 @@ def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def cauchy_bound(c: Sequence[Fraction]) -> Fraction:
-    c = trim(QQ, list(c))
-    if len(c) < 2:
-        return Fraction(1)
-    lead = abs(c[-1])
-    bound = 1 + max(abs(x) for x in c[:-1]) / lead
-    return bound
+def root_bound(c: Sequence[int]) -> int:
+    """The least power of two R = 2^k, k >= 0, that dominates the integer
+    polynomial c of degree d >= 1 (given without trailing zeros):
+    |c_d|·R^d > sum_{i<d} |c_i|·R^i.  On |t| >= R the lead term outweighs
+    the rest, so c(±R) != 0 and every real root lies in (-R, R)."""
+    *rest, lead = [abs(x) for x in c]
+    d = len(rest)
+    # each i needs 2^(k(d - i)) > |c_i|/|c_d| > 2^(bits(c_i) - 1 - bits(c_d)), so the
+    # scan starts at the least k meeting that; R = 2·max_i (|c_i|/|c_d|)^(1/(d - i))
+    # dominates (Fujiwara), so it ends a few steps on
+    k = max([0] + [(x.bit_length() - 1 - lead.bit_length()) // (d - i) + 1 for i, x in enumerate(rest) if x])
+    while sum(x << (i * k) for i, x in enumerate(rest)) >= lead << (d * k):
+        k += 1
+    return 1 << k
 
 
 def isolate_real_roots(
@@ -252,12 +259,16 @@ def isolate_real_roots(
     """Isolating intervals for the distinct real roots, in increasing order;
     `chain` is `sturm_chain(c)` when the caller already holds it.
 
-    Each root is a pair (lo, hi) with f nonzero at both endpoints and exactly
-    one root in the open interval — except rational roots stumbled on during
-    bisection, which come back as exact singletons (r, r).  Intervals of
-    distinct roots have disjoint interiors (they may share a non-root
-    endpoint).  f gives way to its squarefree part only when the last member
-    of its Sturm chain, a multiple of gcd(f, f'), is nonconstant.
+    Bisection starts from (-R, R), R = `root_bound` of the chain's head, the
+    least power of two whose lead term dominates, so every endpoint is a
+    dyadic rational a/2^j of a few bits (Collins and Akritas, SYMSAC 1976)
+    and the Sturm signs at it are taken on small integers.  Each root is a
+    pair (lo, hi) with f nonzero at both endpoints and exactly one root in
+    the open interval — except dyadic roots met at a midpoint, which come
+    back as exact singletons (r, r).  Intervals of distinct roots have
+    disjoint interiors (they may share a non-root endpoint).  f gives way to
+    its squarefree part only when the last member of its Sturm chain, a
+    multiple of gcd(f, f'), is nonconstant.
     """
     f = trim(QQ, list(c))
     if not f:
@@ -288,8 +299,8 @@ def isolate_real_roots(
     def fsign(x: Fraction) -> int:
         return _sign_at(chain[0], x)
 
-    bound = cauchy_bound(f)
-    lo0, hi0 = -bound - 1, bound + 1  # f is nonzero at both
+    bound = Fraction(root_bound(chain[0]))
+    lo0, hi0 = -bound, bound  # f is nonzero at both
     total = count(lo0, hi0)
     if total == 0:
         return []

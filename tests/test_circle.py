@@ -27,6 +27,7 @@ from qpencil.pencil import (
     pencil_recombined,
     smoothness,
 )
+from qpencil.samples import random_pencil
 
 from conftest import INPUTS
 
@@ -272,8 +273,10 @@ def _plus_elimination(p, t):
 
 
 def _battery_pencil(rng, n, kind):
-    """A random pencil over Q with entries in [-9, 9]: dense, diagonal, or
-    dense with a zero (0, 0) entry in Q0 and, half the time, in Q1 too."""
+    """A random pencil over Q with entries in [-9, 9]: dense, diagonal,
+    dense with a zero (0, 0) entry in Q0 and, half the time, in Q1 too
+    ("corner"), or dense with a zero last row and column in Q0
+    ("singular")."""
     grams = []
     for _ in range(2):
         g = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
@@ -286,6 +289,9 @@ def _battery_pencil(rng, n, kind):
         grams[0][0][0] = Fraction(0)
         if rng.random() < 0.5:
             grams[1][0][0] = Fraction(0)  # Δ_1 ≡ 0: the elimination swaps rows
+    if kind == "singular":
+        for i in range(n + 1):
+            grams[0][i][n] = grams[0][n][i] = Fraction(0)  # det G0 = 0: D(1, t) has the root t = 0
     return Pencil.from_gram(QQ, *grams)
 
 
@@ -316,6 +322,102 @@ def test_jacobi_signatures_equal_elimination_on_a_seeded_battery():
                     assert jacobi == _plus_elimination(p, t), (n, kind, t)
                     agree += 1
     assert agree > 300 and vanish > 0 and swapped > 0, (agree, vanish, swapped)
+
+
+def _cauchy_isolation(c, chain=None):
+    """Root isolation by bisection from ±(B + 1), with B = 1 + max |c_i|/|c_d|
+    the Cauchy bound of the squarefree part: the route before the
+    power-of-two bound, kept as an oracle.  Its endpoints carry the
+    coefficients of c in their denominators."""
+    f = uv.trim(QQ, list(c))
+    chain = uv.sturm_chain(f) if chain is None else chain
+    if len(chain[-1]) > 1:
+        f, _ = uv.divmod_poly(QQ, f, [Fraction(x) for x in chain[-1]])
+        chain = uv.sturm_chain(f)
+
+    def count(a, b):
+        return uv.sign_variations(chain, a) - uv.sign_variations(chain, b)
+
+    def is_root(x):
+        return uv._sign_at(chain[0], x) == 0
+
+    bound = 2 + max(abs(x) for x in f[:-1]) / abs(f[-1])
+    out, stack = [], [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        roots = 1 if lo == hi else count(lo, hi)
+        if roots == 1:
+            out.append((lo, hi))
+        elif roots > 1:
+            mid = (lo + hi) / 2
+            if is_root(mid):
+                below, above = (lo + mid) / 2, (mid + hi) / 2
+                while is_root(below) or count(below, mid) > 1:
+                    below = (below + mid) / 2
+                while is_root(above) or count(mid, above) > 0:
+                    above = (mid + above) / 2
+                stack += [(above, hi), (mid, mid), (lo, below)]
+            else:
+                stack += [(mid, hi), (lo, mid)]
+    return out
+
+
+def _bits(samples):
+    return max(max(abs(t.numerator).bit_length(), t.denominator.bit_length()) for t in samples)
+
+
+def test_dyadic_isolation_gives_the_class_of_the_cauchy_route(monkeypatch):
+    """On smooth random pencils with n <= 12, dense, diagonal, with a zero
+    (0, 0) entry that forces a row swap, and with det G0 = 0, the class
+    equals the one read at the samples of the Cauchy-bound oracle: both
+    routes isolate the same roots, in the same order.  Every sample of the
+    power-of-two route is dyadic, a/2^j; the oracle's are not, and take
+    more bits."""
+    rng = random.Random(26)
+    cases = []
+    for n in range(2, 13):
+        for kind in ("dense", "diagonal", "corner", "singular"):
+            for _ in range(3):
+                p = _battery_pencil(rng, n, kind)
+                rep = smoothness(p)
+                if rep.smooth:
+                    cases.append((p, rep, kind))
+    got = [pencil_decomposition(p, rep) for p, rep, _ in cases]
+    dyadic, oracle = [], []
+    for p, rep, _ in cases:
+        f = rep.discriminant.chart_main()
+        new, old = uv.isolate_real_roots(f, rep.chain), _cauchy_isolation(f, rep.chain)
+        assert len(new) == len(old) and all(max(a, c) <= min(b, d) for (a, b), (c, d) in zip(new, old)), (new, old)
+        dyadic += uv.sample_points_between(new)
+        oracle += uv.sample_points_between(old)
+    monkeypatch.setattr(uv, "isolate_real_roots", _cauchy_isolation)
+    assert [pencil_decomposition(p, rep) for p, rep, _ in cases] == got
+    kinds = {kind for _, _, kind in cases}
+    assert len(cases) > 80 and kinds == {"dense", "diagonal", "corner", "singular"}, (len(cases), kinds)
+    assert any(rep.minors is None for _, rep, _ in cases)
+    assert all(t.denominator & (t.denominator - 1) == 0 for t in dyadic)
+    assert not all(t.denominator & (t.denominator - 1) == 0 for t in oracle)
+    assert _bits(dyadic) < _bits(oracle), (_bits(dyadic), _bits(oracle))
+
+
+def test_index_circle_samples_are_small_at_n_24(monkeypatch):
+    """Every sample the index circle of random_pencil(Q, 24, Random(5))
+    evaluates has a numerator and a denominator below 2^16; from the Cauchy
+    bound they take more than 100 bits."""
+    p = random_pencil(QQ, 24, random.Random(5))
+    rep = smoothness(p)
+    seen = []
+    between = uv.sample_points_between
+
+    def recorded(roots):
+        samples = between(roots)
+        seen.extend(samples)
+        return samples
+
+    monkeypatch.setattr(uv, "sample_points_between", recorded)
+    index_circle(p, rep)
+    assert seen and all(abs(t.numerator) < 2**16 and t.denominator < 2**16 for t in seen), seen
+    assert _bits(between(_cauchy_isolation(rep.discriminant.chart_main(), rep.chain))) > 100
 
 
 def test_a_planted_wrong_minor_is_caught_against_elimination():

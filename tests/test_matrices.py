@@ -151,16 +151,17 @@ def test_exact_division_inertia_matches_the_schur_complement_reference(monkeypat
     """Sizes 1-9 against `_fraction_inertia`: B^T D B with negative entries
     in D, so the pivot determinant D changes sign, and every third B
     singular; and P^T [[0, A], [A^T, 0]] P for a permutation P, whose zero
-    diagonal forces consecutive hyperbolic pairs.  The divisions are
-    watched to show that both cases are reached."""
+    diagonal forces consecutive hyperbolic pairs.  The divisions, fused
+    into the update through `_exact_row`, are watched to show that
+    both cases are reached."""
     calls = []
-    divide = matrices._divide_exactly
+    divide = matrices._exact_row
 
-    def watched(block, divisor, step, kind):
+    def watched(d, x, c, y, divisor, step, kind):
         calls.append((step, kind, divisor))
-        return divide(block, divisor, step, kind)
+        return divide(d, x, c, y, divisor, step, kind)
 
-    monkeypatch.setattr(matrices, "_divide_exactly", watched)
+    monkeypatch.setattr(matrices, "_exact_row", watched)
     rng = random.Random(9)
     negative_divisors = consecutive_pairs = 0
     for trial in range(360):
@@ -226,16 +227,17 @@ def test_inexact_inertia_division_names_the_step_divisor_and_remainder():
 def test_symmetric_elimination_divides_the_upper_triangles_only(monkeypatch):
     """Every Schur block is symmetric, so only its upper triangle is built
     and divided: eliminating an 8 x 8 matrix by diagonal pivots passes
-    28 + 21 + ... + 1 = 84 entries to `_divide_exactly`, where the whole
-    blocks would be 49 + 36 + ... + 1 = 140."""
-    entries = []
-    divide = matrices._divide_exactly
+    28 + 21 + ... + 1 = 84 entries through `_exact_row`, row by row,
+    where the whole blocks would be 49 + 36 + ... + 1 = 140."""
+    entries = [0] * 8  # per step
+    divide = matrices._exact_row
 
-    def counted(block, divisor, step, kind):
-        entries.append(sum(map(len, block)))
-        return divide(block, divisor, step, kind)
+    def counted(d, x, c, y, divisor, step, kind):
+        out = divide(d, x, c, y, divisor, step, kind)
+        entries[step] += len(out)
+        return out
 
-    monkeypatch.setattr(matrices, "_divide_exactly", counted)
+    monkeypatch.setattr(matrices, "_exact_row", counted)
     rows = [[Fraction(9 if i == j else (i * j) % 3 - 1) for j in range(8)] for i in range(8)]
     assert inertia(SymMatrix.from_rows(rows)) == _fraction_inertia(rows) == (8, 0, 0)
     assert entries == [28, 21, 15, 10, 6, 3, 1, 0]

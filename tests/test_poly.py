@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,3 +111,16 @@ def test_constructor_reduces_prime_field_coefficients():
     assert str(eight_x) == str(x)
     assert eight_x == x and hash(eight_x) == hash(x)
     assert (eight_x - x).is_zero
+
+
+def test_poly_copies_and_pickles_through_its_constructor():
+    """copy, deepcopy and pickle rebuild a Poly through __init__, so the
+    copy is equal, still immutable, and an F_p copy keeps reduced
+    coefficients."""
+    x, y = Poly.variable(QQ, ("x", "y"), "x"), Poly.variable(QQ, ("x", "y"), "y")
+    for p in (x * x - 3 * y + 1, Poly.zero(F5, VARS), _poly5([((1, 0, 2), 3), ((0, 0, 0), 4)])):
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone == p and hash(clone) == hash(p) and clone.vars == p.vars and clone.field == p.field
+            assert clone.terms == p.terms
+            with pytest.raises(AttributeError, match="immutable"):
+                clone.terms = {}

@@ -58,7 +58,6 @@ EXAMPLES = {
 }
 OWN_REPR = {"fields.Rationals": "QQ", "fields.PrimeField": "GF(5)"}
 DEFAULTS = {"io.Report": (None,), "pencil.SmoothnessReport": (None, None)}
-HOLDS_POLY = {"bundlecalc.BundleMatrix", "projections.RationalMap", "projections.LineProjection"}
 
 
 def _record_classes():
@@ -123,8 +122,8 @@ def test_record_behaves_as_a_frozen_value(key):
     assert [getattr(by_position, n) for n in names] == list(values)
 
     assert copy.copy(by_position) == by_position
-    if key not in HOLDS_POLY:  # a Poly itself does not pickle
-        assert pickle.loads(pickle.dumps(by_position)) == by_position
+    assert copy.deepcopy(by_position) == by_position
+    assert pickle.loads(pickle.dumps(by_position)) == by_position
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -218,15 +219,12 @@ def test_isolation_irrational_roots():
 @pytest.mark.parametrize(
     "factors, intervals",
     [
-        # t^2 (t - 3)(t + 5): the first bisection midpoint 0 is the double root
-        ([[0, 1], [0, 1], [-3, 1], [5, 1]], [(-17, Fraction(-17, 4)), (0, 0), (Fraction(17, 8), 17)]),
-        # (t^2 - 2)^2 (t - 1)
+        # t^2 (t - 3)(t + 5), from (-8, 8): the first bisection midpoint 0 is the double root
+        ([[0, 1], [0, 1], [-3, 1], [5, 1]], [(-8, -4), (0, 0), (2, 8)]),
+        # (t^2 - 2)^2 (t - 1), from (-4, 4)
         ([[-2, 0, 1], [-2, 0, 1], [-1, 1]], [(-4, 0), (1, 1), (Fraction(5, 4), 2)]),
-        # (2t + 1)^3 (3t^2 - 7)
-        (
-            [[1, 2], [1, 2], [1, 2], [-7, 0, 3]],
-            [(Fraction(-13, 6), Fraction(-13, 12)), (Fraction(-13, 12), 0), (0, Fraction(13, 3))],
-        ),
+        # (2t + 1)^3 (3t^2 - 7), from (-4, 4)
+        ([[1, 2], [1, 2], [1, 2], [-7, 0, 3]], [(-2, -1), (-1, 0), (0, 2)]),
         # -(t - 1)^2 (t + 2), whose Sturm chain ends in a negative multiple of t - 1
         ([[-1], [-1, 1], [-1, 1], [2, 1]], [(-4, 0), (0, 4)]),
     ],
@@ -243,11 +241,12 @@ def test_isolation_of_a_polynomial_with_multiple_roots(factors, intervals):
 def test_isolation_leaves_no_reference_cycles():
     """The bisection keeps its intervals on a stack, not in a closure that
     calls itself, so with the cyclic collector off, 100 isolations each of
-    (t - 1)(t - 2)(t - 3) and of t (t - 3)(t + 5), whose first midpoint 0 is
-    a root, leave nothing for it to collect."""
+    (t - 1)(t - 2)(t - 3), whose midpoint 2 is a root, and of
+    t (t - 3)(t + 5), whose first midpoint 0 is a root, leave nothing for it
+    to collect."""
     cases = [
-        (_from_roots([1, 2, 3]), [(0, Fraction(13, 8)), (Fraction(13, 8), Fraction(39, 16)), (Fraction(39, 16), Fraction(13, 4))]),
-        (_from_roots([0, 3, -5]), [(-17, Fraction(-17, 4)), (0, 0), (Fraction(17, 8), 17)]),
+        (_from_roots([1, 2, 3]), [(0, Fraction(3, 2)), (2, 2), (Fraction(5, 2), 4)]),
+        (_from_roots([0, 3, -5]), [(-8, -4), (0, 0), (2, 8)]),
     ]
     gc.collect()
     gc.disable()
@@ -260,10 +259,56 @@ def test_isolation_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_cauchy_bound_contains_roots():
-    f = _from_roots([3, -7, 2])
-    bound = uv.cauchy_bound(f)
-    assert bound >= 7
+def _root_bound_battery():
+    """Seeded integer polynomials: random coefficients with huge and tiny
+    ratios to the lead, roots at 0, and products of dyadic roots a/2^j that
+    bisection from (-R, R) meets exactly at a midpoint."""
+    rng = random.Random(26)
+    out = [[0, 1], [0, 0, 5], [-1, 1], [-2, 1], [1, 0, 1], [-(2**300), 1], [-1, 2**300], [7, 0, 0, 3]]
+    for trial in range(240):
+        d = trial % 12 + 1
+        scale = rng.choice([1, 2**64, 10**90])
+        if trial % 4 == 0:  # huge coefficients below a small lead
+            c = [rng.randint(-scale, scale) for _ in range(d)] + [rng.choice([-1, 1])]
+        elif trial % 4 == 1:  # a huge lead over small coefficients
+            c = [rng.randint(-9, 9) for _ in range(d)] + [rng.choice([-1, 1]) * rng.randint(1, scale)]
+        elif trial % 4 == 2:  # a root at 0 of multiplicity up to 3
+            zeros = rng.randint(1, min(d, 3))
+            c = [0] * zeros + [rng.randint(-scale, scale) for _ in range(d - zeros)] + [rng.randint(1, 9)]
+        else:  # dyadic roots a/2^j, some repeated
+            c = uv._primitive_multiple(_from_roots([Fraction(rng.randint(-40, 40), 2 ** rng.randint(0, 4)) for _ in range(d)]))
+        out.append(c)
+    return out
+
+
+def test_root_bound_is_the_least_dominating_power_of_two():
+    """R = root_bound(c) is a power of two with |c_d|·R^d > sum |c_i|·R^i,
+    and the least such R >= 1; c(±R) != 0, and every real root lies in
+    (-R, R), where the Sturm count matches the count out to the Cauchy
+    bound 1 + max |c_i|/|c_d|.  Isolation from (-R, R) brackets the same
+    roots, meeting dyadic roots exactly as singletons."""
+    singletons = 0
+    for c in _root_bound_battery():
+        r = uv.root_bound(c)
+        *rest, lead = [abs(x) for x in c]
+        d = len(rest)
+        assert r >= 1 and r & (r - 1) == 0, c
+        assert lead * r**d > sum(x * r**i for i, x in enumerate(rest)), c
+        half = Fraction(r, 2)
+        assert r == 1 or lead * half**d <= sum(x * half**i for i, x in enumerate(rest)), c
+        f = [Fraction(x) for x in c]
+        chain = uv.sturm_chain(f)
+        assert uv._sign_at(c, Fraction(r)) and uv._sign_at(c, Fraction(-r)), c
+        cauchy = 1 + Fraction(max(rest), lead)
+        assert _roots_in(chain, -cauchy - 1, cauchy + 1) == _roots_in(chain, Fraction(-r), Fraction(r)), c
+        intervals = uv.isolate_real_roots(f)
+        assert len(intervals) == _roots_in(chain, Fraction(-r), Fraction(r)), c
+        assert all(-r <= lo <= hi <= r for lo, hi in intervals), c
+        for lo, hi in intervals:
+            if lo == hi:
+                singletons += 1
+                assert uv.evaluate(QQ, f, lo) == 0
+    assert singletons > 100, singletons
 
 
 def test_sample_points_between():
