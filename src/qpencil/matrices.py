@@ -1,21 +1,23 @@
 """Symmetric matrices: exact inertia over the rationals, and determinants of
-square matrices over F[t].
+symmetric matrices over F[t], both from one integer elimination.
 
-The inertia routine is classical symmetric reduction, fraction-free over Z
-after clearing denominators: split off one square at a time at a nonzero
-diagonal entry, or a hyperbolic pair when the whole remaining diagonal
-vanishes, each remaining block being the rational one times the determinant
-of the pivots taken so far (exact division, as in Bareiss elimination).
-Every block is symmetric, so only its upper triangle is built and divided.
-The determinant over F[t], for F the rationals or a prime field, is taken
-over Z[t] by Kronecker substitution: with B = prod_i sum_j |e_ij|_1
+The elimination is classical symmetric reduction, fraction-free over Z
+after clearing denominators: a nonzero diagonal entry is the next pivot,
+and the remaining block is the rational Schur complement times the
+determinant of the pivots taken so far (exact division, as in Bareiss
+elimination).  One pivot rule covers a zero diagonal: the integer
+congruence x_i <- x_i + x_j, of determinant 1, makes the diagonal entry
+2·u_ij from an entry u_ij != 0.  Every block is symmetric, so only its
+upper triangle is built and divided.  The signs of the pivots give the
+inertia.  The determinant over F[t], for F the rationals or a prime field,
+is taken over Z[t] by Kronecker substitution: with B = prod_i sum_j |e_ij|_1
 bounding every coefficient of the determinant, each entry is evaluated at
-t = 2^K, K = bitlength(B) + 1, one fraction-free (Bareiss) elimination
-over Z gives the determinant at 2^K, and its balanced base-2^K digits are
+t = 2^K, K = bitlength(B) + 1, the elimination over Z gives the
+determinant at 2^K as its last pivot, and its balanced base-2^K digits are
 the coefficients.  Over the rationals all denominators are cleared first
 (when every one is 1, the numerators are the integers);
 over F_p the representatives are lifted to Z and the result is reduced
-mod p.  When the elimination swaps no rows, its pivots are the leading
+mod p.  When every pivot is taken in place, the pivots are the leading
 principal minors at 2^K, decoded the same way on request (over the
 rationals, for Jacobi's signature rule).  No eigenvalues, no floats.
 """
@@ -89,63 +91,73 @@ def inertia(g: SymMatrix) -> tuple[int, int, int]:
 
 
 def _inertia_z(a: list[list[int]]) -> tuple[int, int, int]:
-    """Inertia of an integer symmetric matrix by symmetric elimination.
+    """Inertia of an integer symmetric matrix, read off the pivots of
+    `_eliminate`: D_k counts positive when D_k and D_(k-1) have the same
+    sign (D_0 = 1), negative otherwise, and the zero block left counts zero.
+    The input is read from its upper triangle alone."""
+    pivots, zero, _ = _eliminate([row[k:] for k, row in enumerate(a)])
+    pos = sum((d > 0) == (prev > 0) for prev, d in zip([1, *pivots], pivots))
+    return pos, len(pivots) - pos, zero
 
-    The remaining block is D·S, with S the rational Schur complement and D
-    (`minor`) the determinant of the pivots taken so far, D = 1 at first, so
-    every entry is a minor of the input and each division is exact
-    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).  A nonzero
-    diagonal entry d counts with the sign of d·D; the block becomes
-    (d·A - a·aᵀ)/D and D becomes d.  When the whole diagonal is zero, an
-    entry d at (i, j) splits off a hyperbolic pair (+1, -1); the block
-    becomes -d·(d·A - a_i·a_jᵀ - a_j·a_iᵀ)/D² and D becomes -d²/D.
 
-    Every block is symmetric, so only its upper triangle is built, each
-    entry divided as it is made: row k of `u` holds the entries (k, k),
-    (k, k + 1), ... of the block, and the input is read from its upper
-    triangle alone.
+def _eliminate(u: list[list[int]]) -> tuple[list[int], int, bool]:
+    """Fraction-free symmetric elimination of the integer symmetric matrix
+    whose upper triangle is `u` (row k holds the entries (k, k), (k, k + 1),
+    ...); `u` is overwritten.
+
+    Returns the pivots D_1, ..., D_r, the size of the zero block left, and
+    whether every pivot was taken in place, in which case D_k is the leading
+    principal minor of order k.  The remaining block is D·S, with S the
+    rational Schur complement and D the determinant of the pivots taken so
+    far (D = 1 at first), so every entry is a minor of the (congruent) input
+    and each division is exact (Sylvester's identity; Bareiss, Math. Comp.
+    22, 1968).  A pivot d at (0, 0) turns the block into (d·A - a·aᵀ)/D and
+    D into d; by symmetry only the upper triangle is built, each entry
+    divided as it is made.  A zero (0, 0) entry is replaced by `_bring_pivot`.
+    Neither of its moves changes the determinant, so det = D_r when no zero
+    block is left, and 0 otherwise.
     """
-    u = [row[k:] for k, row in enumerate(a)]
-    pos = neg = step = 0
-    minor = 1
+    pivots: list[int] = []
+    leading, divisor = True, 1
     while u:
-        m = len(u)
-        piv = next((i for i in range(m) if u[i][0]), None)
-        if piv is not None:
-            p = _full_row(u, piv)
-            d = p[piv]
-            pos, neg = (pos + 1, neg) if (d > 0) == (minor > 0) else (pos, neg + 1)
-            upper = []
-            for k in range(m):
-                if k != piv:
-                    row = _exact_row(d, u[k], p[k], p[k:], minor, step, "diagonal pivot")
-                    if k < piv:
-                        del row[piv - k]
-                    upper.append(row)
-            u, minor = upper, d
-        else:
-            pair = next(((i, i + j) for i in range(m) for j in range(1, m - i) if u[i][j]), None)
-            if pair is None:
-                return pos, neg, m
-            i, j = pair
-            ri, rj = _full_row(u, i), _full_row(u, j)
-            d = ri[j]
-            pos, neg = pos + 1, neg + 1
-            upper, square = [], minor * minor
-            for k in range(m):
-                if k != i and k != j:
-                    ik, jk = ri[k], rj[k]
-                    # -d·inner/D², as the row (-d·inner - 0·inner)/D²
-                    inner = [d * x - ik * yj - jk * yi for x, yi, yj in zip(u[k], ri[k:], rj[k:])]
-                    row = _exact_row(-d, inner, 0, inner, square, step, "hyperbolic pair")
-                    for c in (j, i):
-                        if k < c:
-                            del row[c - k]
-                    upper.append(row)
-            # D becomes -d²/D, the one-entry row (0·0 - d·d)/D
-            u, minor = upper, _exact_row(0, (0,), d, (d,), minor, step, "hyperbolic pair")[0]
-        step += 1
-    return pos, neg, 0
+        if not u[0][0]:
+            leading = False
+            if not _bring_pivot(u):
+                return pivots, len(u), False
+        d = u[0][0]
+        u = _schur(u, divisor, len(pivots))
+        pivots.append(d)
+        divisor = d
+    return pivots, 0, leading
+
+
+def _bring_pivot(u: list[list[int]]) -> bool:
+    """Move a nonzero diagonal entry of the block with upper triangle `u` to
+    (0, 0) by a symmetric permutation, or False when the block is zero.
+
+    When the whole diagonal is zero, an entry u_ij ≠ 0 (i < j) makes one by
+    the integer congruence x_i ← x_i + x_j, of determinant 1: row and column
+    j are added to row and column i, whose diagonal entry becomes 2·u_ij.
+    """
+    m = len(u)
+    i = next((i for i in range(m) if u[i][0]), None)
+    if i is None:
+        pair = next(((i, i + c) for i in range(m) for c in range(1, m - i) if u[i][c]), None)
+        if pair is None:
+            return False
+        i, j = pair
+        row_j = _full_row(u, j)
+        for k in range(i):
+            u[k][i - k] += row_j[k]
+        u[i] = [x + y for x, y in zip(u[i], row_j[i:])]
+        u[i][0] = 2 * u[i][j - i]
+    if i:
+        row_i = _full_row(u, i)
+        del u[i]
+        for k in range(i):
+            del u[k][i - k]
+        u.insert(0, [row_i[i], *row_i[:i], *row_i[i + 1:]])
+    return True
 
 
 def _full_row(u: list[list[int]], i: int) -> list[int]:
@@ -153,19 +165,25 @@ def _full_row(u: list[list[int]], i: int) -> list[int]:
     return [u[k][i - k] for k in range(i)] + u[i]
 
 
-def _exact_row(d: int, x: Sequence[int], c: int, y: Sequence[int], divisor: int, step: int, kind: str) -> list[int]:
-    """The row (d·x - c·y)/divisor for integer rows x and y, each entry
-    divided as it is made, so a block row is updated and divided in one
-    pass; a remainder raises, and a divisor of 1 divides nothing."""
+def _schur(u: list[list[int]], divisor: int, step: int) -> list[list[int]]:
+    """The upper triangle of (d·A - a·aᵀ)/divisor without its first row and
+    column, for the block A with upper triangle `u`, d = A_00 and a the
+    first row; the rows of `u` are rebuilt in place.  Each entry is divided
+    as it is made, a remainder raises, and a divisor of 1 divides nothing."""
+    top, rest = u[0], u[1:]
+    d = top[0]
     if divisor == 1:
-        return [d * a - c * b for a, b in zip(x, y)]
-    out = []
-    for a, b in zip(x, y):
-        q, r = divmod(d * a - c * b, divisor)
-        if r:
-            raise InternalCheckError("exact inertia division", step=step, kind=kind, divisor=divisor, remainder=r)
-        out.append(q)
-    return out
+        for k, row in enumerate(rest, 1):
+            a = top[k]
+            row[:] = [d * x - a * y for x, y in zip(row, top[k:])]
+        return rest
+    for k, row in enumerate(rest, 1):
+        a = top[k]
+        for c, y in enumerate(top[k:]):
+            row[c], r = divmod(d * row[c] - a * y, divisor)
+            if r:
+                raise InternalCheckError("exact elimination division", step=step, divisor=divisor, remainder=r)
+    return rest
 
 
 def _integer_grams(*grams: Sequence[Sequence[Any]]) -> list[list[list[int]]]:
@@ -194,13 +212,14 @@ def signature_pair(g: list[list[int]]) -> tuple[int, int]:
 
 
 def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]], minors: bool = False):
-    """Determinant of a square matrix over F[t], for F the rationals or a
-    prime field, as one integer Bareiss elimination at t = 2^K.
+    """Determinant of a symmetric matrix over F[t], for F the rationals or a
+    prime field, as one integer symmetric elimination at t = 2^K.
 
     Entries and result are ascending coefficient lists of field elements; a
-    singular matrix gives the zero polynomial ``[]``.  Over the rationals
-    every entry is multiplied by the lcm L of all coefficient denominators
-    and the integer determinant is divided by L^m; over F_p the
+    singular matrix gives the zero polynomial ``[]``.  The elimination reads
+    the upper triangle only, so any other matrix is refused.  Over the
+    rationals every entry is multiplied by the lcm L of all coefficient
+    denominators and the integer determinant is divided by L^m; over F_p the
     representatives are lifted to balanced integers in (-p/2, p/2) and the
     integer determinant is reduced mod p.
 
@@ -208,11 +227,14 @@ def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]], minors: bool
     and the leading principal minors Δ_1, ..., Δ_m of L times the matrix, a
     tuple of ascending int coefficient lists from the same elimination, or
     None in place of the minors when the determinant vanishes or the
-    elimination swapped rows (then some Δ_k vanishes identically).
+    elimination took a pivot out of place (then some Δ_k vanishes
+    identically).
     """
     m = len(rows)
     if m == 0 or any(len(row) != m for row in rows):
         raise PrecondError("determinant needs a nonempty square matrix")
+    if any(rows[i][j] != rows[j][i] for i in range(m) for j in range(i)):
+        raise PrecondError("determinant needs a symmetric matrix")
     if isinstance(field, Rationals):
         ints, scale = _scaled_to_integers(rows)
         coeffs, deltas = _det_zt(ints, minors)
@@ -235,32 +257,33 @@ def _trim(c: list[int]) -> list[int]:
 
 
 def _det_zt(rows: list[list[list[int]]], minors: bool = False) -> tuple[list[int], tuple[list[int], ...] | None]:
-    """Determinant of a square matrix over Z[t] by Kronecker substitution,
-    and with `minors` its leading principal minors Δ_1, ..., Δ_m.
+    """Determinant of a symmetric matrix over Z[t] by Kronecker
+    substitution, and with `minors` its leading principal minors
+    Δ_1, ..., Δ_m.
 
     Every coefficient of the determinant is at most
     B = prod_i sum_j |e_ij|_1 in absolute value (B bounds the permanent of
     the entries' 1-norms), so with K = bitlength(B) + 1 the integer
     determinant at t = 2^K holds them as balanced base-2^K digits.  A
     nonzero determinant has no zero row, so B bounds every Δ_k as well, and
-    the pivots of an elimination without row swaps, Δ_k(2^K), are decoded
-    alike.  Otherwise, or without `minors`, the minors are None: a zero row
-    makes K = 1, too narrow for any nonzero digit.
+    the pivots of an elimination that took each pivot in place, Δ_k(2^K),
+    are decoded alike.  Otherwise, or without `minors`, the minors are None:
+    a zero row makes K = 1, too narrow for any nonzero digit.
     """
     bound = math.prod(sum(abs(c) for e in row for c in e) for row in rows)
     width = bound.bit_length() + 1
-    packed = []
-    for row in rows:
+    upper = []
+    for k, row in enumerate(rows):
         out = []
-        for e in row:
+        for e in row[k:]:
             v = 0
             for c in reversed(e):
                 v = (v << width) + c
             out.append(v)
-        packed.append(out)
-    det, pivots = _bareiss(packed)
-    coeffs = _balanced_digits(det, width)
-    if not (minors and coeffs and pivots):
+        upper.append(out)
+    pivots, zero, leading = _eliminate(upper)
+    coeffs = [] if zero else _balanced_digits(pivots[-1], width)
+    if not (minors and coeffs and leading):
         return coeffs, None
     return coeffs, tuple(_balanced_digits(v, width) for v in pivots)
 
@@ -276,33 +299,3 @@ def _balanced_digits(v: int, width: int) -> list[int]:
         digits.append(digit)
         v = (v - digit) >> width
     return digits
-
-
-def _bareiss(a: list[list[int]]) -> tuple[int, list[int] | None]:
-    """Determinant of a square integer matrix, and its pivots when no row
-    was swapped (None otherwise); `a` is overwritten.
-
-    Step k replaces each entry below and right of the pivot by
-    (a_kk a_ij - a_ik a_kj) / (previous pivot), a division that is exact
-    because every intermediate entry is a minor of the input (Sylvester's
-    identity).  Without swaps the pivot of step k is the leading principal
-    minor of order k + 1.  A zero pivot is swapped with a nonzero entry below it.
-    """
-    m = len(a)
-    sign, prev, swapped = 1, 1, False
-    for k in range(m - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, m) if a[i][k]), None)
-            if swap is None:
-                return 0, None
-            a[k], a[swap] = a[swap], a[k]
-            sign, swapped = -sign, True
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, m):
-                row[j], rem = divmod(pivot * row[j] - lead * row_k[j], prev)
-                if rem:
-                    raise InternalCheckError("exact Bareiss division", step=k, previous_pivot=prev, remainder=rem)
-        prev = pivot
-    return sign * a[m - 1][m - 1], None if swapped else [a[k][k] for k in range(m)]

@@ -449,6 +449,53 @@ def _pencil_file(tmp_path, name, p, q0, q1):
     return str(path)
 
 
+def _pencil_input(tmp_path, name, pencil):
+    """Write an n = 5 pencil over F_p as an input file; the term of x_i x_j
+    carries 2 G_ij off the diagonal."""
+    p = pencil.field.p
+    terms = [
+        [[i, j, g[i, j] * (1 if i == j else 2) % p] for i in range(6) for j in range(i, 6) if g[i, j]]
+        for g in (pencil.g0, pencil.g1)
+    ]
+    return _pencil_file(tmp_path, name, p, *terms)
+
+
+def test_project_line_checks_its_round_trip_in_the_line_coordinates(tmp_path, monkeypatch):
+    """`round_trip` works in coordinates where the line is span(e0, e1).
+    The CLI passed it the base-locus points as they are, so on a pencil
+    whose line is not a coordinate line every check read false.  A pencil
+    through the coordinate line, moved by a random invertible congruence,
+    now passes 20 of 20 points; a failed round trip exits 3 naming the
+    point."""
+    from qpencil import projections
+    from qpencil.fields import PrimeField
+    from qpencil.linalg import invert
+    from qpencil.pencil import pencil_congruent
+    from qpencil.samples import random_pencil_through_line
+
+    f11, rng = PrimeField(11), random.Random(4)
+    pencil = random_pencil_through_line(f11, 5, rng)
+    while True:
+        m = [[rng.randrange(11) for _ in range(6)] for _ in range(6)]
+        try:
+            inverse = invert(f11, m)
+        except PrecondError:
+            continue
+        break
+    # x_old = M x_new, so the line is spanned by columns 0 and 1 of M^-1
+    line = json.dumps([[inverse[i][k] for i in range(6)] for k in (0, 1)])
+    assert all(sum(map(bool, row)) > 1 for row in json.loads(line))
+    path = _pencil_input(tmp_path, "moved_line_f11", pencil_congruent(pencil, m))
+    code, report, _, err = _run(["project-line", path, "--line", line, "--json"])
+    assert code == 0, err
+    assert report.payload["round_trip"] == {"checked": 20, "identity": True}
+    monkeypatch.setattr(projections, "round_trip", lambda proj, x: False)
+    code, report, out, err = _run(["project-line", path, "--line", line, "--json"])
+    assert code == 3 and report is None and out == ""
+    assert err.startswith("internal check failed: beta^-1(beta(x)) = x on the base locus: ")
+    assert "round_trip = False, expected = True, point = [" in err
+
+
 def test_analyze_skips_the_scans_over_budget(tmp_path):
     """With D = 0 every member is eliminated: over F_20011 that is
     (p + 1) 6^3 > ELIMINATION_LIMIT, so the scan is skipped, while over F_7
@@ -521,14 +568,9 @@ def test_double_project_above_the_curve_bound_keeps_the_exact_identity(tmp_path)
     from qpencil.fields import PrimeField
     from qpencil.samples import random_pencil_through_line
 
-    p = 1009
-    pencil = random_pencil_through_line(PrimeField(p), 5, random.Random(1009))
-    doc = {"field": {"kind": "prime", "p": p}, "n": 5}
-    for key, g in (("q0", pencil.g0), ("q1", pencil.g1)):
-        doc[key] = [[i, j, g[i, j] * (1 if i == j else 2) % p] for i in range(6) for j in range(i, 6) if g[i, j]]
-    path = tmp_path / "through_line_f1009.json"
-    path.write_text(json.dumps(doc))
-    code, report, _, err = _run(["double-project", str(path), "--point", "[1,0,0,0,0,0]", "--json"])
+    pencil = random_pencil_through_line(PrimeField(1009), 5, random.Random(1009))
+    path = _pencil_input(tmp_path, "through_line_f1009", pencil)
+    code, report, _, err = _run(["double-project", path, "--point", "[1,0,0,0,0,0]", "--json"])
     assert code == 0, err
     assert report.payload["identity_checked"] is True
     assert report.payload["counts_checked"] is False

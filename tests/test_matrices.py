@@ -10,7 +10,7 @@ from qpencil import matrices, univariate as uv
 from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ, PrimeField
 from qpencil.linalg import det, identity, mat_mul
-from qpencil.matrices import SymMatrix, _bareiss, _inertia_z, congruent, det_poly, inertia, signature_pair
+from qpencil.matrices import SymMatrix, _inertia_z, congruent, det_poly, inertia, signature_pair
 
 
 def test_symmetry_enforced():
@@ -151,19 +151,26 @@ def test_exact_division_inertia_matches_the_schur_complement_reference(monkeypat
     """Sizes 1-9 against `_fraction_inertia`: B^T D B with negative entries
     in D, so the pivot determinant D changes sign, and every third B
     singular; and P^T [[0, A], [A^T, 0]] P for a permutation P, whose zero
-    diagonal forces consecutive hyperbolic pairs.  The divisions, fused
-    into the update through `_exact_row`, are watched to show that
-    both cases are reached."""
-    calls = []
-    divide = matrices._exact_row
+    diagonal forces a congruence x_i <- x_i + x_j, again after the first
+    step.  The steps, each dividing by D through `_schur`, and the pivot
+    searches through `_bring_pivot` are watched to show that both cases are
+    reached."""
+    divisors, congruences = [], []
+    schur, bring = matrices._schur, matrices._bring_pivot
 
-    def watched(d, x, c, y, divisor, step, kind):
-        calls.append((step, kind, divisor))
-        return divide(d, x, c, y, divisor, step, kind)
+    def watched_schur(u, divisor, step):
+        divisors.append(divisor)
+        return schur(u, divisor, step)
 
-    monkeypatch.setattr(matrices, "_exact_row", watched)
+    def watched_bring(u):
+        if not any(row[0] for row in u):
+            congruences.append(len(divisors))  # the step it opens
+        return bring(u)
+
+    monkeypatch.setattr(matrices, "_schur", watched_schur)
+    monkeypatch.setattr(matrices, "_bring_pivot", watched_bring)
     rng = random.Random(9)
-    negative_divisors = consecutive_pairs = 0
+    negative_divisors = later_congruences = 0
     for trial in range(360):
         size = trial % 9 + 1
         if trial % 2:
@@ -181,63 +188,28 @@ def test_exact_division_inertia_matches_the_schur_complement_reference(monkeypat
                     block[i][k + j] = block[k + j][i] = a[i][j]
             perm = rng.sample(range(2 * k), 2 * k)
             rows = [[block[perm[i]][perm[j]] for j in range(2 * k)] for i in range(2 * k)]
-        calls.clear()
+        divisors.clear()
+        congruences.clear()
         assert inertia(SymMatrix.from_rows(rows)) == _fraction_inertia(rows), (trial, rows)
-        first = {}
-        for step, kind, divisor in calls:
-            first.setdefault(step, (kind, divisor))
-        negative_divisors += any(kind == "diagonal pivot" and div < 0 for kind, div in first.values())
-        consecutive_pairs += any(
-            first[s][0] == first.get(s + 1, ("",))[0] == "hyperbolic pair" and first[s + 1][1] != 1 for s in first
-        )
-    assert negative_divisors > 30 and consecutive_pairs > 30, (negative_divisors, consecutive_pairs)
-
-
-def test_inexact_inertia_division_names_the_step_divisor_and_remainder():
-    # diagonal step: the planted pivot 2 at (2, 2) makes step 0 produce
-    # [[-3, 7], [7, 0]] instead of [[-4, 6], [6, -1]], and step 1 then
-    # divides -3·0 - 7·7 = -49 by D = 2
-    rows = [[0, 2, 2], [2, 0, -1], [2, -1, 2]]
-    assert _inertia_z([list(r) for r in rows]) == (2, 1, 0)
-    rows[2][2] = _OffByOne(2)
-    with pytest.raises(InternalCheckError) as err:
-        _inertia_z(rows)
-    message = str(err.value)
-    assert message.startswith("exact inertia division: ")
-    assert "step = 1, kind = diagonal pivot, divisor = 2, remainder = 1" in message
-    # hyperbolic step: step 0 splits off the pair (0, 3) with d = 2, so D
-    # becomes -4; the planted entry at (2, 5) makes the block entry there -6
-    # instead of -4, and step 1, a second hyperbolic pair, divides by D² = 16
-    rows = [
-        [0, 0, 0, 2, -1, 0],
-        [0, 0, 0, -1, -1, 0],
-        [0, 0, 0, 0, 0, 1],
-        [2, -1, 0, 0, 0, 0],
-        [-1, -1, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-    ]
-    assert _inertia_z([list(r) for r in rows]) == (3, 3, 0)
-    rows[2][5] = _OffByOne(1)
-    with pytest.raises(InternalCheckError) as err:
-        _inertia_z(rows)
-    message = str(err.value)
-    assert "step = 1, kind = hyperbolic pair, divisor = 16, remainder = 8" in message
+        negative_divisors += any(div < 0 for div in divisors)
+        later_congruences += any(step < len(divisors) and divisors[step] != 1 for step in congruences)
+    assert negative_divisors > 30 and later_congruences > 30, (negative_divisors, later_congruences)
 
 
 def test_symmetric_elimination_divides_the_upper_triangles_only(monkeypatch):
     """Every Schur block is symmetric, so only its upper triangle is built
-    and divided: eliminating an 8 x 8 matrix by diagonal pivots passes
-    28 + 21 + ... + 1 = 84 entries through `_exact_row`, row by row,
+    and divided: eliminating an 8 x 8 matrix by diagonal pivots makes
+    28 + 21 + ... + 1 = 84 entries through `_schur`, step by step,
     where the whole blocks would be 49 + 36 + ... + 1 = 140."""
     entries = [0] * 8  # per step
-    divide = matrices._exact_row
+    schur = matrices._schur
 
-    def counted(d, x, c, y, divisor, step, kind):
-        out = divide(d, x, c, y, divisor, step, kind)
-        entries[step] += len(out)
+    def counted(u, divisor, step):
+        out = schur(u, divisor, step)
+        entries[step] += sum(len(row) for row in out)
         return out
 
-    monkeypatch.setattr(matrices, "_exact_row", counted)
+    monkeypatch.setattr(matrices, "_schur", counted)
     rows = [[Fraction(9 if i == j else (i * j) % 3 - 1) for j in range(8)] for i in range(8)]
     assert inertia(SymMatrix.from_rows(rows)) == _fraction_inertia(rows) == (8, 0, 0)
     assert entries == [28, 21, 15, 10, 6, 3, 1, 0]
@@ -272,8 +244,13 @@ def test_det_block_multiplicative():
 
 
 def _poly_matrix(field, rng, size, degree, coeff=None):
+    """A random symmetric matrix over F[t] with entries of the given degree."""
     coeff = coeff or (lambda: field.from_int(rng.randint(-4, 4)))
-    return [[[coeff() for _ in range(degree + 1)] for _ in range(size)] for _ in range(size)]
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = [coeff() for _ in range(degree + 1)]
+    return rows
 
 
 def test_det_poly_matches_pointwise_evaluation():
@@ -293,13 +270,21 @@ def test_det_poly_matches_pointwise_evaluation():
         residue = lambda: rng.randrange(p)
         cases += [(fp, _poly_matrix(fp, rng, size, 2, residue), range(2 * size + 1)) for size in (3, 6, 12)]
     for field in (f5, QQ):
-        # the zero (0,0) entry forces a row swap at the first pivot
+        # the zero (0,0) entry moves the first pivot to (1, 1)
         zero_pivot = [
             [[], [field.one], [field.zero, field.one]],
             [[field.one], [field.from_int(2), field.one], [field.from_int(3)]],
             [[field.zero, field.one], [field.from_int(3)], []],
         ]
         cases.append((field, zero_pivot, range(5) if field is f5 else range(4)))
+        # the all-zero diagonal makes the first pivot by the congruence
+        # x_0 <- x_0 + x_1; det = 6t
+        zero_diagonal = [
+            [[], [field.one], [field.zero, field.one]],
+            [[field.one], [], [field.from_int(3)]],
+            [[field.zero, field.one], [field.from_int(3)], []],
+        ]
+        cases.append((field, zero_diagonal, range(4)))
     # coefficients of absolute value exactly B = prod_i sum_j |e_ij|_1, the
     # bound that fixes the digit width: one bit less would misread them
     for rows in ([[[-7]]], [[[0, 7]]], [[[0, 3], []], [[], [-5]]]):
@@ -316,16 +301,29 @@ def test_det_poly_matches_pointwise_evaluation():
             assert all(type(c) is Fraction for c in d)
         else:
             assert all(type(c) is int and 0 <= c < field.p for c in d)
-    # a singular matrix: row 2 = t * row 0 + row 1
+    # a singular matrix: row and column 2 are t times row and column 0 plus
+    # row and column 1, the congruence that puts t e_0 + e_1 in place of e_2
     for field in (f5, QQ):
         rows = _poly_matrix(field, rng, 4, 1)
-        rows[2] = [uv.add(field, uv.mul(field, [field.zero, field.one], a), b) for a, b in zip(rows[0], rows[1])]
+        combo = lambda a, b: uv.add(field, uv.mul(field, [field.zero, field.one], a), b)
+        for j in (0, 1, 3):
+            rows[2][j] = rows[j][2] = combo(rows[0][j], rows[1][j])
+        rows[2][2] = combo(rows[2][0], rows[2][1])
         assert det_poly(field, rows) == []
 
 
 def test_det_poly_needs_the_rationals_or_a_prime_field():
     with pytest.raises(PrecondError, match="rationals or a prime field"):
         det_poly(object(), [[[1]]])
+
+
+def test_det_poly_refuses_a_nonsymmetric_matrix():
+    """The elimination reads the upper triangle only, so a matrix that is
+    not symmetric is refused, not misread as its symmetric upper half."""
+    for field in (QQ, PrimeField(5)):
+        rows = [[[field.one], [field.from_int(2)]], [[field.from_int(3)], [field.one]]]
+        with pytest.raises(PrecondError, match="symmetric"):
+            det_poly(field, rows)
 
 
 class _OffByOne(int):
@@ -337,15 +335,44 @@ class _OffByOne(int):
     __rmul__ = __mul__
 
 
-def test_inexact_bareiss_division_names_divisor_and_remainder():
-    # no row swap: the pivots are the leading principal minors 2, 2, 2
-    assert _bareiss([[2, 0, 1], [1, 1, 0], [0, 0, 1]]) == (2, [2, 2, 2])
-    # the corrupted pivot 2 makes step 0 produce [[3, 0], [1, 3]], and step 1
-    # then divides 3·3 - 1·0 = 9 by the previous pivot 2
-    with pytest.raises(InternalCheckError) as err:
-        _bareiss([[_OffByOne(2), 0, 1], [1, 1, 0], [0, 0, 1]])
-    message = str(err.value)
-    assert message == "exact Bareiss division: step = 1, previous_pivot = 2, remainder = 1"
+_PLANTED_ROWS = [[2, 0, 1], [0, 1, 0], [1, 0, 1]]
+
+
+def _assert_planted_pivot_is_named(monkeypatch, runs):
+    """Every pivot in place, each run gives its expected value; with the
+    first pivot planted off by one, each run is refused by the one checked
+    division with the same identity, step, divisor and remainder."""
+    # every pivot in place: the leading principal minors 2, 2, 1
+    assert matrices._eliminate([[2, 0, 1], [1, 0], [1]]) == ([2, 2, 1], 0, True)
+    assert [run() for run, _ in runs.values()] == [expected for _, expected in runs.values()]
+    eliminate = matrices._eliminate
+    monkeypatch.setattr(matrices, "_eliminate", lambda u: eliminate([[_OffByOne(u[0][0]), *u[0][1:]], *u[1:]]))
+    # the planted pivot 2 makes step 0 produce [[3, 1], [1, 2]] instead of
+    # [[2, 0], [0, 1]], and step 1 then divides 3·2 - 1·1 = 5 by 2
+    for name, (run, _) in runs.items():
+        with pytest.raises(InternalCheckError) as err:
+            run()
+        assert str(err.value) == "exact elimination division: step = 1, divisor = 2, remainder = 1", name
+
+
+def test_inexact_bareiss_division_names_divisor_and_remainder(monkeypatch):
+    """The determinant's fraction-free (Bareiss) division is checked: a
+    pivot planted off by one, reached through `det_poly` over Q and over
+    F_5, names the step, divisor and remainder."""
+    f5 = PrimeField(5)
+    runs = {
+        "det_poly over Q": (lambda: det_poly(QQ, [[[Fraction(x)] for x in row] for row in _PLANTED_ROWS]), [Fraction(1)]),
+        "det_poly over F_5": (lambda: det_poly(f5, [[[x] for x in row] for row in _PLANTED_ROWS]), [1]),
+    }
+    _assert_planted_pivot_is_named(monkeypatch, runs)
+
+
+def test_inexact_inertia_division_names_the_step_divisor_and_remainder(monkeypatch):
+    """The signatures share the determinant's checked division: a pivot
+    planted off by one, reached through `signature_pair`, is named by the
+    same identity, step, divisor and remainder."""
+    runs = {"signature_pair": (lambda: signature_pair(_PLANTED_ROWS), (3, 0))}
+    _assert_planted_pivot_is_named(monkeypatch, runs)
 
 
 def test_map_and_indexing():

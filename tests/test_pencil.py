@@ -420,6 +420,59 @@ def test_smoothness_over_the_rationals_matches_the_gcd_reference():
     assert all(seen.values()), seen
 
 
+def _minors_battery(rng):
+    """The toric pencil, whose diagonal is all zero, and rational pencils
+    with n = 2..7: random Grams, Grams with a zero (0, 0) entry, with an
+    all-zero diagonal, and with equal rank-one leading 2 x 2 blocks (so
+    Δ_2 vanishes identically while Δ_1 does not); every other pencil has
+    G1 divided by 3, so L = 3 clears its denominators."""
+    yield toric_pencil(QQ)
+    for trial in range(120):
+        n, kind = trial % 6 + 2, trial % 4
+        m = n + 1
+        grams = [random_symmetric(QQ, m, rng).to_lists() for _ in range(2)]
+        for g in grams:
+            if kind == 1:
+                g[0][0] = Fraction(0)
+            if kind == 2:
+                for i in range(m):
+                    g[i][i] = Fraction(0)
+            if kind == 3:
+                g[0][0] = g[0][1] = g[1][0] = g[1][1] = Fraction(rng.randint(1, 4))
+        if trial % 2:
+            grams[1] = [[x / 3 for x in row] for row in grams[1]]
+        yield Pencil.from_gram(QQ, *grams)
+
+
+def test_minors_are_decoded_exactly_when_no_leading_minor_vanishes_at_the_kronecker_point():
+    """`smoothness(p).minors` is None exactly when some leading principal
+    minor of L·(G0 + 2^K·G1) vanishes, for 2^K the point at which
+    `det_poly` evaluates the matrix (K = bitlength(B) + 1, with
+    B = prod_i sum_j |e_ij|_1 over L·G0 and L·G1); otherwise the decoded
+    minors take those values at 2^K."""
+    seen = {"minors": 0, "none": 0, "later_zero": 0}
+    for trial, p in enumerate(_minors_battery(random.Random(27))):
+        m = p.n + 1
+        scale = math.lcm(*(x.denominator for g in (p.g0, p.g1) for row in g.entries for x in row))
+        pairs = [list(zip(r0, r1)) for r0, r1 in zip(p.g0.entries, p.g1.entries)]
+        rows = [[(int(scale * a), int(scale * b)) for a, b in row] for row in pairs]
+        bound = math.prod(sum(abs(a) + abs(b) for a, b in row) for row in rows)
+        point = 2 ** (bound.bit_length() + 1)
+        member = [[a + point * b for a, b in row] for row in rows]
+        leading = [det(QQ, [row[:k] for row in member[:k]]) for k in range(1, m + 1)]
+        rep = smoothness(p)
+        assert (rep.minors is None) == (not all(leading)), trial
+        if rep.minors is None:
+            seen["none"] += 1
+            seen["later_zero"] += bool(leading[0])
+        else:
+            assert [uv.evaluate(QQ, delta, Fraction(point)) for delta in rep.minors] == leading, trial
+            seen["minors"] += 1
+        if trial == 0:
+            assert rep.minors is None and not leading[0]  # the toric pencil
+    assert all(count > 20 for count in seen.values()), seen
+
+
 def test_isolation_reuses_the_report_chain():
     """Root isolation given the report's chain returns the intervals it
     finds on its own, squarefree or not."""

@@ -13,7 +13,7 @@ SCRIPT_CASES = [
     (["torsor_experiment.py", "--q", "3", "--trials", "2"], "2/2 agreements"),
     (["real_classes_report.py"], "rational"),
     (["toric_census_report.py", "--qs", "3"], "all checks passed"),
-    (["analyze_ladder.py", "--ns", "8"], "isolate_s"),
+    (["analyze_ladder.py", "--ns", "8"], "det_s"),
 ]
 
 
