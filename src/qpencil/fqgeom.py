@@ -5,7 +5,7 @@ the pencil, [a:b] in P^1(F_q): a character sum over the members gives
 #X(F_q), and the singular points lie in the kernels of the singular members,
 so only the F_q-roots of the discriminant need linear algebra.  Both routes
 take such a member as int rows mod p and reduce it with `linalg.rref` alone:
-its pivot columns give its rank and, through `matrices.det_poly`, the
+its pivot columns give its rank and, through `linalg.det`, the
 principal minor that fixes its character sum, and `linalg.nullspace` gives
 its kernel.  X meets a kernel of dimension at most 2 in the zeros of one
 binary quadratic, solved without a scan.  Lines come from the common zeros
@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .curvecounts import _genus2_cover
 from .errors import InternalCheckError, PrecondError, check, within
 from .fields import legendre, sqrt_mod
-from .linalg import dependent, nullspace, rref
-from .matrices import SymMatrix, det_poly
+from .linalg import dependent, det, nullspace, rref
+from .matrices import SymMatrix
 from .pencil import Pencil, _discriminant_or_none, _require_prime
 from .records import record
 
@@ -244,13 +244,14 @@ def count_points(pencil: Pencil) -> int:
     vanishes identically, every member is.  Then #X = (N_aff - 1)/(q - 1).
 
     A singular member's r is the number of pivot columns P of its reduced
-    row echelon form, and delta is the principal minor det M[P, P], up to a
-    nonzero square.  The r columns P of the symmetric M are independent, so
-    its rows P are too, and span its row space: M = C^T M[P, :] for some C,
-    hence M[:, P] = C^T M[P, P], and M[P, P] has rank r.  So span(e_P) is a
-    complement of ker M, M restricted to it is nondegenerate with Gram
-    M[P, P], and diagonalizing M is diagonalizing M[P, P], whose pivots
-    multiply to its determinant times a nonzero square.
+    row echelon form, and delta is the principal minor det M[P, P]
+    (`linalg.det`, 1 for r = 0), up to a nonzero square.  The r columns P of
+    the symmetric M are independent, so its rows P are too, and span its
+    row space: M = C^T M[P, :] for some C, hence M[:, P] = C^T M[P, P], and
+    M[P, P] has rank r.  So span(e_P) is a complement of ker M, M restricted
+    to it is nondegenerate with Gram M[P, P], and diagonalizing M is
+    diagonalizing M[P, P], whose pivots multiply to its determinant times a
+    nonzero square.
     """
     p = _require_prime(pencil)
     field, m = pencil.field, pencil.n + 1
@@ -266,12 +267,12 @@ def count_points(pencil: Pencil) -> int:
         r = len(pivots)
         if r % 2:
             continue
-        minor = det_poly(field, [[[rows[i][j]] for j in pivots] for i in pivots]) if r else [1]
+        minor = det(field, [[rows[i][j] for j in pivots] for i in pivots])
         check(
             "the member is nondegenerate on its pivot columns",
             nondegenerate=bool(minor), expected=True, where={"member": (a, b), "pivots": pivots},
         )
-        rank_deficient += p ** (m - r // 2) * legendre((-1) ** (r // 2) * minor[0], p)
+        rank_deficient += p ** (m - r // 2) * legendre((-1) ** (r // 2) * minor, p)
     total = p**m + (p - 1) * (p ** (m // 2) * chi_sum + rank_deficient)
     n_aff, rem = divmod(total, p * p)
     if rem:

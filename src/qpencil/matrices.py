@@ -35,7 +35,8 @@ from .records import record
 
 @record
 class SymMatrix:
-    """An immutable symmetric matrix; entries are field elements or Polys."""
+    """An immutable symmetric matrix; entries are field elements, Polys or
+    ascending coefficient tuples over F[t]."""
 
     entries: tuple[tuple[Any, ...], ...]
 

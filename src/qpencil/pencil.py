@@ -319,9 +319,13 @@ def singular_at(p: Pencil, x: Sequence[Any]) -> bool:
     """Whether the point x of the base locus is a singular point of it.
 
     Singularity means the two gradients G0 x and G1 x are linearly dependent
-    (the Jacobian has rank < 2).  Requires x on both quadrics.
+    (the Jacobian has rank < 2).  Requires x to be n + 1 exact coordinates
+    (each read by `parse_at`) of a point on both quadrics.
     """
     fld = p.field
+    if not isinstance(x, (list, tuple)) or len(x) != p.n + 1:
+        raise PrecondError(f"need a projective point with {p.n + 1} coordinates")
+    x = [parse_at(fld, c, f"point[{k}]") for k, c in enumerate(x)]
     if all(fld.is_zero(c) for c in x):
         raise PrecondError("not a projective point")
     if not (fld.is_zero(p.eval_form(0, x)) and fld.is_zero(p.eval_form(1, x))):

@@ -171,14 +171,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        if name not in self.vars:
-            raise PrecondError(f"unknown variable {name!r}")
-        i = self.vars.index(name)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
     def is_bihomogeneous(self, group1: Iterable[str], group2: Iterable[str]) -> tuple[bool, tuple[int, int] | None]:
         """Check bihomogeneity in two variable groups; return (flag, bidegree)."""
         i1 = [self.vars.index(n) for n in group1]
@@ -220,19 +212,6 @@ class Poly:
                     term = fld.mul(term, v)
             total = fld.add(total, term)
         return total
-
-    def univariate_in(self, name: str) -> list:
-        """Dense ascending coefficient list, requiring all other exponents zero."""
-        i = self.vars.index(name)
-        for exp in self.terms:
-            if any(e != 0 for j, e in enumerate(exp) if j != i):
-                raise PrecondError(f"polynomial involves more than {name!r}")
-        d = self.degree_in(name)
-        fld = self.field
-        coeffs = [fld.zero] * (d + 1 if d >= 0 else 1)
-        for exp, c in self.terms.items():
-            coeffs[exp[i]] = c
-        return coeffs
 
     # -- display ------------------------------------------------------
 

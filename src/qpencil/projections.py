@@ -13,9 +13,9 @@ from typing import Any, Sequence
 from .curvecounts import curve_counts
 from .errors import BudgetError, InternalCheckError, PrecondError, check
 from .fields import PrimeField, parse_at
-from .linalg import complete_basis, dependent, det, mat_mul, mat_vec, nullspace, rank, rref, solve, transpose
+from .linalg import complete_basis, dependent, det, invert, mat_mul, mat_vec, nullspace, rank, rref, solve, transpose
 from .matrices import SymMatrix, congruent, det_poly
-from .pencil import BinaryForm, Pencil, _quadric_poly, pencil_congruent
+from .pencil import BinaryForm, Pencil, _quadric_poly, pencil_congruent, singular_at
 from .poly import Poly
 from .records import record
 
@@ -56,7 +56,8 @@ class LineProjection:
 
     ``pencil`` is rewritten in coordinates where the line is
     {x2 = ... = xn = 0}; ``transform`` holds the change-of-basis matrix M
-    (columns = new basis vectors), so new Grams are M^T G M.  The map beta
+    (columns = new basis vectors), so new Grams are M^T G M, and ``inverse``
+    holds M^-1, which takes a point x to those coordinates.  The map beta
     forgets (x0, x1); its inverse is (m1 : m2 : x2*D : ... : xn*D) with
     D = L00*L11 - L01*L10 the 2x2 determinant of the linear system that
     recovers (x0, x1), and the restriction of the projection blows down onto
@@ -64,6 +65,7 @@ class LineProjection:
 
     pencil: Pencil
     transform: tuple[tuple[Any, ...], ...]
+    inverse: tuple[tuple[Any, ...], ...]
     linear_forms: tuple[tuple[Poly, Poly], tuple[Poly, Poly]]
     tails: tuple[Poly, Poly]
     beta: RationalMap
@@ -76,15 +78,21 @@ def _is_list_of(value: Any, length: int) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == length
 
 
+def _exact_rows(pencil: Pencil, rows: Any, count: int, label: str, refusal: str) -> list[list[Any]]:
+    """`rows` as `count` lists of n + 1 exact coordinates, entry (k, i) read
+    by `parse_at` as ``label[k][i]``; any other shape is refused."""
+    if not _is_list_of(rows, count) or not all(_is_list_of(r, pencil.n + 1) for r in rows):
+        raise PrecondError(refusal)
+    return [[parse_at(pencil.field, c, f"{label}[{k}][{i}]") for i, c in enumerate(r)] for k, r in enumerate(rows)]
+
+
 def line_to_front(pencil: Pencil, line_rows: Sequence[Sequence[Any]]) -> tuple[Pencil, list[list[Any]]]:
     """Change coordinates so the given line becomes span(e0, e1).
 
     Returns the new pencil and the matrix M whose columns are the new basis
     vectors (first two spanning the line)."""
     fld = pencil.field
-    if not _is_list_of(line_rows, 2) or not all(_is_list_of(r, pencil.n + 1) for r in line_rows):
-        raise PrecondError("a line needs two spanning rows of length n+1")
-    rows = [[parse_at(fld, c, f"line_rows[{k}][{i}]") for i, c in enumerate(r)] for k, r in enumerate(line_rows)]
+    rows = _exact_rows(pencil, line_rows, 2, "line_rows", "a line needs two spanning rows of length n+1")
     if dependent(fld, *rows):
         raise PrecondError("the rows do not span a line")
     basis_rows = complete_basis(fld, rows)
@@ -106,19 +114,14 @@ def project_from_line(pencil: Pencil, line_rows: Sequence[Sequence[Any]]) -> Lin
                 if not fld.is_zero(g[i, j]):
                     raise PrecondError("the line does not lie on the base locus")
 
-    n = norm.n
     ambient_vars = norm.variables()
     target_vars = ambient_vars[2:]
+    xs = [Poly.variable(fld, target_vars, v) for v in target_vars]
+    two = fld.from_int(2)
 
     def linear_form(g: SymMatrix, row: int) -> Poly:
         # L = 2 * sum_{j >= 2} G[row][j] x_j, in the target ring
-        terms = {}
-        for j in range(2, n + 1):
-            c = fld.mul(fld.from_int(2), g[row, j])
-            if not fld.is_zero(c):
-                exp = tuple(1 if k + 2 == j else 0 for k in range(n - 1))
-                terms[exp] = c
-        return Poly(fld, target_vars, terms)
+        return sum((x * fld.mul(two, g[row, j]) for j, x in enumerate(xs, 2)), Poly.zero(fld, target_vars))
 
     l00 = linear_form(norm.g0, 0)
     l01 = linear_form(norm.g0, 1)
@@ -135,14 +138,12 @@ def project_from_line(pencil: Pencil, line_rows: Sequence[Sequence[Any]]) -> Lin
         ambient_vars,
         tuple(Poly.variable(fld, ambient_vars, v) for v in target_vars),
     )
-    inv_components = [m1, m2] + [
-        Poly.variable(fld, target_vars, v) * d for v in target_vars
-    ]
-    beta_inv = RationalMap(target_vars, tuple(inv_components))
+    beta_inv = RationalMap(target_vars, (m1, m2, *(x * d for x in xs)))
 
     return LineProjection(
         pencil=norm,
         transform=tuple(tuple(row) for row in m),
+        inverse=tuple(tuple(row) for row in invert(fld, m)),
         linear_forms=((l00, l01), (l10, l11)),
         tails=(t0, t1),
         beta=beta,
@@ -151,30 +152,23 @@ def project_from_line(pencil: Pencil, line_rows: Sequence[Sequence[Any]]) -> Lin
     )
 
 
-def to_projection_coordinates(proj: LineProjection, point: Sequence[Any]) -> list[Any]:
-    """Rewrite a point of the original base locus in the normalized
-    coordinates used by the projection (x_new = M^{-1} x_old)."""
-    from .linalg import invert
-
-    fld = proj.pencil.field
-    minv = invert(fld, [list(r) for r in proj.transform])
-    return mat_vec(fld, minv, list(point))
-
-
 def round_trip(proj: LineProjection, point: Sequence[Any]) -> bool | None:
-    """Check beta then its inverse on a point of the normalized base locus.
+    """Check beta then its inverse on a point of the base locus, given in the
+    coordinates of the pencil that was projected; M^-1 takes it to the
+    coordinates where the line is span(e0, e1).
 
     Returns None when the point hits an indeterminacy locus, otherwise
     whether the composite returns to the same projective point.
     """
     fld = proj.pencil.field
-    down = proj.beta.evaluate(list(point))
+    x = mat_vec(fld, proj.inverse, point)
+    down = proj.beta.evaluate(x)
     if down is None:
         return None
     up = proj.beta_inverse.evaluate(list(down))
     if up is None:
         return None
-    return dependent(fld, point, up)
+    return dependent(fld, x, up)
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +188,8 @@ def residual_line(pencil: Pencil, plane_rows: Sequence[Sequence[Any]]) -> tuple[
     fld = pencil.field
     if not isinstance(fld, PrimeField):
         raise PrecondError("residual-line search runs over a prime field")
-    rows = [list(r) for r in plane_rows]
-    if len(rows) != 4 or rank(fld, rows) != 4:
+    rows = _exact_rows(pencil, plane_rows, 4, "plane_rows", "a 3-plane needs four spanning rows of length n+1")
+    if rank(fld, rows) != 4:
         raise PrecondError("need four independent rows spanning a 3-plane")
     basis_cols = transpose(rows)
     r0 = congruent(fld, pencil.g0, basis_cols)
@@ -230,7 +224,8 @@ class DoubleProjection:
     G = 2 x0 x5 + g(x1..x5); eliminating x0 along the pencil of hyperplanes
     x5 = t x4 exhibits the base locus as birational to a bundle of quadric
     surfaces over the t-line, with a symmetric 4x4 matrix A(t) whose entries
-    have degrees (1 | 2 / 2 | 3) by block.  Its determinant satisfies the
+    have degrees (1 | 2 / 2 | 3) by block; ``bundle_matrix`` holds each entry
+    as its ascending coefficient tuple in t.  Its determinant satisfies the
     exact identity
 
         det A(t) = -det(M)^2 * F(t, -1),
@@ -257,22 +252,16 @@ class DoubleProjection:
 def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
     if pencil.n != 5:
         raise PrecondError("the double projection is implemented for n = 5")
-    fld = pencil.field
-    if not _is_list_of(point, 6):
-        raise PrecondError("need a projective point with 6 coordinates")
-    x = [parse_at(fld, c, f"point[{k}]") for k, c in enumerate(point)]
-    if all(fld.is_zero(c) for c in x):
-        raise PrecondError("need a projective point, not the zero vector")
-    if not fld.is_zero(pencil.eval_form(0, x)) or not fld.is_zero(pencil.eval_form(1, x)):
-        raise PrecondError("the point does not lie on the base locus")
-    a = mat_vec(fld, pencil.g0.to_lists(), x)
-    b = mat_vec(fld, pencil.g1.to_lists(), x)
-    if dependent(fld, a, b):
+    if singular_at(pencil, point):
         raise PrecondError("the point is singular on the base locus")
+    fld = pencil.field
+    x = [fld.parse(c) for c in point]
+    a = mat_vec(fld, pencil.g0.entries, x)
+    b = mat_vec(fld, pencil.g1.entries, x)
 
     # basis: x, three more kernel vectors of (a, b), then duals v4, v5
     kernel = nullspace(fld, [a, b])
-    basis = [list(x)]
+    basis = [x]
     for v in kernel:
         if len(basis) == 4:
             break
@@ -289,43 +278,23 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
         expect_row = [fld.one if j == dual else fld.zero for j in range(6)]
         check("the adapted Gram's first row is dual to x", first_row=[g[0, j] for j in range(6)], expected=expect_row)
 
-    # tails on (x1..x5), then substitute x5 = t x4 and form A(t) = t*S0 - S1
-    tvars = ("t",)
+    # A(t) = t*S0(t) - S1(t), S the tail Gram on (x1..x5) with x5 = t*x4:
+    # local index i < 4 collects the Gram indices and powers of t it lifts to
+    lift = (((1, 0),), ((2, 0),), ((3, 0),), ((4, 0), (5, 1)))
 
-    def tpoly(coeffs: list[Any]) -> Poly:
-        return Poly(fld, tvars, {(i,): c for i, c in enumerate(coeffs)})
-
-    def bundle_entry(i: int, j: int) -> Poly:
-        # S[i][j](t) for the tail Gram T = norm.g (indices 1..5), local 0..3
-        def s_of(g: SymMatrix) -> list[Any]:
-            gi, gj = i + 1, j + 1
-            if i < 3 and j < 3:
-                return [g[gi, gj]]
-            if i < 3 and j == 3:
-                return [g[gi, 4], g[gi, 5]]
-            if i == 3 and j < 3:
-                return [g[4, gj], g[5, gj]]
-            return [g[4, 4], fld.mul(fld.from_int(2), g[4, 5]), g[5, 5]]
-
-        s0 = s_of(norm.g0)
-        s1 = s_of(norm.g1)
-        # t * s0(t) - s1(t)
-        coeffs = [fld.neg(c) for c in s1] + [fld.zero]
-        for k, c in enumerate(s0):
-            coeffs[k + 1] = fld.add(coeffs[k + 1], c)
-        return tpoly(coeffs)
+    def bundle_entry(i: int, j: int) -> tuple[Any, ...]:
+        terms = [(s + u, gi, gj) for gi, s in lift[i] for gj, u in lift[j]]
+        coeffs = [fld.zero] * (max(k for k, _, _ in terms) + 2)
+        for k, gi, gj in terms:
+            coeffs[k] = fld.sub(coeffs[k], norm.g1[gi, gj])
+            coeffs[k + 1] = fld.add(coeffs[k + 1], norm.g0[gi, gj])
+        limit = 1 + (i == 3) + (j == 3)
+        if len(coeffs) - 1 > limit:
+            raise InternalCheckError("bundle matrix entry degree bound", entry=(i, j), degree=len(coeffs) - 1, bound=limit)
+        return tuple(coeffs)
 
     rows = [[bundle_entry(i, j) for j in range(4)] for i in range(4)]
-    bundle = SymMatrix.from_rows(rows)
-    for i in range(4):
-        for j in range(4):
-            limit = 1 + (i == 3) + (j == 3)
-            if rows[i][j].total_degree() > limit:
-                raise InternalCheckError(
-                    "bundle matrix entry degree bound", entry=(i, j), degree=rows[i][j].total_degree(), bound=limit
-                )
-
-    dpoly = det_poly(fld, [[e.univariate_in("t") for e in row] for row in rows])
+    dpoly = det_poly(fld, rows)
     if len(dpoly) > 7:
         raise InternalCheckError("degeneracy determinant degree <= 6", degree=len(dpoly) - 1)
     coeffs = dpoly + [fld.zero] * (7 - len(dpoly))
@@ -340,31 +309,27 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
     disc = pencil.discriminant_form()
     mdet = det(fld, m)
     twist = fld.neg(fld.mul(mdet, mdet))
-    # exact identity, coefficient by coefficient (ascending in t)
-    cs = disc.coeffs
-    target = [fld.mul(twist, cs[6 - k] if k % 2 == 0 else fld.neg(cs[6 - k])) for k in range(7)]
-    check("det A(t) = -det(M)^2 * F(t, -1)", det_a=coeffs, twisted_discriminant=target)
+    # F(t, -1) ascending in t: F = sum c_i s0^(6-i) s1^i puts (-1)^k c_(6-k) at t^k
+    f_minus = [c if k % 2 == 0 else fld.neg(c) for k, c in enumerate(reversed(disc.coeffs))]
+    check("det A(t) = -det(M)^2 * F(t, -1)", det_a=coeffs, twisted_discriminant=[fld.mul(twist, c) for c in f_minus])
 
     counts: tuple[int, int] | None = None
     if isinstance(fld, PrimeField):
         # second route: the curves y^2 = det A(t) and y^2 = -F(t, -1) differ by
         # the square factor det(M)^2, so their point counts over F_q and F_{q^2}
         # must agree even though the models fed to the counter differ.
-        q = fld.p
-        sx = [int(c) for c in sextic.chart_main()]
-        mx = [int(c) if k % 2 == 1 else (-int(c)) % q for k, c in enumerate(reversed(disc.coeffs))]
         try:
-            counts = curve_counts(sx, q)
+            counts = curve_counts(sextic.chart_main(), fld.p)
         except BudgetError:  # q too large to count: the exact identity stands alone
             pass
         else:
-            disc_counts = curve_counts(mx, q)
+            disc_counts = curve_counts([fld.neg(c) for c in f_minus], fld.p)
             check("degeneracy curve counts = discriminant curve counts", degeneracy=counts, discriminant=disc_counts)
 
     return DoubleProjection(
         pencil=pencil,
         transform=tuple(tuple(row) for row in m),
-        bundle_matrix=bundle,
+        bundle_matrix=SymMatrix.from_rows(rows),
         degeneracy=sextic,
         discriminant=disc,
         twist_factor=twist,

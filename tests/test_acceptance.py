@@ -43,7 +43,7 @@ from qpencil.latticegroups import (
 )
 from qpencil.matrices import SymMatrix, congruent, inertia
 from qpencil.pencil import Pencil, diagonal_pencil, discriminant_cover, toric_pencil
-from qpencil.projections import double_projection, project_from_line, round_trip, to_projection_coordinates
+from qpencil.projections import double_projection, project_from_line, round_trip
 from qpencil.samples import (
     random_pencil,
     random_pencil_through_line,
@@ -130,8 +130,7 @@ def test_criterion_05_projection_round_trip():
 
             checked = 0
             for row in points_on_pencil(p):
-                pt = to_projection_coordinates(proj, [int(c) for c in row])
-                verdict = round_trip(proj, pt)
+                verdict = round_trip(proj, [int(c) for c in row])
                 if verdict is None:
                     continue
                 assert verdict

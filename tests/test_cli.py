@@ -461,12 +461,13 @@ def _pencil_input(tmp_path, name, pencil):
 
 
 def test_project_line_checks_its_round_trip_in_the_line_coordinates(tmp_path, monkeypatch):
-    """`round_trip` works in coordinates where the line is span(e0, e1).
-    The CLI passed it the base-locus points as they are, so on a pencil
-    whose line is not a coordinate line every check read false.  A pencil
-    through the coordinate line, moved by a random invertible congruence,
-    now passes 20 of 20 points; a failed round trip exits 3 naming the
-    point."""
+    """`round_trip` takes base-locus points in the coordinates of the pencil
+    it projected and moves them to those of span(e0, e1) itself.  When it
+    expected the line's coordinates, the CLI passed it the points as they
+    are, and on a pencil whose line is not a coordinate line every check
+    read false.  A pencil through the coordinate line, moved by a random
+    invertible congruence, passes 20 of 20 points; a failed round trip
+    exits 3 naming the point."""
     from qpencil import projections
     from qpencil.fields import PrimeField
     from qpencil.linalg import invert

@@ -32,8 +32,8 @@ from qpencil.fqgeom import (
     singular_points,
     torsor_check,
 )
-from qpencil.linalg import mat_vec, rank, rref
-from qpencil.matrices import SymMatrix, det_poly
+from qpencil.linalg import det, mat_vec, rank, rref
+from qpencil.matrices import SymMatrix
 from qpencil.pencil import (
     Pencil,
     _discriminant_or_none,
@@ -342,14 +342,14 @@ def test_member_sum_sees_the_sign_of_each_member(q):
 
 @pytest.mark.parametrize("q, planted", [(3, 12), (7, 28), (11, 44)])
 def test_a_negated_minor_breaks_the_count(monkeypatch, q, planted):
-    """The sum reads delta off `det_poly`: negated there, the two rank-2
+    """The sum reads delta off `linalg.det`: negated there, the two rank-2
     members of the split pencil, of determinant 1 on their pivot columns,
     count 2 q^3 each instead of 0, and X, empty over F_q for q = 3 mod 4,
     is counted with 2 (q + 1) points."""
     fld = PrimeField(q)
     split = Pencil(fld, 3, SymMatrix.diagonal(fld, [1, 1, 1, 1]), SymMatrix.diagonal(fld, [0, 0, 1, 1]))
     assert count_points(split) == len(points_on_pencil(split)) == 0
-    monkeypatch.setattr(fqgeom, "det_poly", lambda field, rows: [-c % q for c in det_poly(field, rows)])
+    monkeypatch.setattr(fqgeom, "det", lambda field, rows: -det(field, rows) % q)
     assert count_points(split) == planted
 
 
@@ -416,8 +416,8 @@ def test_pivot_minor_matches_the_congruence_diagonalization():
                 r, delta = _rank_and_delta([list(row) for row in rows], p)
                 pivots = rref(fld, rows)[1]
                 assert len(pivots) == r, (p, rows)
-                minor = det_poly(fld, [[[rows[i][j]] for j in pivots] for i in pivots]) if r else [1]
-                assert minor and legendre(minor[0], p) == legendre(delta, p), (p, rows)
+                minor = det(fld, [[rows[i][j] for j in pivots] for i in pivots])
+                assert minor and legendre(minor, p) == legendre(delta, p), (p, rows)
                 ranks.add((m, r))
                 zero_diagonal += r > 0 and not any(rows[i][i] for i in range(m))
     assert ranks == {(m, r) for m in range(1, 9) for r in range(m + 1)}

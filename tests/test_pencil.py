@@ -526,6 +526,14 @@ def test_singular_at_guards():
         singular_at(p, [Fraction(0)] * 6)
     with pytest.raises(PrecondError, match="base locus"):
         singular_at(p, [Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)])
+    # a 7-coordinate point read True, a 2-coordinate one raised IndexError,
+    # and a float was taken as it stood
+    f7 = toric_pencil(PrimeField(7))
+    for point in ([1, 0, 0, 0, 0, 0, 0], [1, 0], 5):
+        with pytest.raises(PrecondError, match="6 coordinates"):
+            singular_at(f7, point)
+    with pytest.raises(PrecondError, match=r"point\[1\]: .*must be exact"):
+        singular_at(f7, [1, 1.5, 0, 0, 0, 0])
 
 
 # -- reduction ----------------------------------------------------------

@@ -79,15 +79,6 @@ def test_bihomogeneous_detects_mixed():
     assert not ok
 
 
-def test_univariate_extraction():
-    x = Poly.variable(F5, VARS, "x")
-    f = x * x * 3 + x * 2 + 1
-    assert f.univariate_in("x") == [1, 2, 3]
-    y = Poly.variable(F5, VARS, "y")
-    with pytest.raises(PrecondError):
-        (f + y).univariate_in("x")
-
-
 def test_total_degree():
     x = Poly.variable(QQ, VARS, "x")
     y = Poly.variable(QQ, VARS, "y")

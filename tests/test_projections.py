@@ -10,15 +10,14 @@ from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.io import load_pencil
 from qpencil.fields import QQ, PrimeField
 from qpencil.fqgeom import points_on_pencil
-from qpencil.linalg import dependent, rank
-from qpencil.pencil import Pencil, diagonal_pencil, toric_pencil
+from qpencil.linalg import dependent, invert, rank
+from qpencil.pencil import Pencil, diagonal_pencil, pencil_congruent, toric_pencil
 from qpencil.projections import (
     DoubleProjection,
     double_projection,
     project_from_line,
     residual_line,
     round_trip,
-    to_projection_coordinates,
 )
 from qpencil.samples import random_pencil_through_line, random_point_on_pencil
 
@@ -61,23 +60,34 @@ def test_dependent_is_rank_below_two():
 
 
 def test_projection_round_trips():
+    """beta^-1(beta(x)) = x on 20 base-locus points given in the pencil's
+    own coordinates: for the coordinate line span(e0, e1), and for that
+    pencil moved by a random invertible congruence, whose line is no
+    coordinate line."""
     rng = random.Random(11)
     p = random_pencil_through_line(F11, 5, rng)
-    proj = project_from_line(p, LINE_ROWS)
-    pts = points_on_pencil(p)
-    checked = failures = 0
-    for row in pts:
-        pt = to_projection_coordinates(proj, [int(c) for c in row])
-        verdict = round_trip(proj, pt)
-        if verdict is None:
-            continue
-        checked += 1
-        if not verdict:
-            failures += 1
-        if checked == 20:
+    while True:
+        m = [[rng.randrange(11) for _ in range(6)] for _ in range(6)]
+        if rank(F11, m) == 6:
             break
-    assert checked == 20
-    assert failures == 0
+    inverse = invert(F11, m)
+    # x_old = M x_new, so the line is spanned by columns 0 and 1 of M^-1
+    moved_line = [[inverse[i][k] for i in range(6)] for k in (0, 1)]
+    assert all(sum(map(bool, row)) > 1 for row in moved_line)
+    for pencil, line in ((p, LINE_ROWS), (pencil_congruent(p, m), moved_line)):
+        proj = project_from_line(pencil, line)
+        checked = failures = 0
+        for row in points_on_pencil(pencil):
+            verdict = round_trip(proj, [int(c) for c in row])
+            if verdict is None:
+                continue
+            checked += 1
+            if not verdict:
+                failures += 1
+            if checked == 20:
+                break
+        assert checked == 20
+        assert failures == 0
 
 
 def test_projection_curve_equations():
@@ -152,6 +162,18 @@ def test_residual_line_guards():
     plane = [[1 if j == i else 0 for j in range(6)] for i in (0, 2, 3, 4)]
     with pytest.raises(PrecondError, match="not a curve"):
         residual_line(toric_pencil(PrimeField(5)), plane)
+    # rows are read as exact coordinates: a float reached pow() as a TypeError,
+    # a bare int was not iterable, short rows were a matrix shape mismatch,
+    # and True was read as 1
+    f7 = toric_pencil(PrimeField(7))
+    with pytest.raises(PrecondError, match=r"plane_rows\[2\]\[3\]: .*must be exact"):
+        residual_line(f7, [plane[0], plane[1], [0, 0, 0, 1.0, 0, 0], plane[3]])
+    with pytest.raises(PrecondError, match="four spanning rows"):
+        residual_line(f7, 5)
+    with pytest.raises(PrecondError, match="four spanning rows"):
+        residual_line(f7, [row[:5] for row in plane])
+    with pytest.raises(PrecondError, match=r"plane_rows\[0\]\[0\]: not a coefficient: True"):
+        residual_line(f7, [[True, 0, 0, 0, 0, 0]] + plane[1:])
 
 
 # -- double projection -----------------------------------------------------
@@ -186,7 +208,7 @@ def test_double_projection_identity(q, seed):
     for i in range(4):
         for j in range(4):
             e = dp.bundle_matrix[i, j]
-            assert e.total_degree() <= 1 + (i == 3) + (j == 3)
+            assert max((k for k, c in enumerate(e) if c), default=-1) <= 1 + (i == 3) + (j == 3)
 
 
 def test_a_doubled_determinant_fails_the_degeneracy_identity_naming_both_sides(monkeypatch):

@@ -51,7 +51,7 @@ EXAMPLES = {
     "pencil.Pencil": (F, 2, ID3, ID3),
     "pencil.SmoothnessReport": (True, BinaryForm(F, (1, 0, 1)), (1,), (1,), None, ((1, 0, 1), (0, 2))),
     "projections.RationalMap": (LINEAR.source_vars, LINEAR.components),
-    "projections.LineProjection": (None, ((1, 0), (0, 1)), (), (), LINEAR, LINEAR, ()),
+    "projections.LineProjection": (None, ((1, 0), (0, 1)), ((1, 0), (0, 1)), (), (), LINEAR, LINEAR, ()),
     "projections.DoubleProjection": (None, (), ID3, None, None, 1, True, False, None),
     "toric.ToricLineCensus": (3, 108, 54, 54, {(0, 1, 2): 18}, 108, 54, 54, 18),
     "toric.ComponentBookkeeping": (6, 1, 1, 6),
