@@ -1,7 +1,8 @@
 """Closed-form bookkeeping for curves on the base locus and for quadric
 surface bundles over ℙ¹×ℙ¹: secant-degree formulas, parameter counts of
-bundle families, the tangent-fibers specialization matrix, and the
-singular-fiber count of the degree-6 fibration.
+bundle families, the determinant and fiber tangency of the tangent-fibers
+specialization matrix, and the singular-fiber count of the degree-6
+fibration.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from typing import Any, Sequence
 
 from .errors import InternalCheckError, PrecondError, check
 from .fields import QQ, Field, parse_at
-from .matrices import SymMatrix
 from .poly import Poly
 from .records import record
 
@@ -86,33 +86,6 @@ def bundle_parameter_counts(d: int) -> BundleParameterCounts:
 
 
 @record
-class BundleMatrix:
-    """A symmetric 4x4 matrix of bihomogeneous polynomials together with the
-    declared bidegree of every entry; the declaration is enforced."""
-
-    entries: SymMatrix
-    bidegrees: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.entries.size != 4 or len(self.bidegrees) != 4:
-            raise PrecondError("bundle matrices are 4x4")
-        for i in range(4):
-            for j in range(4):
-                entry = self.entries[i, j]
-                if entry.is_zero:
-                    continue
-                ok, bideg = entry.is_bihomogeneous(_GROUP1, _GROUP2)
-                if not ok or bidkey(bideg) != bidkey(self.bidegrees[i][j]):
-                    raise PrecondError(
-                        f"entry ({i},{j}) does not have bidegree {self.bidegrees[i][j]}"
-                    )
-
-
-def bidkey(b: tuple[int, int]) -> tuple[int, int]:
-    return (int(b[0]), int(b[1]))
-
-
-@record
 class FiberTangency:
     """Tangency of the degeneracy curve {g = 0} along one coordinate fiber.
 
@@ -139,7 +112,6 @@ class HptReport:
     degeneracy curve doubly and the coordinate fibers simply; both sums are
     recorded and no preference between the two conventions is taken."""
 
-    matrix: BundleMatrix
     determinant: Poly
     det_bidegree: tuple[int, int]
     factors: tuple[tuple[str, tuple[int, int], int], ...]
@@ -170,8 +142,8 @@ def poly_from_grid(grid: Sequence[Sequence[Any]], field: Field = QQ) -> Poly:
 
 
 def hpt_check(g: Poly) -> HptReport:
-    """Build the specialization matrix diag(y1 z1, y1 z2, y2 z1, y2 z2 g) for
-    a (2,2)-curve g on ℙ¹×ℙ¹ and report its determinant bookkeeping and the
+    """For a (2,2)-curve g on ℙ¹×ℙ¹, report the determinant bookkeeping of
+    the specialization matrix diag(y1 z1, y1 z2, y2 z1, y2 z2 g) and the
     tangency of {g = 0} along the four coordinate fibers.
 
     The determinant must equal y1² y2² z1² z2² · g symbolically, a divisor of
@@ -183,31 +155,20 @@ def hpt_check(g: Poly) -> HptReport:
     if g.vars != HPT_VARS:
         raise PrecondError(f"g must live in variables {HPT_VARS}")
     ok, bideg = g.is_bihomogeneous(_GROUP1, _GROUP2)
-    if g.is_zero or not ok or bidkey(bideg) != (2, 2):
+    if g.is_zero or not ok or bideg != (2, 2):
         raise PrecondError("g must be bihomogeneous of bidegree (2,2)")
 
     def v(name: str) -> Poly:
         return Poly.variable(fld, HPT_VARS, name)
 
     y1, z1, y2, z2 = (v(name) for name in HPT_VARS)
-    zero = Poly.zero(fld, HPT_VARS)
     diag = [y1 * z1, y1 * z2, y2 * z1, y2 * z2 * g]
-    rows = [[diag[i] if i == j else zero for j in range(4)] for i in range(4)]
-    bidegrees = tuple(
-        tuple(
-            bidkey(rows[i][j].is_bihomogeneous(_GROUP1, _GROUP2)[1]) if i == j else (0, 0)
-            for j in range(4)
-        )
-        for i in range(4)
-    )
-    matrix = BundleMatrix(entries=SymMatrix.from_rows(rows), bidegrees=bidegrees)
-
     det = diag[0] * diag[1] * diag[2] * diag[3]  # the matrix is diagonal
     expected = y1 * y1 * y2 * y2 * z1 * z1 * z2 * z2 * g
     check("det of the diagonal matrix = y1²y2²z1²z2²·g", det=det, expected=expected)
     ok, det_bideg = det.is_bihomogeneous(_GROUP1, _GROUP2)
     check("the determinant is bihomogeneous", bihomogeneous=ok, expected=True)
-    check("determinant bidegree = (6,6)", bidegree=bidkey(det_bideg), expected=(6, 6))
+    check("determinant bidegree = (6,6)", bidegree=det_bideg, expected=(6, 6))
     # y1, z1 cut (1,0)-divisors, y2, z2 cut (0,1)-divisors, g cuts a (2,2)-curve
     factors = (
         ("y1", (1, 0), 2),
@@ -245,7 +206,6 @@ def hpt_check(g: Poly) -> HptReport:
         tangency("z2=0", (a[0][2], a[1][2], a[2][2])),
     )
     return HptReport(
-        matrix=matrix,
         determinant=det,
         det_bidegree=(6, 6),
         factors=factors,

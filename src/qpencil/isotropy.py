@@ -1,5 +1,4 @@
-"""Isotropy of quadratic forms over ℝ and small prime fields, and an
-exhaustive audit of the equivalence
+"""An exhaustive audit, over small prime fields, of Amer's equivalence
 
     f + t·g isotropic over F_q(t)  <=>  f and g share a projective zero,
 
@@ -10,14 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import product
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalCheckError, PrecondError, check, within
 from .fields import PrimeField
 from .fqgeom import _gram_array, _quadric_values
-from .linalg import rank
-from .matrices import SymMatrix, inertia
+from .matrices import SymMatrix
 from .records import record
 
 if TYPE_CHECKING:
@@ -27,75 +24,11 @@ if TYPE_CHECKING:
 # (q = 5, m = 4, d = 3, 4.8e7 candidates) took 6.0-6.6 s (2-core Intel
 # Xeon, CPython 3.11.7)
 AMER_SEARCH_LIMIT = 5 * 10**7
-# vectors `isotropic_witness` tries in plain Python: the anisotropic
-# x^2 - 2 y^2 over F_997 (9.9e5 vectors) took 1.2 s (2-core Intel Xeon,
-# CPython 3.11.7)
-WITNESS_SCAN_LIMIT = 10**6
 _FIRST_CHUNK = 64
 # A chunk's arrays hold a few entries per candidate and table, so the cap
 # bounds the harness's working memory (under 1 MB at 4096, whatever the
 # pair); a full search runs no slower than with larger chunks.
 _CHUNK = 1 << 12
-
-
-class _RealField:
-    """Marker for deciding isotropy over ℝ; the input must have exact
-    rational entries, the verdict is read off the inertia."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "REALS"
-
-
-REALS = _RealField()
-
-
-def isotropic(form: SymMatrix, field: Any) -> bool:
-    """Does the quadratic form have a nontrivial zero over the given field?
-
-    Over ℝ (pass ``REALS``; entries must be rational) this is inertia
-    arithmetic: anything except a definite form of full rank is isotropic.
-    Over a prime field, a form of rank < size has a kernel vector, a
-    nondegenerate form in >= 3 variables is always isotropic, and what
-    remains is small enough to scan.
-    """
-    if field is REALS:
-        pos, neg, zero = inertia(form)
-        return zero > 0 or (pos > 0 and neg > 0)
-    if isinstance(field, PrimeField):
-        m = form.size
-        r = rank(field, form.to_lists())
-        if r < m:
-            return True
-        if r >= 3:
-            # every nondegenerate form in >= 3 variables over a finite field
-            # is isotropic; the scan-based audit lives in the test suite
-            return True
-        return isotropic_witness(form, field) is not None
-    raise PrecondError("isotropy is decided over REALS or a prime field")
-
-
-def isotropic_witness(form: SymMatrix, field: PrimeField) -> tuple[int, ...] | None:
-    """Exhaustive search for a nontrivial zero of the form over F_q.
-
-    Independent of the rank shortcuts in :func:`isotropic`, so it doubles as
-    their audit on small inputs.
-    """
-    m = form.size
-    q = field.p
-    within(f"vectors of F_{q}^{m} the witness scan visits", q**m, WITNESS_SCAN_LIMIT=WITNESS_SCAN_LIMIT)
-    g = form.to_lists()
-    for vec in product(range(q), repeat=m):
-        if not any(vec):
-            continue
-        total = 0
-        for i in range(m):
-            if vec[i] == 0:
-                continue
-            for j in range(m):
-                total += vec[i] * g[i][j] * vec[j]
-        if total % q == 0:
-            return vec
-    return None
 
 
 @record

@@ -315,13 +315,9 @@ def smoothness(p: Pencil) -> SmoothnessReport:
     return SmoothnessReport(smooth, disc, tuple(ga), tuple(gb), minors, chain)
 
 
-def singular_at(p: Pencil, x: Sequence[Any]) -> bool:
-    """Whether the point x of the base locus is a singular point of it.
-
-    Singularity means the two gradients G0 x and G1 x are linearly dependent
-    (the Jacobian has rank < 2).  Requires x to be n + 1 exact coordinates
-    (each read by `parse_at`) of a point on both quadrics.
-    """
+def _point_on_locus(p: Pencil, x: Sequence[Any]) -> list[Any]:
+    """x as n + 1 exact coordinates (each read by `parse_at`) of a point on
+    both quadrics; anything else is refused."""
     fld = p.field
     if not isinstance(x, (list, tuple)) or len(x) != p.n + 1:
         raise PrecondError(f"need a projective point with {p.n + 1} coordinates")
@@ -330,6 +326,18 @@ def singular_at(p: Pencil, x: Sequence[Any]) -> bool:
         raise PrecondError("not a projective point")
     if not (fld.is_zero(p.eval_form(0, x)) and fld.is_zero(p.eval_form(1, x))):
         raise PrecondError("point is not on the base locus")
+    return x
+
+
+def singular_at(p: Pencil, x: Sequence[Any]) -> bool:
+    """Whether the point x of the base locus is a singular point of it.
+
+    Singularity means the two gradients G0 x and G1 x are linearly dependent
+    (the Jacobian has rank < 2).  x is read and refused as in
+    `_point_on_locus`.
+    """
+    fld = p.field
+    x = _point_on_locus(p, x)
     return dependent(fld, mat_vec(fld, p.g0.entries, x), mat_vec(fld, p.g1.entries, x))
 
 

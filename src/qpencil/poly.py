@@ -148,18 +148,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise PrecondError("negative power of a polynomial")
-        result = Poly.const(self.field, self.vars, self.field.one)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     # -- queries ------------------------------------------------------
 
     def coeff(self, exp: Sequence[int]) -> Any:

@@ -15,7 +15,7 @@ from .errors import BudgetError, InternalCheckError, PrecondError, check
 from .fields import PrimeField, parse_at
 from .linalg import complete_basis, dependent, det, invert, mat_mul, mat_vec, nullspace, rank, rref, solve, transpose
 from .matrices import SymMatrix, congruent, det_poly
-from .pencil import BinaryForm, Pencil, _quadric_poly, pencil_congruent, singular_at
+from .pencil import BinaryForm, Pencil, _point_on_locus, _quadric_poly, pencil_congruent
 from .poly import Poly
 from .records import record
 
@@ -55,16 +55,14 @@ class LineProjection:
     """Projection of the base locus away from one of its lines.
 
     ``pencil`` is rewritten in coordinates where the line is
-    {x2 = ... = xn = 0}; ``transform`` holds the change-of-basis matrix M
-    (columns = new basis vectors), so new Grams are M^T G M, and ``inverse``
-    holds M^-1, which takes a point x to those coordinates.  The map beta
+    {x2 = ... = xn = 0}, and ``inverse`` holds the matrix that takes a point
+    x of the projected pencil to those coordinates.  The map beta
     forgets (x0, x1); its inverse is (m1 : m2 : x2*D : ... : xn*D) with
     D = L00*L11 - L01*L10 the 2x2 determinant of the linear system that
     recovers (x0, x1), and the restriction of the projection blows down onto
     the quintic base curve V(D, m1, m2)."""
 
     pencil: Pencil
-    transform: tuple[tuple[Any, ...], ...]
     inverse: tuple[tuple[Any, ...], ...]
     linear_forms: tuple[tuple[Poly, Poly], tuple[Poly, Poly]]
     tails: tuple[Poly, Poly]
@@ -142,7 +140,6 @@ def project_from_line(pencil: Pencil, line_rows: Sequence[Sequence[Any]]) -> Lin
 
     return LineProjection(
         pencil=norm,
-        transform=tuple(tuple(row) for row in m),
         inverse=tuple(tuple(row) for row in invert(fld, m)),
         linear_forms=((l00, l01), (l10, l11)),
         tails=(t0, t1),
@@ -239,7 +236,6 @@ class DoubleProjection:
     stands alone."""
 
     pencil: Pencil
-    transform: tuple[tuple[Any, ...], ...]
     bundle_matrix: SymMatrix
     degeneracy: BinaryForm
     discriminant: BinaryForm
@@ -252,12 +248,12 @@ class DoubleProjection:
 def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
     if pencil.n != 5:
         raise PrecondError("the double projection is implemented for n = 5")
-    if singular_at(pencil, point):
-        raise PrecondError("the point is singular on the base locus")
     fld = pencil.field
-    x = [fld.parse(c) for c in point]
+    x = _point_on_locus(pencil, point)
     a = mat_vec(fld, pencil.g0.entries, x)
     b = mat_vec(fld, pencil.g1.entries, x)
+    if dependent(fld, a, b):
+        raise PrecondError("the point is singular on the base locus")
 
     # basis: x, three more kernel vectors of (a, b), then duals v4, v5
     kernel = nullspace(fld, [a, b])
@@ -328,7 +324,6 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
 
     return DoubleProjection(
         pencil=pencil,
-        transform=tuple(tuple(row) for row in m),
         bundle_matrix=SymMatrix.from_rows(rows),
         degeneracy=sextic,
         discriminant=disc,

@@ -118,12 +118,6 @@ class ToricLineCensus:
         )
 
 
-def classify_line(line: tuple[Sequence[int], Sequence[int]]) -> list[tuple[int, int, int]]:
-    """The planes (by index triple) containing the line spanned by the rows
-    (u, v); empty if nonplanar."""
-    return list(_HOMES[_zero_mask(line)])
-
-
 def _zero_mask(line: tuple[Sequence[int], Sequence[int]]) -> int:
     """Bit j set when x_j vanishes identically on the line with rows (u, v)."""
     u, v = line

@@ -342,8 +342,12 @@ _NO_POLY = ("qpencil.poly",)
     "argv, preload, absent",
     [
         (["torus", "--generators", "inputs/full_group.json"], (), _NO_PENCIL_WORK),
-        # hpt reads its (2,2) form as a Poly
-        (["hpt", "--g", "inputs/g_tangent.json"], (), tuple(m for m in _NO_PENCIL_WORK if m != "qpencil.poly")),
+        # hpt reads its (2,2) form as a Poly and needs no matrices
+        (
+            ["hpt", "--g", "inputs/g_tangent.json"],
+            (),
+            (*(m for m in _NO_PENCIL_WORK if m != "qpencil.poly"), "qpencil.matrices"),
+        ),
         # the class combinatorics live in qpencil.classes, which needs no pencil
         (
             ["classes", "--n", "5"],

@@ -17,7 +17,7 @@ from qpencil.curvecounts import curve_counts
 from qpencil.errors import BudgetError, InternalCheckError, PrecondError, check, within
 from qpencil.fields import PrimeField
 from qpencil.io import parse_pencil
-from qpencil.isotropy import amer_harness, isotropic_witness
+from qpencil.isotropy import amer_harness
 from qpencil.latticegroups import element_order, group_closure
 from qpencil.matrices import SymMatrix
 from qpencil.pencil import Pencil, diagonal_pencil
@@ -115,11 +115,6 @@ BOUNDS = {
         "ELIMINATION_LIMIT = 4000000",
     ),
     "curve counts": (partial(curve_counts, [0, -1, 0, 0, 0, 1]), 1009, "CURVE_Q_LIMIT = 1000"),
-    "witness": (
-        partial(isotropic_witness, field=PrimeField(101)),
-        SymMatrix.diagonal(PrimeField(101), [1] * 4),
-        "WITNESS_SCAN_LIMIT = 1000000",
-    ),
     "amer": (
         lambda fg: amer_harness(*fg, 3, _FIVE),
         (SymMatrix.diagonal(_FIVE, [1] * 5), SymMatrix.diagonal(_FIVE, [0, 1, 2, 3, 4])),

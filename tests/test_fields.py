@@ -200,6 +200,6 @@ def test_rational_elimination_on_int_rows_is_exact():
     pencil = random_pencil_through_line(QQ, 4, random.Random(3))
     int_rows = [[1, 0, 0, 0, 0], [3, 1, 0, 0, 0]]
     runs = [project_from_line(pencil, rows) for rows in (int_rows, [[Fraction(x) for x in r] for r in int_rows])]
-    assert runs[0].transform == runs[1].transform
-    assert all(type(c) is Fraction for r in runs[0].transform for c in r)
+    assert runs[0].inverse == runs[1].inverse
+    assert all(type(c) is Fraction for r in runs[0].inverse for c in r)
     assert [str(e) for e in runs[0].curve_equations] == [str(e) for e in runs[1].curve_equations]

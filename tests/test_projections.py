@@ -272,3 +272,6 @@ def test_double_projection_guards():
     # a point that is not a list was a TypeError from iterating it
     with pytest.raises(PrecondError, match="6 coordinates"):
         double_projection(toric_pencil(PrimeField(7)), 5)
+    # a coordinate vertex of the toric pencil is one of its six singular points
+    with pytest.raises(PrecondError, match="the point is singular on the base locus"):
+        double_projection(toric_pencil(PrimeField(7)), [1, 0, 0, 0, 0, 0])

@@ -13,11 +13,10 @@ import pytest
 
 import qpencil
 from qpencil import records
-from qpencil.bundlecalc import BundleMatrix
 from qpencil.circle import JumpPoint
 from qpencil.classes import OddDecomposition
 from qpencil.errors import PrecondError
-from qpencil.fields import QQ, PrimeField
+from qpencil.fields import PrimeField
 from qpencil.matrices import SymMatrix
 from qpencil.pencil import BinaryForm, Pencil
 from qpencil.poly import Poly
@@ -25,15 +24,13 @@ from qpencil.projections import RationalMap
 
 F = PrimeField(3)
 ID3 = SymMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-ZERO4 = SymMatrix(tuple(tuple(Poly(QQ, ("s0", "s1", "t0", "t1"), {}) for _ in range(4)) for _ in range(4)))
 LINEAR = RationalMap(("x", "y"), (Poly(F, ("x", "y"), {(1, 0): 1}), Poly(F, ("x", "y"), {(0, 1): 2})))
 
 # one valid argument tuple per record class, in field order
 EXAMPLES = {
     "bundlecalc.BundleParameterCounts": (14, 14, (0, 0)),
-    "bundlecalc.BundleMatrix": (ZERO4, tuple(tuple((1, 1) for _ in range(4)) for _ in range(4))),
     "bundlecalc.FiberTangency": ("t0", (1, 0, 1), -4, False, True),
-    "bundlecalc.HptReport": (None, None, (4, 4), (("c", (2, 2), 1),), (4, 4), (4, 4), (), True),
+    "bundlecalc.HptReport": (None, (4, 4), (("c", (2, 2), 1),), (4, 4), (4, 4), (), True),
     "circle.JumpPoint": ("+", False, (Fraction(0), Fraction(1, 2))),
     "circle.IndexCircle": (3, (), ((2, 2),), ()),
     "classes.OddDecomposition": ((2, 1, 1),),
@@ -51,8 +48,8 @@ EXAMPLES = {
     "pencil.Pencil": (F, 2, ID3, ID3),
     "pencil.SmoothnessReport": (True, BinaryForm(F, (1, 0, 1)), (1,), (1,), None, ((1, 0, 1), (0, 2))),
     "projections.RationalMap": (LINEAR.source_vars, LINEAR.components),
-    "projections.LineProjection": (None, ((1, 0), (0, 1)), ((1, 0), (0, 1)), (), (), LINEAR, LINEAR, ()),
-    "projections.DoubleProjection": (None, (), ID3, None, None, 1, True, False, None),
+    "projections.LineProjection": (None, ((1, 0), (0, 1)), (), (), LINEAR, LINEAR, ()),
+    "projections.DoubleProjection": (None, ID3, None, None, 1, True, False, None),
     "toric.ToricLineCensus": (3, 108, 54, 54, {(0, 1, 2): 18}, 108, 54, 54, 18),
     "toric.ComponentBookkeeping": (6, 1, 1, 6),
 }
@@ -75,7 +72,7 @@ RECORDS = _record_classes()
 
 
 def test_every_record_class_has_an_example():
-    assert sorted(RECORDS) == sorted(EXAMPLES) and len(RECORDS) == 25
+    assert sorted(RECORDS) == sorted(EXAMPLES) and len(RECORDS) == 24
 
 
 def _hashable(values):
@@ -142,7 +139,6 @@ def test_record_behaves_as_a_frozen_value(key):
         (lambda: Pencil(F, n=2, g0=ID3, g1=SymMatrix(((1, 0), (0, 1)))), "must be 3x3"),
         (lambda: SymMatrix(((1, 2), (0, 1))), r"not symmetric at \(1,0\)"),
         (lambda: SymMatrix(((1, 2), (2,))), "must be square"),
-        (lambda: BundleMatrix(ID3, ()), "bundle matrices are 4x4"),
         (lambda: RationalMap(("x",), LINEAR.components), "wrong ring"),
     ],
 )

@@ -10,7 +10,6 @@ from qpencil.fields import QQ, PrimeField
 from qpencil.pencil import singular_at, toric_pencil
 from qpencil.toric import (
     PLANE_TRIPLES,
-    classify_line,
     component_count_identity,
     dp6_point_count,
     line_scheme_components,
@@ -75,15 +74,6 @@ def test_line_census_over_f7():
     assert census.total == 588  # 12 q^2
     assert census.nonplanar == 144  # 4 (q-1)^2
     assert census.consistent
-
-
-def test_classify_line_sees_plane_membership():
-    # a non-edge line inside the plane x1 = x3 = x5 = 0
-    assert classify_line(((1, 0, 0, 0, 2, 0), (0, 0, 1, 0, 1, 0))) == [(1, 3, 5)]
-    # an edge joining two coordinate vertices sits in two planes
-    assert len(classify_line(((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)))) == 2
-    # a line with no identically-zero coordinates meets no plane
-    assert classify_line(((1, 0, 0, 1, 0, 1), (0, 1, 1, 0, 2, 0))) == []
 
 
 def test_plane_union_point_count_two_ways():
