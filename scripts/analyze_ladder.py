@@ -42,8 +42,7 @@ def main() -> int:
     print(f"{'n':>3} {'det_s':>7} {'sturm_s':>8} {'smooth_s':>9} {'isolate_s':>10} {'decomp_s':>9} {'bits':>5}  class")
     for n in args.ns:
         p = random_pencil(QQ, n, random.Random(5))
-        rows = [[[a, b] for a, b in zip(r0, r1)] for r0, r1 in zip(p.g0.entries, p.g1.entries)]
-        t_det, (d, _) = _timed(lambda: det_poly(QQ, rows, minors=True))
+        t_det, (d, _) = _timed(lambda: det_poly(QQ, (p.g0, p.g1), minors=True))
         t_sturm = _timed(lambda: uv.sturm_chain(d))[0] if d else 0.0
         t_smooth, rep = _timed(lambda: smoothness(p))
         stages = f"{n:>3} {t_det:7.3f} {t_sturm:8.3f} {t_smooth:9.3f}"

@@ -4,17 +4,20 @@ For squarefree f of degree 5 or 6 over F_q (q an odd prime here), the counts
 N1 = #C(F_q) and N2 = #C(F_{q^2}) of the smooth projective model determine
 the numerator L(T) of the zeta function:
 
-    L(T) = 1 + c1 T + c2 T^2 + q*c1 T^3 + q^2 T^4,
+    L(T) = 1 + c1 T + c2 T^2 + q c1 T^3 + q^2 T^4.
 
-with c1 = -(q + 1 - N1) ... in elementary-symmetric terms: if p1 = q+1-N1 and
-p2 = q^2+1-N2 are the root power sums, then e1 = p1, e2 = (p1^2 - p2)/2, and
-L(T) = 1 - e1 T + e2 T^2 - q e1 T^3 + q^2 T^4.  The order of the Jacobian
-over F_q is L(1); the tests calibrate it against a brute-force order from
-Mumford pairs on degree-5 models.  Both counts use F_q arithmetic
-alone: N2 is read off the norms f(a) f(a') at conjugate pairs of F_{q^2}
-(see `curve_counts`), so no extension field is built.  `_genus2_cover`
-gives the counting data of the cover y^2 = (signed discriminant)(1, t) of a
-smooth threefold pencil, for both `zeta` and the torsor comparison.
+The counts give the power sums p1 = q + 1 - N1 and p2 = q^2 + 1 - N2 of the
+four reciprocal roots of L, and Newton's identities their elementary
+symmetric functions e1 = p1 and e2 = (p1^2 - p2)/2, so c1 = -e1 and
+c2 = e2.  The order of the Jacobian over F_q is L(1); the tests calibrate
+it against a brute-force order from Mumford pairs on degree-5 models.  Both
+counts use F_q arithmetic alone: N2 is read off the norms f(a) f(a') at
+conjugate pairs of F_{q^2} (see `curve_counts`), so no extension field is
+built.  `_genus2_cover` gives the counting data of the cover
+y^2 = (signed discriminant)(1, t) of a smooth threefold pencil, for both
+`zeta` and the torsor comparison; the pencil's smoothness report has proved
+that cover squarefree of degree 5 or 6, so only an outside model is tested
+for both (`_validate_model`).
 """
 
 from __future__ import annotations
@@ -76,7 +79,13 @@ def curve_counts(f: Sequence[int], q: int) -> tuple[int, int]:
     """
     within("q of the curve counts", q, CURVE_Q_LIMIT=CURVE_Q_LIMIT)
     field = PrimeField(q)
-    coeffs = _validate_model(field, f)
+    return _counts(field, _validate_model(field, f))
+
+
+def _counts(field: PrimeField, coeffs: Sequence[int]) -> tuple[int, int]:
+    """(N1, N2) as in `curve_counts`, for a model already known to be
+    squarefree of degree 5 or 6, given by its trimmed coefficients mod q."""
+    q = field.p
     values = [uv.evaluate(field, coeffs, t) for t in range(q)]
     quintic = len(coeffs) == 6
     n1 = q + sum(legendre(v, q) for v in values) + (1 if quintic else 1 + legendre(coeffs[-1], q))
@@ -123,7 +132,11 @@ def weil_check(lpoly: Sequence[int], q: int) -> None:
 
 
 def curve_data(f: Sequence[int], q: int) -> CurveData:
-    n1, n2 = curve_counts(f, q)
+    return _curve_data(f, q, curve_counts(f, q))
+
+
+def _curve_data(f: Sequence[int], q: int, counts: tuple[int, int]) -> CurveData:
+    n1, n2 = counts
     lp = lpolynomial(n1, n2, q)
     weil_check(lp, q)
     return CurveData(q, tuple(c % q for c in f), n1, n2, lp)
@@ -132,12 +145,15 @@ def curve_data(f: Sequence[int], q: int) -> CurveData:
 def _genus2_cover(pencil: Pencil, what: str) -> CurveData:
     """Counting data of the genus-2 cover y² = c(t) of a smooth threefold
     pencil over F_q, where c = (signed discriminant)(1, t); `what` names the
-    caller in the precondition errors."""
+    caller in the precondition errors.  Smoothness makes the sextic form
+    squarefree, so c is squarefree of degree 6, or 5 when (0:1) is a root,
+    and is counted without `_validate_model`."""
     q = _require_prime(pencil)
     if pencil.n != 5:
         raise PrecondError(f"{what} needs a threefold pencil (n = 5)")
     rep = smoothness(pencil)
     if not rep.smooth:
         raise PrecondError(f"{what} needs a smooth base locus")
-    cover = _signed_discriminant(rep.discriminant, pencil.n + 1)
-    return curve_data([int(c) for c in cover.chart_main()], q)
+    cover = _signed_discriminant(rep.discriminant, pencil.n + 1).chart_main()
+    within("q of the curve counts", q, CURVE_Q_LIMIT=CURVE_Q_LIMIT)
+    return _curve_data(cover, q, _counts(pencil.field, cover))

@@ -3,7 +3,8 @@
 Point counts and singular points come from the q + 1 members a G0 + b G1 of
 the pencil, [a:b] in P^1(F_q): a character sum over the members gives
 #X(F_q), and the singular points lie in the kernels of the singular members,
-so only the F_q-roots of the discriminant need linear algebra.  Both routes
+so only the F_q-roots of the discriminant need linear algebra (and for the
+count in an even number of variables only its multiple roots).  Both routes
 take such a member as int rows mod p and reduce it with `linalg.rref` alone:
 its pivot columns give its rank and, through `linalg.det`, the
 principal minor that fixes its character sum, and `linalg.nullspace` gives
@@ -46,12 +47,12 @@ POINT_SCAN_LIMIT = 10**9
 PAIR_TEST_LIMIT = 10**8
 # q + 1 members of the pencil, each one Horner evaluation of D and one
 # Legendre symbol: count_points on a smooth n = 5 pencil over F_999983 took
-# 3.0-3.2 s (2-core Intel Xeon, CPython 3.11.7)
+# 2.1-2.3 s (2-core Intel Xeon, 8 GB, CPython 3.11.7)
 MEMBER_LIMIT = 10**6
 # (q + 1) m^3 for a pencil whose D vanishes identically, where each of the
 # q + 1 members of size m is reduced: at the bound for m = 6 (p = 18503),
-# count_points took 2.2-2.6 s and singular_points 1.7-1.9 s on rank-4
-# members (2-core Intel Xeon, CPython 3.11.7)
+# count_points took 1.1-1.3 s and singular_points 0.9-1.0 s on rank-4
+# members (2-core Intel Xeon, 8 GB, CPython 3.11.7)
 ELIMINATION_LIMIT = 4 * 10**6
 # the largest value nvars^2 (p - 1)^3 of a form in a scan, for which float64
 # division by p is exact (`_divisible`); a bound of exactness, not of time
@@ -240,10 +241,18 @@ def count_points(pencil: Pencil) -> int:
     whose congruence diagonalization has nonzero pivots of product delta has
     S(M) = q^(m - r/2) chi((-1)^(r/2) delta) for even r (q^m for r = 0) and
     S(M) = 0 for odd r.  A member off the roots of D = det(s0 G0 + s1 G1)
-    has r = m and delta = D(a, b), so only the roots are reduced; when D
-    vanishes identically, every member is.  Then #X = (N_aff - 1)/(q - 1).
+    has r = m and delta = D(a, b).  Then #X = (N_aff - 1)/(q - 1).
 
-    A singular member's r is the number of pivot columns P of its reduced
+    Only the members at roots of D can have another rank, and for even m
+    only those at multiple roots are reduced.  If a G0 + b G1 has corank k,
+    then in a basis whose first k vectors span its kernel the first k
+    columns of s0 G0 + s1 G1 vanish at [a:b], so each is divisible by the
+    linear form b s0 - a s1, and D by its k-th power.  So at a simple root
+    (D'(1, t) != 0 at [1:t], c_(m-1) != 0 at [0:1]) the corank is 1 and
+    r = m - 1, odd for even m, and S(M) = 0 with no reduction.  For odd m
+    every root is reduced, and when D vanishes identically, every member is.
+
+    A reduced member's r is the number of pivot columns P of its reduced
     row echelon form, and delta is the principal minor det M[P, P]
     (`linalg.det`, 1 for r = 0), up to a nonzero square.  The r columns P of
     the symmetric M are independent, so its rows P are too, and span its
@@ -257,10 +266,12 @@ def count_points(pencil: Pencil) -> int:
     field, m = pencil.field, pencil.n + 1
     sign = (-1) ** (m // 2)
     chi_sum = rank_deficient = 0
-    for a, b, d in _member_values(pencil):
+    for a, b, d, simple in _member_values(pencil):
         if d:
             if m % 2 == 0:
                 chi_sum += legendre(sign * d, p)
+            continue
+        if simple and m % 2 == 0:
             continue
         rows = _member_rows(pencil, a, b)
         pivots = rref(field, rows)[1]
@@ -308,7 +319,7 @@ def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
     field = pencil.field
     found: set[tuple[int, ...]] = set()
     decided: set[tuple[tuple[int, ...], ...]] = set()
-    for a, b, d in _member_values(pencil):
+    for a, b, d, _ in _member_values(pencil):
         if d:
             continue
         basis = rref(field, nullspace(field, _member_rows(pencil, a, b)))[0]
@@ -327,12 +338,15 @@ def singular_points(pencil: Pencil) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda x: (next(i for i, c in enumerate(x) if c), x))
 
 
-def _member_values(pencil: Pencil) -> Iterator[tuple[int, int, int]]:
-    """(a, b, D(a, b) mod p) for [a:b] = [1:0], ..., [1:p-1], then [0:1],
-    with D = det(s0 G0 + s1 G1) taken once and evaluated by Horner.  The
-    one place the member budget is enforced: the p + 1 members count against
-    MEMBER_LIMIT before D is taken and, when D vanishes identically, so that
-    every member is reduced, (p + 1) m^3 against ELIMINATION_LIMIT."""
+def _member_values(pencil: Pencil) -> Iterator[tuple[int, int, int, bool]]:
+    """(a, b, D(a, b) mod p, whether [a:b] is a simple root of D) for
+    [a:b] = [1:0], ..., [1:p-1], then [0:1], with D = det(s0 G0 + s1 G1)
+    taken once and evaluated by Horner.  A root [1:t] is simple when
+    D'(1, t) != 0, evaluated at the roots only, and [0:1] when c_(m-1) != 0;
+    no root of an identically zero D is simple.  The one place the member
+    budget is enforced: the p + 1 members count against MEMBER_LIMIT before
+    D is taken and, when D vanishes identically, so that every member is
+    reduced, (p + 1) m^3 against ELIMINATION_LIMIT."""
     p, m = pencil.field.p, pencil.n + 1
     within(f"members of a pencil over F_{p}", p + 1, MEMBER_LIMIT=MEMBER_LIMIT)
     disc = _discriminant_or_none(pencil)
@@ -344,12 +358,19 @@ def _member_values(pencil: Pencil) -> Iterator[tuple[int, int, int]]:
         )
     coeffs = (0,) if disc is None else disc.coeffs
     descending = coeffs[::-1]  # D(1, t) = sum_i c_i t^i
+    slopes = [i * c for i, c in enumerate(coeffs)][:0:-1]  # D'(1, t), descending
     for t in range(p):
         v = 0
         for c in descending:
             v = (v * t + c) % p
-        yield 1, t, v
-    yield 0, 1, coeffs[-1]
+        if v:
+            yield 1, t, v, False
+            continue
+        dv = 0
+        for c in slopes:
+            dv = (dv * t + c) % p
+        yield 1, t, 0, dv != 0
+    yield 0, 1, coeffs[-1], not coeffs[-1] and len(coeffs) > 1 and coeffs[-2] != 0
 
 
 def _member_rows(pencil: Pencil, a: int, b: int) -> list[list[int]]:

@@ -9,17 +9,19 @@ elimination).  One pivot rule covers a zero diagonal: the integer
 congruence x_i <- x_i + x_j, of determinant 1, makes the diagonal entry
 2·u_ij from an entry u_ij != 0.  Every block is symmetric, so only its
 upper triangle is built and divided.  The signs of the pivots give the
-inertia.  The determinant over F[t], for F the rationals or a prime field,
-is taken over Z[t] by Kronecker substitution: with B = prod_i sum_j |e_ij|_1
-bounding every coefficient of the determinant, each entry is evaluated at
-t = 2^K, K = bitlength(B) + 1, the elimination over Z gives the
-determinant at 2^K as its last pivot, and its balanced base-2^K digits are
-the coefficients.  Over the rationals all denominators are cleared first
-(when every one is 1, the numerators are the integers);
-over F_p the representatives are lifted to Z and the result is reduced
-mod p.  When every pivot is taken in place, the pivots are the leading
-principal minors at 2^K, decoded the same way on request (over the
-rationals, for Jacobi's signature rule).  No eigenvalues, no floats.
+inertia.  The determinant of M(t) = sum_k M_k t^k over F[t], for F the
+rationals or a prime field, is given by its coefficient matrices M_k and
+taken over Z[t] by Kronecker substitution: with
+B = prod_i sum_j sum_k |M_k[i][j]| bounding every coefficient of the
+determinant, the upper triangles of the M_k are packed row by row into the
+one integer matrix M(2^K), K = bitlength(B) + 1, whose elimination over Z
+gives det M(2^K) as its last pivot, and its balanced base-2^K digits are the
+coefficients.  Over the rationals all denominators are cleared first (when
+every one is 1, the numerators are the integers); over F_p the
+representatives are lifted to Z and the result is reduced mod p.  When
+every pivot is taken in place, the pivots are the leading principal minors
+at 2^K, decoded the same way on request (over the rationals, for Jacobi's
+signature rule).  No eigenvalues, no floats.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .records import record
 
 @record
 class SymMatrix:
-    """An immutable symmetric matrix; entries are field elements, Polys or
-    ascending coefficient tuples over F[t]."""
+    """An immutable symmetric matrix of field elements or Polys."""
 
     entries: tuple[tuple[Any, ...], ...]
 
@@ -212,41 +213,39 @@ def signature_pair(g: list[list[int]]) -> tuple[int, int]:
     return pos, negv
 
 
-def det_poly(field: Field, rows: Sequence[Sequence[Sequence[Any]]], minors: bool = False):
-    """Determinant of a symmetric matrix over F[t], for F the rationals or a
-    prime field, as one integer symmetric elimination at t = 2^K.
+def det_poly(field: Field, coeffs: Sequence[SymMatrix], minors: bool = False):
+    """Determinant of M(t) = sum_k M_k t^k over F[t], for F the rationals or
+    a prime field, from its coefficient matrices `coeffs` = (M_0, ..., M_d),
+    symmetric matrices of one size, as one integer symmetric elimination at
+    t = 2^K.
 
-    Entries and result are ascending coefficient lists of field elements; a
-    singular matrix gives the zero polynomial ``[]``.  The elimination reads
-    the upper triangle only, so any other matrix is refused.  Over the
-    rationals every entry is multiplied by the lcm L of all coefficient
-    denominators and the integer determinant is divided by L^m; over F_p the
-    representatives are lifted to balanced integers in (-p/2, p/2) and the
-    integer determinant is reduced mod p.
+    The result is an ascending coefficient list of field elements; a
+    singular M(t) gives the zero polynomial ``[]``.  Over the rationals
+    every entry is multiplied by the lcm L of all denominators and the
+    integer determinant is divided by L^m; over F_p the representatives are
+    lifted to balanced integers in (-p/2, p/2) and the integer determinant
+    is reduced mod p.
 
     With `minors` (rationals only) the result is the pair of the determinant
-    and the leading principal minors Δ_1, ..., Δ_m of L times the matrix, a
-    tuple of ascending int coefficient lists from the same elimination, or
-    None in place of the minors when the determinant vanishes or the
-    elimination took a pivot out of place (then some Δ_k vanishes
-    identically).
+    and the leading principal minors Δ_1, ..., Δ_m of L·M(t), a tuple of
+    ascending int coefficient lists from the same elimination, or None in
+    place of the minors when the determinant vanishes or the elimination
+    took a pivot out of place (then some Δ_k vanishes identically).
     """
-    m = len(rows)
-    if m == 0 or any(len(row) != m for row in rows):
-        raise PrecondError("determinant needs a nonempty square matrix")
-    if any(rows[i][j] != rows[j][i] for i in range(m) for j in range(i)):
-        raise PrecondError("determinant needs a symmetric matrix")
+    m = coeffs[0].size if coeffs else 0
+    if m == 0 or any(c.size != m for c in coeffs):
+        raise PrecondError("determinant needs nonempty coefficient matrices of one size")
     if isinstance(field, Rationals):
-        ints, scale = _scaled_to_integers(rows)
-        coeffs, deltas = _det_zt(ints, minors)
+        ints, scale = _scaled_to_integers([c.entries for c in coeffs])
+        digits, deltas = _det_zt(ints, minors)
         den = scale**m
-        det = [Fraction(c) for c in coeffs] if den == 1 else [Fraction(c, den) for c in coeffs]
+        det = [Fraction(c) for c in digits] if den == 1 else [Fraction(c, den) for c in digits]
         return (det, deltas) if minors else det
     if minors:
         raise PrecondError("leading minors are decoded over the rationals only")
     if isinstance(field, PrimeField):
         p, half = field.p, field.p // 2
-        ints = [[[(c + half) % p - half for c in e] for e in row] for row in rows]
+        ints = [[[(x + half) % p - half for x in row] for row in c.entries] for c in coeffs]
         return _trim([c % p for c in _det_zt(ints)[0]])
     raise PrecondError(f"det_poly works over the rationals or a prime field, not {field!r}")
 
@@ -257,31 +256,31 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _det_zt(rows: list[list[list[int]]], minors: bool = False) -> tuple[list[int], tuple[list[int], ...] | None]:
-    """Determinant of a symmetric matrix over Z[t] by Kronecker
-    substitution, and with `minors` its leading principal minors
+def _det_zt(mats: list[list[list[int]]], minors: bool = False) -> tuple[list[int], tuple[list[int], ...] | None]:
+    """Determinant of the symmetric M(t) = sum_k mats[k] t^k over Z[t] by
+    Kronecker substitution, and with `minors` its leading principal minors
     Δ_1, ..., Δ_m.
 
     Every coefficient of the determinant is at most
-    B = prod_i sum_j |e_ij|_1 in absolute value (B bounds the permanent of
-    the entries' 1-norms), so with K = bitlength(B) + 1 the integer
-    determinant at t = 2^K holds them as balanced base-2^K digits.  A
-    nonzero determinant has no zero row, so B bounds every Δ_k as well, and
-    the pivots of an elimination that took each pivot in place, Δ_k(2^K),
-    are decoded alike.  Otherwise, or without `minors`, the minors are None:
-    a zero row makes K = 1, too narrow for any nonzero digit.
+    B = prod_i sum_j sum_k |M_k[i][j]| in absolute value (B bounds the
+    permanent of the entries' 1-norms), so with K = bitlength(B) + 1 the
+    integer determinant at t = 2^K holds them as balanced base-2^K digits.
+    Row i of the upper triangle of M(2^K) is packed from the rows i of the
+    M_k by Horner's rule in 2^K.  A nonzero determinant has no zero row, so
+    B bounds every Δ_k as well, and the pivots of an elimination that took
+    each pivot in place, Δ_k(2^K), are decoded alike.  Otherwise, or without
+    `minors`, the minors are None: a zero row makes K = 1, too narrow for any
+    nonzero digit.
     """
-    bound = math.prod(sum(abs(c) for e in row for c in e) for row in rows)
+    m = len(mats[0])
+    bound = math.prod(sum(abs(x) for mat in mats for x in mat[i]) for i in range(m))
     width = bound.bit_length() + 1
     upper = []
-    for k, row in enumerate(rows):
-        out = []
-        for e in row[k:]:
-            v = 0
-            for c in reversed(e):
-                v = (v << width) + c
-            out.append(v)
-        upper.append(out)
+    for i in range(m):
+        packed = mats[-1][i][i:]
+        for mat in reversed(mats[:-1]):
+            packed = [(v << width) + x for v, x in zip(packed, mat[i][i:])]
+        upper.append(packed)
     pivots, zero, leading = _eliminate(upper)
     coeffs = [] if zero else _balanced_digits(pivots[-1], width)
     if not (minors and coeffs and leading):

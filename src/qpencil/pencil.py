@@ -208,8 +208,7 @@ def _discriminant_or_none(p: Pencil, minors: bool = False):
     """
     fld = p.field
     m = p.n + 1
-    rows = [[[a, b] for a, b in zip(r0, r1)] for r0, r1 in zip(p.g0.entries, p.g1.entries)]
-    d, deltas = det_poly(fld, rows, minors=True) if minors else (det_poly(fld, rows), None)
+    d, deltas = det_poly(fld, (p.g0, p.g1), minors=True) if minors else (det_poly(fld, (p.g0, p.g1)), None)
     form = BinaryForm(fld, tuple(d + [fld.zero] * (m + 1 - len(d)))) if d else None
     return (form, deltas) if minors else form
 

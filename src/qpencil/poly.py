@@ -4,7 +4,8 @@ A ``Poly`` is a dict from exponent tuples to nonzero coefficients, tagged
 with the field and an ordered tuple of variable names.  Arithmetic stays
 exact; there is no attempt at asymptotic cleverness — the polynomials here
 have few variables and low degree.  Determinants are not taken over this
-type: they go through dense univariate lists (``matrices.det_poly``).
+type: ``matrices.det_poly`` takes a matrix over F[t] as its coefficient
+matrices.
 """
 
 from __future__ import annotations

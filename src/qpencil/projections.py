@@ -221,9 +221,9 @@ class DoubleProjection:
     G = 2 x0 x5 + g(x1..x5); eliminating x0 along the pencil of hyperplanes
     x5 = t x4 exhibits the base locus as birational to a bundle of quadric
     surfaces over the t-line, with a symmetric 4x4 matrix A(t) whose entries
-    have degrees (1 | 2 / 2 | 3) by block; ``bundle_matrix`` holds each entry
-    as its ascending coefficient tuple in t.  Its determinant satisfies the
-    exact identity
+    have degrees (1 | 2 / 2 | 3) by block; ``bundle_matrix`` holds its
+    coefficient matrices A_0, ..., A_3, A(t) = sum_k A_k t^k.  Its
+    determinant satisfies the exact identity
 
         det A(t) = -det(M)^2 * F(t, -1),
 
@@ -236,7 +236,7 @@ class DoubleProjection:
     stands alone."""
 
     pencil: Pencil
-    bundle_matrix: SymMatrix
+    bundle_matrix: tuple[SymMatrix, ...]
     degeneracy: BinaryForm
     discriminant: BinaryForm
     twist_factor: Any  # -det(M)^2
@@ -275,22 +275,23 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
         check("the adapted Gram's first row is dual to x", first_row=[g[0, j] for j in range(6)], expected=expect_row)
 
     # A(t) = t*S0(t) - S1(t), S the tail Gram on (x1..x5) with x5 = t*x4:
-    # local index i < 4 collects the Gram indices and powers of t it lifts to
+    # local index i < 4 collects the Gram indices and powers of t it lifts
+    # to, so A_k[i][j] takes -G1 from the terms t^k and G0 from the t^(k-1)
     lift = (((1, 0),), ((2, 0),), ((3, 0),), ((4, 0), (5, 1)))
+    a = [[[fld.zero] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            for gi, s in lift[i]:
+                for gj, u in lift[j]:
+                    a[s + u][i][j] = fld.sub(a[s + u][i][j], norm.g1[gi, gj])
+                    a[s + u + 1][i][j] = fld.add(a[s + u + 1][i][j], norm.g0[gi, gj])
+            degree = max((k for k in range(4) if not fld.is_zero(a[k][i][j])), default=-1)
+            limit = 1 + (i == 3) + (j == 3)
+            if degree > limit:
+                raise InternalCheckError("bundle matrix entry degree bound", entry=(i, j), degree=degree, bound=limit)
 
-    def bundle_entry(i: int, j: int) -> tuple[Any, ...]:
-        terms = [(s + u, gi, gj) for gi, s in lift[i] for gj, u in lift[j]]
-        coeffs = [fld.zero] * (max(k for k, _, _ in terms) + 2)
-        for k, gi, gj in terms:
-            coeffs[k] = fld.sub(coeffs[k], norm.g1[gi, gj])
-            coeffs[k + 1] = fld.add(coeffs[k + 1], norm.g0[gi, gj])
-        limit = 1 + (i == 3) + (j == 3)
-        if len(coeffs) - 1 > limit:
-            raise InternalCheckError("bundle matrix entry degree bound", entry=(i, j), degree=len(coeffs) - 1, bound=limit)
-        return tuple(coeffs)
-
-    rows = [[bundle_entry(i, j) for j in range(4)] for i in range(4)]
-    dpoly = det_poly(fld, rows)
+    bundle = tuple(SymMatrix.from_rows(a_k) for a_k in a)
+    dpoly = det_poly(fld, bundle)
     if len(dpoly) > 7:
         raise InternalCheckError("degeneracy determinant degree <= 6", degree=len(dpoly) - 1)
     coeffs = dpoly + [fld.zero] * (7 - len(dpoly))
@@ -324,7 +325,7 @@ def double_projection(pencil: Pencil, point: Sequence[Any]) -> DoubleProjection:
 
     return DoubleProjection(
         pencil=pencil,
-        bundle_matrix=SymMatrix.from_rows(rows),
+        bundle_matrix=bundle,
         degeneracy=sextic,
         discriminant=disc,
         twist_factor=twist,

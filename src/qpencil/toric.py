@@ -11,6 +11,7 @@ is exposed for the n = 5 story.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from typing import Sequence
@@ -38,10 +39,15 @@ _HOMES: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
 
 
 def coordinate_points(field: Field) -> list[tuple]:
-    out = []
-    for i in range(6):
-        out.append(tuple(field.one if j == i else field.zero for j in range(6)))
-    return out
+    return list(_vertices(field))
+
+
+@functools.lru_cache(maxsize=4)
+def _vertices(field: Field) -> tuple[tuple, ...]:
+    """The six coordinate points over `field`, e_0 first.  Cached, so every
+    list of singular points shares the same six immutable tuples and a caller
+    that keeps many reports keeps one copy of them."""
+    return tuple(tuple(field.one if j == i else field.zero for j in range(6)) for i in range(6))
 
 
 def toric_singular_points(field: Field) -> list[tuple]:
@@ -60,10 +66,10 @@ def toric_singular_points(field: Field) -> list[tuple]:
     """
     p = toric_pencil(field)
     if isinstance(field, PrimeField):
-        found = singular_points(p)
-        expected = sorted(tuple(int(c) for c in pt) for pt in coordinate_points(field))
-        check("toric singular points = the six coordinate points", found=sorted(found), expected=expected)
-        return [tuple(field.from_int(c) for c in pt) for pt in sorted(found)]
+        found = sorted(singular_points(p))
+        expected = sorted(_vertices(field))
+        check("toric singular points = the six coordinate points", found=found, expected=expected)
+        return expected
     if field != QQ:
         raise PrecondError("unsupported field for the singular-locus computation")
     q0 = p.form(0)

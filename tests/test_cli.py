@@ -124,9 +124,9 @@ def test_rational_analyze_takes_one_determinant(monkeypatch):
     monkeypatch.chdir(REPO)
     calls = []
 
-    def counted(field, rows, **kwargs):
-        calls.append(len(rows))
-        return det_poly(field, rows, **kwargs)
+    def counted(field, coeffs, **kwargs):
+        calls.append(coeffs[0].size)
+        return det_poly(field, coeffs, **kwargs)
 
     monkeypatch.setattr(pencil_mod, "det_poly", counted)
     code, _, _, err = _run(["analyze", "inputs/diagonal.json", "--json"])

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from qpencil import cli
+from qpencil import cli, pencil as pencil_mod
 from qpencil.errors import BudgetError, InternalCheckError, PrecondError
 from qpencil.fields import QQ, PrimeField, legendre
 from qpencil import fqgeom
@@ -353,6 +353,140 @@ def test_a_negated_minor_breaks_the_count(monkeypatch, q, planted):
     assert count_points(split) == planted
 
 
+def _planted(fld, n, kind, rng):
+    """A pencil in n + 1 variables over fld whose D has the planted root of
+    `kind`, under a random change of coordinates: a 2 x 2 block (B0, B1) is
+    set beside a random block in the other n - 1 variables.
+
+    - "corank 2": B0 = S, B1 = -S/t0 for a random invertible S with
+      S_11 != 0, so the member at [1:t0] vanishes on the block: a double
+      root of corank 2.
+    - "corank 1": B0 + t B1 = [[0, t - t0], [t - t0, 1]], of determinant
+      -(t - t0)^2 and rank 1 at t0: a double root of corank 1.
+    - "[0:1] simple": B0 = S, B1 = diag(1, 0), so G1 has corank 1, c_m = 0
+      and c_(m-1) = S_11 det(the random block of G1) != 0.
+    - "[0:1] double": B0 = S, B1 = 0, so G1 has corank 2 and
+      c_m = c_(m-1) = 0.
+    """
+    p, m = fld.p, n + 1
+    t0 = rng.randrange(1, p)
+    s = _invertible_symmetric(fld, 2, rng)
+    while not s[1][1]:
+        s = _invertible_symmetric(fld, 2, rng)
+    if kind == "corank 1":
+        b0, b1 = [[0, -t0 % p], [-t0 % p, 1]], [[0, 1], [1, 0]]
+    else:
+        b0, b1 = s, {
+            "corank 2": [[-x * pow(t0, p - 2, p) % p for x in row] for row in s],
+            "[0:1] simple": [[1, 0], [0, 0]],
+            "[0:1] double": [[0, 0], [0, 0]],
+        }[kind]
+    # the random block is nondegenerate at t0 and at [0:1], so the planted
+    # member's kernel is the block's
+    rest1 = _invertible_symmetric(fld, m - 2, rng)
+    while True:
+        rest0 = random_symmetric(fld, m - 2, rng).to_lists()
+        if rank(fld, [[(x + t0 * y) % p for x, y in zip(r0, r1)] for r0, r1 in zip(rest0, rest1)]) == m - 2:
+            break
+    grams = [[row + [0] * (m - 2) for row in b] + [[0, 0] + row for row in rest] for b, rest in ((b0, rest0), (b1, rest1))]
+    while True:
+        a = [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+        if rank(fld, a) == m:
+            return pencil_congruent(_pencil_of(fld, n, grams), a)
+
+
+def _invertible_symmetric(fld, size, rng):
+    while True:
+        rows = random_symmetric(fld, size, rng).to_lists()
+        if rank(fld, rows) == size:
+            return rows
+
+
+def _count_battery():
+    """(q, n, kind, pencil) for q in 3, 5, 7 and n = 2..6: a smooth pencil,
+    the four planted roots of `_planted`, and a cone, whose D vanishes
+    identically."""
+    for q in (3, 5, 7):
+        fld = PrimeField(q)
+        for n in range(2, 7):
+            rng = random.Random(f"count/{q}/{n}")
+            yield q, n, "smooth", random_pencil(fld, n, rng)
+            for kind in ("corank 2", "corank 1", "[0:1] simple", "[0:1] double"):
+                yield q, n, kind, _planted(fld, n, kind, rng)
+            grams = [random_symmetric(fld, n + 1, rng).to_lists() for _ in range(2)]
+            for g in grams:
+                for j in range(n + 1):
+                    g[0][j] = g[j][0] = 0
+            yield q, n, "cone", _pencil_of(fld, n, grams)
+
+
+def test_count_points_matches_the_common_zeros_on_planted_roots():
+    """The member sum against the common zeros for both parities of m = n + 1:
+    double roots of corank 2 and of corank 1, simple and double roots at
+    [0:1], and D = 0, each planted and hidden by a change of coordinates."""
+    seen = set()
+    for q, n, kind, pencil in _count_battery():
+        assert count_points(pencil) == len(points_on_pencil(pencil)), (q, n, kind)
+        disc = _discriminant_or_none(pencil)
+        flags = [(d, simple) for _, _, d, simple in fqgeom._member_values(pencil)]
+        if kind == "cone":
+            assert disc is None and not any(d or simple for d, simple in flags)
+        elif kind.startswith("[0:1]"):
+            assert flags[-1] == (0, kind == "[0:1] simple"), (q, n, kind)
+        elif kind.startswith("corank"):
+            assert any(d == 0 and not simple for d, simple in flags[:-1]), (q, n, kind)
+        seen.add(((n + 1) % 2, kind))
+    assert len(seen) == 12
+
+
+def _counted_rref(monkeypatch):
+    calls = []
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return rref(field, rows)
+
+    monkeypatch.setattr(fqgeom, "rref", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q, n", [(3, 3), (3, 5), (5, 5), (7, 3)])
+def test_simple_roots_are_not_reduced_for_even_m(monkeypatch, q, n):
+    """For even m a simple root of D has corank 1, so S(M) = 0 with no
+    reduction: a smooth pencil, whose D has only simple roots, reduces no
+    member even where D has F_q-roots, and a planted double root of corank
+    2 is reduced."""
+    fld = PrimeField(q)
+    rng = random.Random(f"simple/{q}/{n}")
+    smooth = random_pencil(fld, n, rng)
+    while all(d for _, _, d, _ in fqgeom._member_values(smooth)):
+        smooth = random_pencil(fld, n, rng)
+    double = _planted(fld, n, "corank 2", rng)
+    expected = [len(points_on_pencil(p)) for p in (smooth, double)]
+    calls = _counted_rref(monkeypatch)
+    assert count_points(smooth) == expected[0]
+    assert calls == []
+    assert count_points(double) == expected[1]
+    assert calls
+
+
+@pytest.mark.parametrize("q, n", [(3, 3), (5, 5), (7, 3)])
+def test_a_double_root_read_as_simple_breaks_the_count(monkeypatch, q, n):
+    """Planted fault: every root of D reported simple.  The member at a
+    double root of corank 2 has even rank m - 2 and S(M) != 0, so skipping
+    it changes the count or fails one of its exact divisions."""
+    pencil = _planted(PrimeField(q), n, "corank 2", random.Random(f"fault/{q}/{n}"))
+    expected = len(points_on_pencil(pencil))
+    assert count_points(pencil) == expected
+    member_values = fqgeom._member_values
+    monkeypatch.setattr(fqgeom, "_member_values", lambda p: ((a, b, d, not d) for a, b, d, _ in member_values(p)))
+    try:
+        planted = count_points(pencil)
+    except InternalCheckError:
+        planted = None
+    assert planted != expected
+
+
 def _rank_and_delta(rows, p):
     """Rank r of a symmetric matrix mod p and the product delta of the
     nonzero pivots of a congruence diagonalization.  A block with zero
@@ -689,6 +823,24 @@ def test_a_lost_line_fails_the_torsor_identity_naming_both_sides(monkeypatch):
     assert errs.getvalue() == (
         f"internal check failed: line count = |Jac C(F_q)|: line_count = {order - 1}, jacobian_order = {order}\n"
     )
+
+
+def test_a_smooth_op_takes_two_determinants(monkeypatch):
+    """`torsor_check` takes D once, through the smoothness report of its
+    cover, and `count_points` once more; the cover's counts take none."""
+    calls = []
+    det_poly = pencil_mod.det_poly
+
+    def counted(field, coeffs, **kwargs):
+        calls.append(coeffs[0].size)
+        return det_poly(field, coeffs, **kwargs)
+
+    pencil = random_pencil(F3, 5, random.Random(3))
+    monkeypatch.setattr(pencil_mod, "det_poly", counted)
+    rep = torsor_check(pencil)
+    count_points(pencil)
+    assert rep.consistent
+    assert calls == [6, 6]
 
 
 def test_torsor_check_guards():

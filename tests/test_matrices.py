@@ -1,5 +1,6 @@
 """Symmetric matrices: inertia, congruence invariance, determinants over F[t]."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -244,13 +245,30 @@ def test_det_block_multiplicative():
 
 
 def _poly_matrix(field, rng, size, degree, coeff=None):
-    """A random symmetric matrix over F[t] with entries of the given degree."""
+    """A random symmetric matrix over F[t] with entries of the given degree,
+    as the rows of its entries' ascending coefficient lists."""
     coeff = coeff or (lambda: field.from_int(rng.randint(-4, 4)))
     rows = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
             rows[i][j] = rows[j][i] = [coeff() for _ in range(degree + 1)]
     return rows
+
+
+def _coefficient_matrices(field, rows):
+    """The coefficient matrices M_0, ..., M_d of the matrix over F[t] whose
+    entries are the ascending coefficient lists `rows`."""
+    top = max(len(e) for row in rows for e in row)
+    return [
+        SymMatrix.from_rows([[e[k] if k < len(e) else field.zero for e in row] for row in rows])
+        for k in range(max(top, 1))
+    ]
+
+
+def _at(field, mats, t):
+    """M(t) = sum_k M_k t^k as rows of field elements."""
+    m = mats[0].size
+    return [[uv.evaluate(field, [a[i, j] for a in mats], t) for j in range(m)] for i in range(m)]
 
 
 def test_det_poly_matches_pointwise_evaluation():
@@ -285,16 +303,16 @@ def test_det_poly_matches_pointwise_evaluation():
             [[field.zero, field.one], [field.from_int(3)], []],
         ]
         cases.append((field, zero_diagonal, range(4)))
-    # coefficients of absolute value exactly B = prod_i sum_j |e_ij|_1, the
-    # bound that fixes the digit width: one bit less would misread them
+    # coefficients of absolute value exactly B = prod_i sum_j sum_k |M_k[i][j]|,
+    # the bound that fixes the digit width: one bit less would misread them
     for rows in ([[[-7]]], [[[0, 7]]], [[[0, 3], []], [[], [-5]]]):
         cases.append((QQ, [[[Fraction(c) for c in e] for e in row] for row in rows], range(3)))
     for field, rows, points in cases:
-        d = det_poly(field, rows)
+        mats = _coefficient_matrices(field, rows)
+        d = det_poly(field, mats)
         for tv in points:
             t = field.from_int(tv)
-            values = [[uv.evaluate(field, e, t) for e in row] for row in rows]
-            assert uv.evaluate(field, d, t) == det(field, values), (field, len(rows), tv)
+            assert uv.evaluate(field, d, t) == det(field, _at(field, mats, t)), (field, len(rows), tv)
         # the report formats these values, so the element types are part of the result
         assert d and d[-1] != field.zero
         if field is QQ:
@@ -309,21 +327,100 @@ def test_det_poly_matches_pointwise_evaluation():
         for j in (0, 1, 3):
             rows[2][j] = rows[j][2] = combo(rows[0][j], rows[1][j])
         rows[2][2] = combo(rows[2][0], rows[2][1])
-        assert det_poly(field, rows) == []
+        assert det_poly(field, _coefficient_matrices(field, rows)) == []
+
+
+def _interpolate(xs, ys):
+    """The ascending coefficients over Q of the polynomial of degree below
+    len(xs) through the points (xs, ys), by Lagrange's formula."""
+    coeffs = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, scale = [Fraction(1)], Fraction(yi)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = uv.mul(QQ, basis, [Fraction(-xj), Fraction(1)])
+                scale /= xi - xj
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis + [0] * len(xs))]
+    return uv.trim(QQ, coeffs)
+
+
+def _interpolated_det(mats, ints):
+    """det M(t) over Q by pointwise `linalg.det` at deg M · m + 1 integer
+    points and interpolation; `ints` are the matrices M_k over Q, so an F_p
+    matrix is passed as its representatives and reduced afterwards."""
+    m = mats[0].size
+    xs = range((len(mats) - 1) * m + 1)
+    return _interpolate(xs, [det(QQ, _at(QQ, ints, Fraction(x))) for x in xs])
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_det_poly_matches_interpolation_on_a_seeded_battery(degree):
+    """det_poly on coefficient matrices against `linalg.det` at enough points
+    to interpolate det M(t).  Over Q the entries are fractions, so the
+    common denominator L is not 1, and the decoded minors of L·M(t) are the
+    pointwise leading minors; a zero row gives det = 0, and a zero diagonal
+    forces a pivot out of place, so the minors are None.  Over F_p,
+    p in {3, 5, 7, 10^9 + 7}, det M(t) is the determinant of the lifted
+    representatives reduced mod p, which interpolation over Q gives for
+    every p, however small."""
+    rng = random.Random(31 + degree)
+    fraction = lambda: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+    seen = {"minors": 0, "no minors": 0, "zero": 0}
+    for trial in range(12):
+        m = 2 + trial % 4
+        rows = _poly_matrix(QQ, rng, m, degree, fraction)
+        if trial % 4 == 1:
+            rows[0] = [[] for _ in range(m)]
+            for row in rows:
+                row[0] = []
+        elif trial % 4 == 2:
+            for i in range(m):
+                rows[i][i] = []
+        mats = _coefficient_matrices(QQ, rows)
+        d, minors = det_poly(QQ, mats, minors=True)
+        assert d == _interpolated_det(mats, mats), trial
+        assert all(type(c) is Fraction for c in d)
+        scale = math.lcm(*(x.denominator for a in mats for row in a.entries for x in row))
+        if not d or trial % 4 == 2:
+            assert minors is None, trial
+            seen["zero" if not d else "no minors"] += 1
+            continue
+        assert scale > 1, trial
+        seen["minors"] += 1
+        for x in range(degree * m + 1):
+            member = [[scale * v for v in row] for row in _at(QQ, mats, Fraction(x))]
+            leading = [det(QQ, [row[:k] for row in member[:k]]) for k in range(1, m + 1)]
+            assert [uv.evaluate(QQ, [Fraction(c) for c in delta], Fraction(x)) for delta in minors] == leading
+    assert seen == {"minors": 6, "no minors": 3, "zero": 3}
+    for p in (3, 5, 7, 10**9 + 7):
+        fp = PrimeField(p)
+        for trial in range(6):
+            m = 2 + trial % 4
+            mats = _coefficient_matrices(fp, _poly_matrix(fp, rng, m, degree, lambda: rng.randrange(p)))
+            lifted = [a.map(Fraction) for a in mats]
+            expected = uv.trim(fp, [int(c) % p for c in _interpolated_det(mats, lifted)])
+            assert det_poly(fp, mats) == expected, (p, trial)
 
 
 def test_det_poly_needs_the_rationals_or_a_prime_field():
     with pytest.raises(PrecondError, match="rationals or a prime field"):
-        det_poly(object(), [[[1]]])
+        det_poly(object(), [SymMatrix.from_rows([[1]])])
+    with pytest.raises(PrecondError, match="rationals only"):
+        det_poly(PrimeField(5), [SymMatrix.from_rows([[1]])], minors=True)
 
 
 def test_det_poly_refuses_a_nonsymmetric_matrix():
-    """The elimination reads the upper triangle only, so a matrix that is
-    not symmetric is refused, not misread as its symmetric upper half."""
+    """The elimination reads the upper triangle only, so det_poly takes
+    `SymMatrix` coefficient matrices, which refuse a matrix that is not
+    symmetric instead of letting it be misread as its symmetric upper half;
+    coefficient matrices of different sizes, or none, are refused too."""
     for field in (QQ, PrimeField(5)):
-        rows = [[[field.one], [field.from_int(2)]], [[field.from_int(3)], [field.one]]]
         with pytest.raises(PrecondError, match="symmetric"):
-            det_poly(field, rows)
+            det_poly(field, [SymMatrix.from_rows([[field.one, field.from_int(2)], [field.from_int(3), field.one]])])
+        one, two = SymMatrix.diagonal(field, [field.one]), SymMatrix.diagonal(field, [field.one] * 2)
+        for coeffs in ([one, two], []):
+            with pytest.raises(PrecondError, match="one size"):
+                det_poly(field, coeffs)
 
 
 class _OffByOne(int):
@@ -361,8 +458,8 @@ def test_inexact_bareiss_division_names_divisor_and_remainder(monkeypatch):
     F_5, names the step, divisor and remainder."""
     f5 = PrimeField(5)
     runs = {
-        "det_poly over Q": (lambda: det_poly(QQ, [[[Fraction(x)] for x in row] for row in _PLANTED_ROWS]), [Fraction(1)]),
-        "det_poly over F_5": (lambda: det_poly(f5, [[[x] for x in row] for row in _PLANTED_ROWS]), [1]),
+        "det_poly over Q": (lambda: det_poly(QQ, [SymMatrix.from_rows(_PLANTED_ROWS).map(Fraction)]), [Fraction(1)]),
+        "det_poly over F_5": (lambda: det_poly(f5, [SymMatrix.from_rows(_PLANTED_ROWS)]), [1]),
     }
     _assert_planted_pivot_is_named(monkeypatch, runs)
 

@@ -11,7 +11,7 @@ import importlib
 import importlib.util
 import sys
 
-from qpencil.fields import QQ
+from qpencil.fields import QQ, PrimeField
 from qpencil.pencil import diagonal_pencil, smoothness
 
 from conftest import REPO
@@ -35,10 +35,11 @@ def test_every_span_target_resolves(monkeypatch):
             owner = getattr(owner, name)
         # methods are replaced on the class itself, so they must be defined there
         assert callable(vars(owner).get(attr)), f"qpencil.{module}.{qual}"
-    recorder = spans.Recorder()
-    with recorder.installed():
-        smoothness(diagonal_pencil(QQ, 3))
-    assert recorder.summary()["matrices.det_poly"]["calls"] == 1
+    for field in (QQ, PrimeField(7)):
+        recorder = spans.Recorder()
+        with recorder.installed():
+            smoothness(diagonal_pencil(field, 3))
+        assert recorder.summary()["matrices.det_poly"]["calls"] == 1, field
 
 
 def test_one_tiny_cycle_of_each_library_workload_passes_its_checks(monkeypatch):

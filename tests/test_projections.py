@@ -204,10 +204,12 @@ def test_double_projection_identity(q, seed):
     # the twist is minus a square
     assert fld.chi(fld.neg(dp.twist_factor)) in (0, 1)
     assert dp.degeneracy.degree == 6
-    # the bundle matrix is symmetric with the (1|2 / 2|3) degree profile
+    # the bundle matrix's coefficient matrices A_0..A_3 are symmetric 4x4,
+    # with the (1|2 / 2|3) degree profile
+    assert [a.size for a in dp.bundle_matrix] == [4] * 4
     for i in range(4):
         for j in range(4):
-            e = dp.bundle_matrix[i, j]
+            e = [a[i, j] for a in dp.bundle_matrix]
             assert max((k for k, c in enumerate(e) if c), default=-1) <= 1 + (i == 3) + (j == 3)
 
 

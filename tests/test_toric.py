@@ -34,6 +34,21 @@ def test_six_singular_points(field):
         assert singular_at(p, list(pt))
 
 
+@pytest.mark.parametrize("make", [lambda: QQ, lambda: PrimeField(3)], ids=["QQ", "F3"])
+def test_singular_points_share_their_tuples_across_calls(make):
+    # each call gets its own list of the same six tuples, so reports kept
+    # side by side hold one copy of the points
+    first, second = toric_singular_points(make()), toric_singular_points(make())
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert len(toric_singular_points(make())) == 6
+
+
+def test_singular_points_over_f_p_come_sorted():
+    assert toric_singular_points(PrimeField(5)) == sorted(tuple(int(j == i) for j in range(6)) for i in range(6))
+
+
 def test_a_missing_singular_point_names_both_point_lists(monkeypatch):
     scan = toric.singular_points
     monkeypatch.setattr(toric, "singular_points", lambda p: sorted(scan(p))[1:])
