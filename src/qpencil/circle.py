@@ -9,9 +9,10 @@ cyclically, is a complete invariant of the real pencil up to isotopy, and is
 always a composition of k into an odd number of parts.  The classes
 themselves, and the verdicts read off a class, live in `classes`.
 
-Everything here is exact: roots are isolated with Sturm sequences, and every
-signature is computed twice on antipodal arcs, by two algorithms, and
-cross-checked.  On the members (1, t) the signature comes from the signs of
+Everything here is exact: the real roots of D(1, t) are isolated by
+Descartes' rule of signs on a dyadic grid (`univariate.isolate_real_roots`),
+and every signature is computed twice on antipodal arcs, by two algorithms,
+and cross-checked.  On the members (1, t) the signature comes from the signs of
 the leading principal minors that the discriminant's elimination already
 gave (Jacobi's rule), and elsewhere from a symmetric elimination.
 """
@@ -24,7 +25,7 @@ from . import classes, univariate as uv
 from .classes import OddDecomposition, canonical_parts
 from .errors import InternalCheckError, PrecondError, check
 from .fields import QQ
-from .matrices import _integer_grams, signature_pair
+from .matrices import _scaled_to_integers, signature_pair
 from .pencil import Pencil, SmoothnessReport, smoothness
 from .records import record
 
@@ -105,7 +106,7 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
 
     inf_jump = QQ.is_zero(disc.coeffs[-1])  # det(G1) is the s1^(n+1) coefficient
     f = disc.chart_main()
-    roots = uv.isolate_real_roots(f, report.chain)
+    roots = uv.isolate_real_roots(f)
     samples = uv.sample_points_between(roots)
     m = len(roots)
     k = m + (1 if inf_jump else 0)
@@ -115,7 +116,7 @@ def index_circle(p: Pencil, report: SmoothnessReport | None = None) -> IndexCirc
     # the members (1, t) and (-1, -t) at t = num/den are positive multiples
     # of ±(den·Z0 + num·Z1), and (0, 1) of Z1, with Z0, Z1 the Grams scaled
     # to integers by one positive lcm
-    z0, z1 = _integer_grams(p.g0.entries, p.g1.entries)
+    z0, z1 = _scaled_to_integers([p.g0.entries, p.g1.entries])[0]
 
     def member(s0: int, s1: int) -> list[list[int]]:
         return [[s0 * a + s1 * b for a, b in zip(r0, r1)] for r0, r1 in zip(z0, z1)]

@@ -89,7 +89,7 @@ def inertia(g: SymMatrix) -> tuple[int, int, int]:
     """Exact (positive, negative, zero) inertia of a rational symmetric matrix
     (entries ints or Fractions), scaled to integers by the positive lcm of
     its denominators."""
-    return _inertia_z(_integer_grams(g.entries)[0])
+    return _inertia_z(_scaled_to_integers([g.entries])[0][0])
 
 
 def _inertia_z(a: list[list[int]]) -> tuple[int, int, int]:
@@ -186,12 +186,6 @@ def _schur(u: list[list[int]], divisor: int, step: int) -> list[list[int]]:
             if r:
                 raise InternalCheckError("exact elimination division", step=step, divisor=divisor, remainder=r)
     return rest
-
-
-def _integer_grams(*grams: Sequence[Sequence[Any]]) -> list[list[list[int]]]:
-    """The rational matrices `grams` (entries int or Fraction), each times the
-    positive lcm of the denominators of all their entries, as int lists."""
-    return _scaled_to_integers(grams)[0]
 
 
 def _scaled_to_integers(blocks: Sequence[Sequence[Sequence[Any]]]) -> tuple[list[list[list[int]]], int]:

@@ -26,17 +26,6 @@ if TYPE_CHECKING:
     from .poly import Poly
 
 
-def _gcd_with_derivative(field: Field, c: list, chain: Sequence[Sequence[int]] | None = None) -> list:
-    """The monic gcd of c and c' ([1] for a constant): over the rationals the
-    last member of the Sturm chain of c (`chain`, when the caller holds it),
-    over F_p Euclid's algorithm."""
-    if len(c) < 2:
-        return [field.one]
-    if field == QQ:
-        return uv.monic(field, (uv.sturm_chain(c) if chain is None else chain)[-1])
-    return uv.gcd_poly(field, c, uv.derivative(field, c))
-
-
 @record
 class BinaryForm:
     """A binary form sum_i c_i s0^(d-i) s1^i, stored as coeffs (c_0..c_d)."""
@@ -77,19 +66,17 @@ class BinaryForm:
         """Dehomogenization F(t, 1) as an ascending coefficient list."""
         return uv.trim(self.field, list(reversed(self.coeffs)))
 
-    def chart_gcds(self, chain: Sequence[Sequence[int]] | None = None) -> tuple[list, list]:
+    def chart_gcds(self) -> tuple[list, list]:
         """The monic gcds of F(1, t) and of F(t, 1) with their derivatives
-        ([1] for a constant chart).  F of degree d is squarefree exactly when
-        F(1, t) is squarefree of degree >= d - 1; then the second is [1].
-
-        Over the rationals each is the last member of the chart's Sturm
-        chain, made monic; `chain` is `univariate.sturm_chain(F(1, t))` when
-        the caller already holds it."""
+        ([1] for a constant chart), by `univariate.gcd_with_derivative`: over
+        the rationals each is the last member of one primitive
+        pseudo-remainder sequence.  F of degree d is squarefree exactly when
+        F(1, t) is squarefree of degree >= d - 1; then the second is [1]."""
         a = self.chart_main()
-        ga = _gcd_with_derivative(self.field, a, chain)
+        ga = uv.gcd_with_derivative(self.field, a)
         if len(ga) == 1 and len(a) >= self.degree:
             return ga, [self.field.one]
-        return ga, _gcd_with_derivative(self.field, self.chart_other())
+        return ga, uv.gcd_with_derivative(self.field, self.chart_other())
 
     def is_squarefree(self) -> bool:
         """Squarefree as a *binary* form: both charts squarefree and the
@@ -263,7 +250,8 @@ class SmoothnessReport:
     smooth: bool
     # det(s0 G0 + s1 G1), or None when it vanishes identically
     discriminant: BinaryForm | None
-    # gcd of each chart polynomial with its derivative (monic coeff tuples)
+    # gcd of each chart polynomial with its derivative (monic coeff tuples),
+    # from `BinaryForm.chart_gcds`
     chart_main_gcd: tuple
     chart_other_gcd: tuple
     # over the rationals: the leading principal minors Δ_1..Δ_(n+1) of
@@ -272,10 +260,6 @@ class SmoothnessReport:
     # None over F_p, for a degenerate pencil, or when that elimination
     # swapped rows (some Δ_k vanishes identically)
     minors: tuple | None = None
-    # over the rationals: the Sturm chain of the main chart D(1, t), from
-    # `univariate.sturm_chain`, whose last member gave chart_main_gcd; None
-    # over F_p or for a degenerate pencil
-    chain: tuple | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -300,18 +284,17 @@ def smoothness(p: Pencil) -> SmoothnessReport:
 
     The base locus is smooth of dimension n-2 iff the discriminant form is
     nonzero of degree n+1 with no repeated projective root, i.e. both chart
-    dehomogenizations have gcd 1 with their derivatives (`chart_gcds`).
-    Over the rationals the report keeps the Sturm chain of D(1, t) that
-    gave the first gcd, for root isolation to reuse.
+    dehomogenizations have gcd 1 with their derivatives (`chart_gcds`);
+    over the rationals each gcd is the last member of one primitive
+    pseudo-remainder sequence, and nothing else of it is kept.
     """
     fld = p.field
     disc, minors = _discriminant_or_none(p, minors=True) if fld == QQ else (_discriminant_or_none(p), None)
     if disc is None:
         return SmoothnessReport(False, None, (fld.one,), (fld.one,))
-    chain = tuple(uv.sturm_chain(disc.chart_main())) if fld == QQ else None
-    ga, gb = disc.chart_gcds(chain)
+    ga, gb = disc.chart_gcds()
     smooth = len(ga) == 1 and len(gb) == 1
-    return SmoothnessReport(smooth, disc, tuple(ga), tuple(gb), minors, chain)
+    return SmoothnessReport(smooth, disc, tuple(ga), tuple(gb), minors)
 
 
 def _point_on_locus(p: Pencil, x: Sequence[Any]) -> list[Any]:

@@ -3,19 +3,19 @@
 Polynomials are plain ascending coefficient lists ``[c0, c1, ...]``; the zero
 polynomial is ``[]`` (or any all-zero list).  The first half is field-generic
 (works over the rationals and prime fields); its gcd is the Euclidean
-algorithm over any field.  The Sturm machinery at the bottom needs an
-ordered field and is rationals-only; its chains come from primitive
-pseudo-remainder sequences on Python ints, as positive integer multiples of
-the rational chain, so the last member of the chain of f is a multiple of
-gcd(f, f').  That is the one remainder sequence over the rationals: the
-smoothness report takes each chart's gcd with its derivative from it, and
-hands the chain of D(1, t) to root isolation instead of building it again.
+algorithm over any field, except that the gcd of a rational polynomial with
+its derivative comes from one primitive pseudo-remainder sequence on Python
+ints.  The second half needs an ordered field and is rationals-only: real
+root isolation of a squarefree polynomial by Descartes' rule of signs,
+bisecting on a dyadic grid by de Casteljau's rule on integer Bernstein
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import ne
 from typing import Any, Sequence
 
 from .errors import InternalCheckError, PrecondError, check
@@ -120,14 +120,26 @@ def gcd_poly(field: Field, a: Sequence[Any], b: Sequence[Any]) -> list:
     return monic(field, a)
 
 
+def gcd_with_derivative(field: Field, c: Sequence[Any]) -> list:
+    """The monic gcd of c and c' ([1] for a constant c).  Over the rationals
+    it is the last member of the primitive pseudo-remainder sequence of c
+    and c' on Python ints, made monic; over F_p it is Euclid's algorithm."""
+    c = trim(field, c)
+    if len(c) < 2:
+        return [field.one]
+    if field != QQ:
+        return gcd_poly(field, c, derivative(field, c))
+    a = _primitive_multiple(c)
+    b = _primitive([i * x for i, x in enumerate(a)][1:])
+    while r := _prem(a, b):
+        a, b = b, _primitive(r)
+    return monic(QQ, b)
+
+
 def is_squarefree(field: Field, a: Sequence[Any]) -> bool:
-    a = trim(field, a)
-    if not a:
+    if is_zero_poly(field, a):
         raise PrecondError("squarefreeness of the zero polynomial is undefined")
-    if len(a) == 1:
-        return True
-    g = gcd_poly(field, a, derivative(field, a))
-    return len(g) == 1
+    return len(gcd_with_derivative(field, a)) == 1
 
 
 def sylvester_matrix(field: Field, a: Sequence[Any], b: Sequence[Any]) -> list[list]:
@@ -158,31 +170,9 @@ def resultant(field: Field, a: Sequence[Any], b: Sequence[Any]) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Sturm machinery (rationals only: needs an ordering)
-#
-# A chain is kept integer-scaled: each member is a positive multiple of the
-# rational Sturm polynomial, as a list of ints, so a sign at x = num/den
-# (den > 0) is the sign of den^d·p(num/den), found by integer Horner.
+# Over the rationals: a polynomial is scaled to its primitive integer
+# multiple, so remainders, signs and root isolation run on Python ints.
 # ----------------------------------------------------------------------
-
-
-def sturm_chain(c: Sequence[Fraction]) -> list[list[int]]:
-    """Sturm chain p0, p1, -rem(p0,p1), ... of a nonzero rational polynomial,
-    each member a positive multiple of the rational one, with coprime
-    integer coefficients."""
-    p0 = _primitive_multiple(c)
-    if not p0:
-        raise PrecondError("Sturm chain of the zero polynomial")
-    chain = [p0]
-    p1 = [i * x for i, x in enumerate(p0)][1:]
-    if p1:
-        chain.append(p1)
-        while True:
-            r = _prem(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append(_primitive([-x for x in r]))
-    return chain
 
 
 def _primitive_multiple(p: Sequence[Any]) -> list[int]:
@@ -232,11 +222,6 @@ def _sign_at(p: Sequence[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def root_bound(c: Sequence[int]) -> int:
     """The least power of two R = 2^k, k >= 0, that dominates the integer
     polynomial c of degree d >= 1 (given without trailing zeros):
@@ -253,96 +238,131 @@ def root_bound(c: Sequence[int]) -> int:
     return 1 << k
 
 
-def isolate_real_roots(
-    c: Sequence[Fraction], chain: Sequence[Sequence[int]] | None = None
-) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the distinct real roots, in increasing order;
-    `chain` is `sturm_chain(c)` when the caller already holds it.
+def isolate_real_roots(c: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals for the real roots of a squarefree nonzero
+    rational polynomial f, in increasing order, by Descartes' rule of signs
+    (Collins and Akritas, SYMSAC 1976).
 
-    Bisection starts from (-R, R), R = `root_bound` of the chain's head, the
-    least power of two whose lead term dominates, so every endpoint is a
-    dyadic rational a/2^j of a few bits (Collins and Akritas, SYMSAC 1976)
-    and the Sturm signs at it are taken on small integers.  Each root is a
-    pair (lo, hi) with f nonzero at both endpoints and exactly one root in
-    the open interval — except dyadic roots met at a midpoint, which come
-    back as exact singletons (r, r).  Intervals of distinct roots have
-    disjoint interiors (they may share a non-root endpoint).  f gives way to
-    its squarefree part only when the last member of its Sturm chain, a
-    multiple of gcd(f, f'), is nonconstant.
+    Every real root lies in (-R, R), R = 2^r = `root_bound` of f.  The roots
+    in (0, R) and in (-R, 0) are bisected apart on the dyadic grid ±c·R/2^k
+    (`_half_roots`), so every endpoint is a dyadic rational a/2^j of a few
+    bits.  A root at 0 or at a midpoint comes back as an exact singleton
+    (r, r); any other as a pair (lo, hi) with one root inside and f nonzero
+    at both ends, which `check` confirms by a change of sign.  Intervals of
+    distinct roots have disjoint interiors, and the leaves of each half's
+    bisection, counting 0 or 1, must tile it, so no node is lost.
+
+    Input with a repeated real root is refused with PrecondError: at once
+    when it is 0 or a midpoint, and otherwise past the depth where every
+    interval is narrower than sep(f)/√3, as sep(f) > √3·d^(-(d+2)/2)·‖f‖₁^(1-d)
+    (Mahler, Michigan Math. J. 11, 1964).  There the two circles through the
+    ends of an interval, √3 times its width across, hold at most one root,
+    so by the two-circle theorem a count of 2 or more proves a repeated
+    root.  A repeated non-real root is not detected; the intervals of the
+    real roots are still correct.
     """
     f = trim(QQ, list(c))
     if not f:
         raise PrecondError("cannot isolate roots of the zero polynomial")
-    if len(f) == 1:
+    p = _primitive_multiple(f)
+    if len(p) == 1:
         return []
-    chain = sturm_chain(f) if chain is None else chain
-    if len(chain[-1]) > 1:
-        f, _ = divmod_poly(QQ, f, [Fraction(x) for x in chain[-1]])
-        chain = sturm_chain(f)
-
-    # the bisection revisits its points, so each point's sign variations
-    # are taken once per call, keyed by the point's numerator and
-    # denominator (hashing a Fraction takes a modular inverse)
-    variations: dict[tuple[int, int], int] = {}
-
-    def variations_at(x: Fraction) -> int:
-        key = x.numerator, x.denominator
-        v = variations.get(key)
-        if v is None:
-            v = variations[key] = sign_variations(chain, x)
-        return v
-
-    def count(a: Fraction, b: Fraction) -> int:
-        """Number of distinct real roots in the half-open interval (a, b]."""
-        return variations_at(a) - variations_at(b)
-
-    def fsign(x: Fraction) -> int:
-        return _sign_at(chain[0], x)
-
-    bound = Fraction(root_bound(chain[0]))
-    lo0, hi0 = -bound, bound  # f is nonzero at both
-    total = count(lo0, hi0)
-    if total == 0:
-        return []
-
-    def nonroot_below(r: Fraction, floor: Fraction) -> Fraction:
-        """A point m in (floor, r) with f(m) != 0 and no root in (m, r)."""
-        m = (floor + r) / 2
-        while fsign(m) == 0 or count(m, r) > 1:
-            m = (m + r) / 2
-        return m
-
-    def nonroot_above(r: Fraction, ceil: Fraction) -> Fraction:
-        """A point m in (r, ceil) with f(m) != 0 and no root in (r, m]."""
-        m = (r + ceil) / 2
-        while fsign(m) == 0 or count(r, m) > 0:
-            m = (r + m) / 2
-        return m
-
-    # bisection over a stack of intervals with the leftmost on top, so the
-    # roots come out in increasing order; a root met at a midpoint goes on
-    # as its singleton (mid, mid) between its two non-root neighbours
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo0, hi0)]
-    while stack:
-        lo, hi = stack.pop()
-        # a singleton is its root; otherwise f(lo) != 0 and f(hi) != 0
-        n = 1 if lo == hi else count(lo, hi)
-        if n == 1:
-            out.append((lo, hi))
-        elif n > 1:
-            mid = (lo + hi) / 2
-            if fsign(mid) == 0:
-                ml, mr = nonroot_below(mid, lo), nonroot_above(mid, hi)
-                stack += [(mr, hi), (mid, mid), (lo, ml)]
-            else:
-                stack += [(mid, hi), (lo, mid)]
-
-    check("isolated roots = Sturm root count", isolated=len(out), sturm_count=total)
+    d, r = len(p) - 1, root_bound(p).bit_length() - 1
+    limit = r + math.ceil((d + 2) / 2 * math.log2(d)) + (d - 1) * (sum(map(abs, p)) - 1).bit_length()
+    if not p[0] and not p[1]:
+        raise PrecondError("root isolation needs a squarefree polynomial: 0 is a repeated root")
+    at_zero = [] if p[0] else [(Fraction(0), Fraction(0))]
+    out = _half_roots(p, -1, r, limit)[::-1] + at_zero + _half_roots(p, 1, r, limit)
+    for lo, hi in out:
+        if lo != hi:
+            a, b = _sign_at(p, lo), _sign_at(p, hi)
+            check("f changes sign across an isolating interval", sign_product=a * b, expected=-1,
+                  where={"interval": (lo, hi), "sign_at_lo": a, "sign_at_hi": b})
     for left, right in zip(out, out[1:]):
         if left[1] > right[0]:
             raise InternalCheckError("isolating intervals do not overlap", left=left, right=right)
     return out
+
+
+def _half_roots(p: list[int], sign: int, r: int, limit: int) -> list[tuple[Fraction, Fraction]]:
+    """The intervals of `isolate_real_roots` for the roots of the integer
+    polynomial p between 0 and sign·2^r, nearest 0 first.
+
+    A node (b, c, k) stands for sign·x with x in (c·2^r/2^k, (c + 1)·2^r/2^k),
+    and b are the Bernstein coefficients on [0, 1] of a positive multiple of
+    g(x) = p(sign·2^r·(c + x)/2^k): the coefficients of (x + 1)^d·g(1/(x + 1)),
+    each divided by a binomial coefficient.  So their sign variations are the
+    Descartes count of the roots inside, and b[0] and b[-1] have the signs of
+    p at the ends.  A root met at a midpoint is pushed as the node (None, c, k)
+    of its singleton, between the two halves."""
+    d = len(p) - 1
+    a = [-x if sign < 0 and i % 2 else x for i, x in enumerate(p)]
+    # b_i = sum_j C(i, j)/C(d, j)·a_j for a_j the coefficients of p(sign·2^r·x),
+    # times the lcm of the C(d, j), by d rounds of neighbour sums
+    scale = math.lcm(*(math.comb(d, j) for j in range(d + 1)))
+    top = [x * (scale // math.comb(d, j)) << (r * j) for j, x in enumerate(a)]
+    for k in range(1, d + 1):
+        for i in range(d, k - 1, -1):
+            top[i] += top[i - 1]
+    out: list[tuple[Fraction, Fraction]] = []
+    covered = 0  # the width of the leaves (counts 0 and 1), in units of 2^(r - limit - 1)
+    stack: list[tuple[list[int] | None, int, int]] = [(top, 0, 0)]
+    while stack:
+        b, c, k = stack.pop()
+        if b is None:
+            out.append((_dyadic(sign * c, r - k),) * 2)
+            continue
+        count = _variations(b)
+        if count == 1 and b[0] and b[-1]:
+            out.append(_interval(sign, c, r - k))
+        elif count and k > limit:
+            raise PrecondError(
+                f"root isolation needs a squarefree polynomial: {count} roots counted in an interval of width 2^{r - k}"
+            )
+        elif count:
+            left, right = _halves(b)
+            if left[-1]:
+                stack += [(right, 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
+            elif left[-2]:
+                stack += [(right, 2 * c + 1, k + 1), (None, 2 * c + 1, k + 1), (left, 2 * c, k + 1)]
+            else:
+                mid = _dyadic(sign * (2 * c + 1), r - k - 1)
+                raise PrecondError(f"root isolation needs a squarefree polynomial: {mid} is a repeated root")
+            continue
+        covered += 1 << (limit + 1 - k)
+    if covered != 1 << (limit + 1):
+        raise InternalCheckError("the leaves of the bisection tile the half", covered=covered,
+                                 expected=1 << (limit + 1), half=_interval(sign, 0, r))
+    return out
+
+
+def _dyadic(c: int, e: int) -> Fraction:
+    return Fraction(c << e) if e >= 0 else Fraction(c, 1 << -e)
+
+
+def _interval(sign: int, c: int, e: int) -> tuple[Fraction, Fraction]:
+    """The interval between sign·c·2^e and sign·(c + 1)·2^e."""
+    return (_dyadic(c, e), _dyadic(c + 1, e)) if sign > 0 else (_dyadic(-c - 1, e), _dyadic(-c, e))
+
+
+def _halves(b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The Bernstein coefficients of the two halves [0, 1/2] and [1/2, 1],
+    each times 2^d, from those b of degree d, by de Casteljau's rule; the
+    left half ends with, and the right half starts with, the value at 1/2."""
+    d = len(b) - 1
+    left, right, row = [b[0] << d], [b[-1] << d], list(b)
+    for j in range(d - 1, -1, -1):
+        for i in range(j + 1):
+            row[i] += row[i + 1]
+        left.append(row[0] << j)
+        right.append(row[j] << j)
+    return left, right[::-1]
+
+
+def _variations(g: Sequence[int]) -> int:
+    """The number of sign changes in the coefficients of g, zeros skipped."""
+    signs = [x < 0 for x in g if x]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def sample_points_between(roots: Sequence[tuple[Fraction, Fraction]]) -> list[Fraction]:

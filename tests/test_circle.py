@@ -18,7 +18,7 @@ from qpencil.classes import (
 )
 from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ
-from qpencil.matrices import _integer_grams, signature_pair
+from qpencil.matrices import SymMatrix, _scaled_to_integers, signature_pair
 from qpencil.pencil import (
     Pencil,
     SmoothnessReport,
@@ -30,6 +30,7 @@ from qpencil.pencil import (
 from qpencil.samples import random_pencil
 
 from conftest import INPUTS
+from sturm_oracle import cauchy_isolation, share_a_root, sturm_chain, sturm_isolation
 
 
 def _block_pencil():
@@ -215,7 +216,7 @@ def test_antipodal_sample_check_names_the_sample_and_both_signatures(monkeypatch
 
 def test_arc_check_through_the_pole_names_all_three_signatures(monkeypatch):
     p = _block_pencil()  # det(G1) != 0, so the arc through (0, 1) is checked
-    z1 = _integer_grams(p.g0.entries, p.g1.entries)[1]  # the member (0, 1)
+    z1 = _scaled_to_integers([p.g0.entries, p.g1.entries])[0][1]  # the member (0, 1)
     truth = _faulty_signatures(monkeypatch, lambda g, call, sig: (sig[1], sig[0]) if g == z1 else sig)
     with pytest.raises(InternalCheckError, match=r"arc through \(0, 1\)") as err:
         index_circle(p)
@@ -268,7 +269,7 @@ def _samples(rep):
 
 def _plus_elimination(p, t):
     """Signature of the member (1, t) by symmetric elimination."""
-    z0, z1 = _integer_grams(p.g0.entries, p.g1.entries)
+    z0, z1 = _scaled_to_integers([p.g0.entries, p.g1.entries])[0]
     return signature_pair([[t.denominator * a + t.numerator * b for a, b in zip(r0, r1)] for r0, r1 in zip(z0, z1)])
 
 
@@ -324,44 +325,6 @@ def test_jacobi_signatures_equal_elimination_on_a_seeded_battery():
     assert agree > 300 and vanish > 0 and swapped > 0, (agree, vanish, swapped)
 
 
-def _cauchy_isolation(c, chain=None):
-    """Root isolation by bisection from ±(B + 1), with B = 1 + max |c_i|/|c_d|
-    the Cauchy bound of the squarefree part: the route before the
-    power-of-two bound, kept as an oracle.  Its endpoints carry the
-    coefficients of c in their denominators."""
-    f = uv.trim(QQ, list(c))
-    chain = uv.sturm_chain(f) if chain is None else chain
-    if len(chain[-1]) > 1:
-        f, _ = uv.divmod_poly(QQ, f, [Fraction(x) for x in chain[-1]])
-        chain = uv.sturm_chain(f)
-
-    def count(a, b):
-        return uv.sign_variations(chain, a) - uv.sign_variations(chain, b)
-
-    def is_root(x):
-        return uv._sign_at(chain[0], x) == 0
-
-    bound = 2 + max(abs(x) for x in f[:-1]) / abs(f[-1])
-    out, stack = [], [(-bound, bound)]
-    while stack:
-        lo, hi = stack.pop()
-        roots = 1 if lo == hi else count(lo, hi)
-        if roots == 1:
-            out.append((lo, hi))
-        elif roots > 1:
-            mid = (lo + hi) / 2
-            if is_root(mid):
-                below, above = (lo + mid) / 2, (mid + hi) / 2
-                while is_root(below) or count(below, mid) > 1:
-                    below = (below + mid) / 2
-                while is_root(above) or count(mid, above) > 0:
-                    above = (mid + above) / 2
-                stack += [(above, hi), (mid, mid), (lo, below)]
-            else:
-                stack += [(mid, hi), (lo, mid)]
-    return out
-
-
 def _bits(samples):
     return max(max(abs(t.numerator).bit_length(), t.denominator.bit_length()) for t in samples)
 
@@ -386,11 +349,11 @@ def test_dyadic_isolation_gives_the_class_of_the_cauchy_route(monkeypatch):
     dyadic, oracle = [], []
     for p, rep, _ in cases:
         f = rep.discriminant.chart_main()
-        new, old = uv.isolate_real_roots(f, rep.chain), _cauchy_isolation(f, rep.chain)
+        new, old = uv.isolate_real_roots(f), cauchy_isolation(f)
         assert len(new) == len(old) and all(max(a, c) <= min(b, d) for (a, b), (c, d) in zip(new, old)), (new, old)
         dyadic += uv.sample_points_between(new)
         oracle += uv.sample_points_between(old)
-    monkeypatch.setattr(uv, "isolate_real_roots", _cauchy_isolation)
+    monkeypatch.setattr(uv, "isolate_real_roots", cauchy_isolation)
     assert [pencil_decomposition(p, rep) for p, rep, _ in cases] == got
     kinds = {kind for _, _, kind in cases}
     assert len(cases) > 80 and kinds == {"dense", "diagonal", "corner", "singular"}, (len(cases), kinds)
@@ -398,6 +361,82 @@ def test_dyadic_isolation_gives_the_class_of_the_cauchy_route(monkeypatch):
     assert all(t.denominator & (t.denominator - 1) == 0 for t in dyadic)
     assert not all(t.denominator & (t.denominator - 1) == 0 for t in oracle)
     assert _bits(dyadic) < _bits(oracle), (_bits(dyadic), _bits(oracle))
+
+
+def _planted_pencil(rng, n, kind):
+    """A diagonal pencil a_i x_i^2, b_i x_i^2 with D(1, t) = prod (a_i + b_i t),
+    under m random elementary changes of coordinates x_i <- x_i + c x_j
+    (which keep D): roots -a_i/b_i on a coarse dyadic grid, which bisection
+    meets at midpoints ("dyadic"), or with one root planted twice
+    ("double")."""
+    m = n + 1
+    b = [2 ** rng.randint(0, 2) for _ in range(m)]
+    a = [rng.randint(-8, 8) for _ in range(m)]
+    if kind == "double":
+        a[1], b[1] = 3 * a[0], 3 * b[0]
+    grams = [[[x[i] if i == j else 0 for j in range(m)] for i in range(m)] for x in (a, b)]
+    for _ in range(m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice([-1, 1])
+        for g in grams:
+            for row in g:
+                row[i] += c * row[j]
+            g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+    return Pencil.from_gram(QQ, *[[[Fraction(x) for x in row] for row in g] for g in grams])
+
+
+def _oracle_gcd_degree(c):
+    """deg gcd(c, c') from the last member of the oracle's Sturm chain."""
+    return len(sturm_chain(c)[-1]) - 1 if len(c) > 1 else 0
+
+
+def test_descartes_isolation_agrees_with_the_sturm_oracle_on_a_seeded_battery(monkeypatch):
+    """On 510 seeded pencils over Q with n = 3..24 (dense, diagonal, with a
+    zero (0, 0) entry, with det G0 = 0 so that t = 0 is a root, with dyadic
+    roots met at midpoints, and with a root planted twice), the smoothness
+    verdict and certificate equal those read off the Sturm oracle's chains;
+    on the smooth ones Descartes isolation finds as many roots as Sturm
+    isolation from the same power-of-two bound, each of its intervals
+    meeting the oracle's interval of the same rank in exactly one root, and
+    the class is the one read at the oracle's samples."""
+    rng = random.Random(33)
+    kinds = ("dense", "diagonal", "corner", "singular", "dyadic", "double")
+    cases = []
+    for n in range(3, 25):
+        for trial in range(40 if n <= 8 else 30 if n <= 14 else 9):
+            kind = kinds[trial % len(kinds)]
+            cases.append(_planted_pencil(rng, n, kind) if kind in ("dyadic", "double") else _battery_pencil(rng, n, kind))
+    seen = {"smooth": 0, "singular": 0, "at_zero": 0, "midpoint": 0, "roots": 0}
+    smooth, oracle = [], {}
+    for p in cases:
+        rep = smoothness(p)
+        disc = rep.discriminant
+        if disc is None:  # a zero diagonal entry in both Grams
+            assert not rep.smooth and rep.certificate["degenerate"]
+            continue
+        a, b = disc.chart_main(), disc.chart_other()
+        chain = sturm_chain(a)
+        main = len(chain[-1]) - 1
+        other = 0 if main == 0 and len(a) >= disc.degree else _oracle_gcd_degree(b)
+        assert rep.certificate == {
+            "degree": p.n + 1, "degenerate": False, "gcd_deg_chart_main": main, "gcd_deg_chart_other": other,
+        }
+        assert rep.smooth == (main == other == 0)
+        if not rep.smooth:
+            seen["singular"] += 1
+            continue
+        new = uv.isolate_real_roots(a)
+        old = oracle[tuple(a)] = sturm_isolation(chain, uv.root_bound(chain[0]))
+        assert len(new) == len(old) and all(share_a_root(chain, x, y) for x, y in zip(new, old)), (new, old)
+        seen["smooth"] += 1
+        seen["roots"] += len(new)
+        seen["at_zero"] += (Fraction(0), Fraction(0)) in new
+        seen["midpoint"] += sum(lo == hi != 0 for lo, hi in new)
+        smooth.append((p, rep))
+    got = [pencil_decomposition(p, rep) for p, rep in smooth]
+    monkeypatch.setattr(uv, "isolate_real_roots", lambda f: oracle[tuple(f)])
+    assert [pencil_decomposition(p, rep) for p, rep in smooth] == got
+    assert len(cases) >= 500 and all(count >= 90 for count in seen.values()), (len(cases), seen)
 
 
 def test_index_circle_samples_are_small_at_n_24(monkeypatch):
@@ -417,7 +456,7 @@ def test_index_circle_samples_are_small_at_n_24(monkeypatch):
     monkeypatch.setattr(uv, "sample_points_between", recorded)
     index_circle(p, rep)
     assert seen and all(abs(t.numerator) < 2**16 and t.denominator < 2**16 for t in seen), seen
-    assert _bits(between(_cauchy_isolation(rep.discriminant.chart_main(), rep.chain))) > 100
+    assert _bits(between(cauchy_isolation(rep.discriminant.chart_main()))) > 100
 
 
 def test_a_planted_wrong_minor_is_caught_against_elimination():
@@ -429,7 +468,7 @@ def test_a_planted_wrong_minor_is_caught_against_elimination():
     minors = list(rep.minors)
     minors[1] = [-c for c in minors[1]]
     wrong = SmoothnessReport(
-        rep.smooth, rep.discriminant, rep.chart_main_gcd, rep.chart_other_gcd, minors=tuple(minors), chain=rep.chain
+        rep.smooth, rep.discriminant, rep.chart_main_gcd, rep.chart_other_gcd, minors=tuple(minors)
     )
     t0 = _samples(rep)[0]  # below every root, where Δ_1, Δ_3 > 0 > Δ_2
     plus = circle_mod._jacobi_signature(wrong.minors, t0)
@@ -458,11 +497,11 @@ def test_analyze_diagonal_eliminates_only_off_the_jacobi_route(monkeypatch):
     assert len(calls) == len(samples) + north + fallbacks == 6
 
 
-def test_index_circle_reuses_the_report_chain(monkeypatch):
+def test_index_circle_takes_no_remainder_sequence(monkeypatch):
     """Given the smoothness report, the index circle takes no remainder
-    sequence of its own: root isolation reads the report's Sturm chain of
-    D(1, t), so the circles match those computed before `sturm_chain` and
-    `gcd_poly` were made to raise."""
+    sequence: Descartes isolation needs no gcd, so the circles match those
+    computed before `gcd_with_derivative`, `gcd_poly` and `_prem` were made
+    to raise."""
     rng = random.Random(20)
     pencils = [_battery_pencil(rng, n, kind) for n in range(2, 9) for kind in ("dense", "diagonal", "corner")]
     cases = [(p, rep) for p, rep in ((p, smoothness(p)) for p in pencils) if rep.smooth]
@@ -471,8 +510,8 @@ def test_index_circle_reuses_the_report_chain(monkeypatch):
     def refuse(*args):
         raise AssertionError("a remainder sequence was taken again")
 
-    monkeypatch.setattr(uv, "sturm_chain", refuse)
-    monkeypatch.setattr(uv, "gcd_poly", refuse)
+    for name in ("gcd_with_derivative", "gcd_poly", "_prem"):
+        monkeypatch.setattr(uv, name, refuse)
     assert [index_circle(p, rep) for p, rep in cases] == expected
     assert len(cases) > 15 and any(circle.root_count > 1 for circle in expected)
 

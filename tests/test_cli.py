@@ -135,19 +135,55 @@ def test_rational_analyze_takes_one_determinant(monkeypatch):
 
 
 def test_rational_analyze_takes_one_remainder_sequence(monkeypatch):
-    """Over the rationals the smoothness report's Sturm chain of D(1, t)
-    gives its gcd and feeds root isolation, so an analyze runs one
-    remainder sequence of D and its derivative."""
+    """Over the rationals the smoothness report takes gcd(D(1, t), D'(1, t))
+    from one primitive pseudo-remainder sequence, and root isolation by
+    Descartes' rule takes none, so an analyze runs one remainder sequence
+    of D and its derivative."""
     from qpencil import univariate as uv
 
     monkeypatch.chdir(REPO)
     calls = []
-    for name in ("sturm_chain", "gcd_poly"):
+    for name in ("gcd_with_derivative", "gcd_poly"):
         real = getattr(uv, name)
         monkeypatch.setattr(uv, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     code, _, _, err = _run(["analyze", "inputs/diagonal.json", "--json"])
     assert code == 0, err
-    assert calls == ["sturm_chain"]
+    assert calls == ["gcd_with_derivative"]
+
+
+def _swapped_halves(halves):
+    return lambda b: halves(b)[::-1]
+
+
+def _halves_dropping_a_step(halves):
+    """de Casteljau's rule with the last sum of every round left out."""
+
+    def faulty(b):
+        d = len(b) - 1
+        left, right, row = [b[0] << d], [b[-1] << d], list(b)
+        for j in range(d - 1, -1, -1):
+            for i in range(j):
+                row[i] += row[i + 1]
+            left.append(row[0] << j)
+            right.append(row[j] << j)
+        return left, right[::-1]
+
+    return faulty
+
+
+@pytest.mark.parametrize("fault", [_swapped_halves, _halves_dropping_a_step], ids=["swapped", "dropped"])
+def test_a_planted_isolation_fault_fails_the_sign_change_check(monkeypatch, fault):
+    """A bisection that swaps the two halves of a node, or drops a step of
+    the subdivision, keeps an interval across which D(1, t) does not change
+    sign: the check names both signs and analyze exits 3."""
+    from qpencil import univariate as uv
+
+    monkeypatch.chdir(REPO)
+    monkeypatch.setattr(uv, "_halves", fault(uv._halves))
+    code, report, out, err = _run(["analyze", "inputs/diagonal.json"])
+    assert code == 3 and report is None and out == ""
+    assert "internal check failed: f changes sign across an isolating interval: sign_product = 1, expected = -1" in err
+    assert "sign_at_lo = -1, sign_at_hi = -1" in err
 
 
 def test_missing_file_is_a_usage_error(tmp_path, monkeypatch):

@@ -304,11 +304,12 @@ def _euclid_gcd_with_derivative(c):
     return [x / a[-1] for x in a]
 
 
-def test_rational_chart_gcds_come_from_sturm_chains(monkeypatch):
-    """Over the rationals both chart gcds are read off Sturm chains, with no
-    second remainder sequence: on seeded forms, a third with a repeated
-    finite root and half with a double root at [1:0] (c_0 = c_1 = 0), so
-    that the F(t, 1) gcd is taken, each agrees with Euclid's algorithm."""
+def test_rational_chart_gcds_come_from_one_remainder_sequence(monkeypatch):
+    """Over the rationals each chart gcd is the last member of one primitive
+    pseudo-remainder sequence, not Euclid's algorithm over the rationals: on
+    seeded forms, a third with a repeated finite root and half with a
+    double root at [1:0] (c_0 = c_1 = 0), so that the F(t, 1) gcd is taken,
+    each agrees with Euclid's algorithm."""
 
     def refuse(*args):
         raise AssertionError("gcd_poly over the rationals")
@@ -381,10 +382,9 @@ def _values_pin(poly, values):
 
 
 def test_smoothness_over_the_rationals_matches_the_gcd_reference():
-    """On the rational battery, the report built from one Sturm chain of
-    D(1, t) agrees with a reference that takes D and each leading minor
-    point by point and each chart gcd by `gcd_poly` with the derivative,
-    made monic; and the chain it keeps is the Sturm chain of D(1, t)."""
+    """On the rational battery, the report agrees with a reference that
+    takes D and each leading minor point by point and each chart gcd by
+    `gcd_poly` with the derivative, made monic."""
     seen = {"repeated": 0, "other_chart": 0, "degenerate": 0, "no_minors": 0}
     for trial, p in enumerate(_rational_battery(random.Random(20))):
         m = p.n + 1
@@ -394,7 +394,7 @@ def test_smoothness_over_the_rationals_matches_the_gcd_reference():
         members = [[[scale * (a + t * b) for a, b in row] for row in pairs] for t in range(m + 1)]
         dets = [det(QQ, member) / scale**m for member in members]
         if not any(dets):
-            assert rep.discriminant is None and rep.minors is None and rep.chain is None and not rep.smooth, trial
+            assert rep.discriminant is None and rep.minors is None and not rep.smooth, trial
             assert rep.chart_main_gcd == rep.chart_other_gcd == (QQ.one,)
             seen["degenerate"] += 1
             continue
@@ -416,7 +416,6 @@ def test_smoothness_over_the_rationals_matches_the_gcd_reference():
             assert list(rep.chart_other_gcd) == gb, trial
             seen["other_chart"] += 1
         seen["repeated"] += len(ga) > 1
-        assert list(rep.chain) == uv.sturm_chain(charts[0]), trial
     assert all(seen.values()), seen
 
 
@@ -471,16 +470,6 @@ def test_minors_are_decoded_exactly_when_no_leading_minor_vanishes_at_the_kronec
         if trial == 0:
             assert rep.minors is None and not leading[0]  # the toric pencil
     assert all(count > 20 for count in seen.values()), seen
-
-
-def test_isolation_reuses_the_report_chain():
-    """Root isolation given the report's chain returns the intervals it
-    finds on its own, squarefree or not."""
-    for trial, p in enumerate(_rational_battery(random.Random(21))):
-        rep = smoothness(p)
-        if rep.discriminant is not None:
-            f = rep.discriminant.chart_main()
-            assert uv.isolate_real_roots(f, rep.chain) == uv.isolate_real_roots(f), trial
 
 
 def test_toric_pencil_is_not_smooth():

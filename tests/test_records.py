@@ -46,7 +46,7 @@ EXAMPLES = {
     "matrices.SymMatrix": (((1, 2), (2, 0)),),
     "pencil.BinaryForm": (F, (1, 2, 0, 1)),
     "pencil.Pencil": (F, 2, ID3, ID3),
-    "pencil.SmoothnessReport": (True, BinaryForm(F, (1, 0, 1)), (1,), (1,), None, ((1, 0, 1), (0, 2))),
+    "pencil.SmoothnessReport": (True, BinaryForm(F, (1, 0, 1)), (1,), (1,), ((1, 0, 1), (0, 2))),
     "projections.RationalMap": (LINEAR.source_vars, LINEAR.components),
     "projections.LineProjection": (None, ((1, 0), (0, 1)), (), (), LINEAR, LINEAR, ()),
     "projections.DoubleProjection": (None, ID3, None, None, 1, True, False, None),
@@ -54,7 +54,7 @@ EXAMPLES = {
     "toric.ComponentBookkeeping": (6, 1, 1, 6),
 }
 OWN_REPR = {"fields.Rationals": "QQ", "fields.PrimeField": "GF(5)"}
-DEFAULTS = {"io.Report": (None,), "pencil.SmoothnessReport": (None, None)}
+DEFAULTS = {"io.Report": (None,), "pencil.SmoothnessReport": (None,)}
 
 
 def _record_classes():

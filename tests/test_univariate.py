@@ -1,18 +1,22 @@
 """Dense univariate arithmetic; coefficients ascending."""
 
 import gc
+import inspect
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpencil.univariate as uv
-from qpencil.errors import PrecondError
+from qpencil.errors import InternalCheckError, PrecondError
 from qpencil.fields import QQ, PrimeField
 from qpencil.matrices import SymMatrix
 from qpencil.pencil import Pencil, smoothness
+
+from sturm_oracle import cauchy_isolation, roots_in, sturm_chain
 
 F5 = PrimeField(5)
 
@@ -75,29 +79,21 @@ def test_squarefree_prime_field_spot():
     assert uv.is_squarefree(F5, [2, 1, 1, 3])
 
 
-def _roots_in(chain, a, b):
-    """Sturm's theorem: the distinct real roots in the half-open (a, b]."""
-    return uv.sign_variations(chain, a) - uv.sign_variations(chain, b)
-
-
 @given(st.lists(st.builds(Fraction, st.integers(-48, 48), st.integers(1, 6)), min_size=1, max_size=4))
 @settings(max_examples=60)
 def test_sturm_counts_match_known_roots(roots):
-    """Sturm count on (a, b] equals the number of planted roots.
-
-    Chains are built from squarefree input (multiplicities are stripped
-    before the chain everywhere in the library), so plant each root once.
-    """
+    """The Sturm oracle's count on (a, b] equals the number of planted
+    roots, each planted once."""
     distinct = sorted(set(roots))
     f = _from_roots(distinct)
-    chain = uv.sturm_chain(f)
+    chain = sturm_chain(f)
     lo = min(distinct) - 1
     hi = max(distinct) + 1
-    assert _roots_in(chain, lo, hi) == len(distinct)
+    assert roots_in(chain, lo, hi) == len(distinct)
     # half-open convention: (a, b] includes b, excludes a
     for r in distinct:
-        assert _roots_in(chain, lo, r) == sum(1 for x in distinct if lo < x <= r)
-        assert _roots_in(chain, r, hi) == sum(1 for x in distinct if r < x <= hi)
+        assert roots_in(chain, lo, r) == sum(1 for x in distinct if lo < x <= r)
+        assert roots_in(chain, r, hi) == sum(1 for x in distinct if r < x <= hi)
 
 
 def test_integer_sturm_counts_at_large_denominators():
@@ -109,20 +105,20 @@ def test_integer_sturm_counts_at_large_denominators():
     f = uv.mul(QQ, _from_roots([Fraction(1, 3), Fraction(-5, 7)]), [Fraction(-2), Fraction(0), Fraction(3)])
     f = uv.neg(QQ, f)
     assert f[-1] == -3 and any(c.denominator > 1 for c in f)
-    chain = uv.sturm_chain(f)
+    chain = sturm_chain(f)
     assert all(type(c) is int for p in chain for c in p)
     s = Fraction(math.isqrt(2 * 2**100 // 3), 2**50)  # s <= sqrt(2/3) < s + 2^-50
     near = [-s, Fraction(-5, 7), Fraction(1, 3), s]
     eps = Fraction(1, 2**40)
     for r in near:
-        assert _roots_in(chain, r - eps, r + eps) == 1
+        assert roots_in(chain, r - eps, r + eps) == 1
     for a, b in zip(near, near[1:]):
-        assert _roots_in(chain, a + eps, b - eps) == 0
-    assert _roots_in(chain, near[0] - eps, near[-1] + eps) == 4
+        assert roots_in(chain, a + eps, b - eps) == 0
+    assert roots_in(chain, near[0] - eps, near[-1] + eps) == 4
     # exact rational roots: (a, b] holds b but not a
     for r in (Fraction(-5, 7), Fraction(1, 3)):
-        assert _roots_in(chain, r - eps, r) == 1
-        assert _roots_in(chain, r, r + eps) == 0
+        assert roots_in(chain, r - eps, r) == 1
+        assert roots_in(chain, r, r + eps) == 0
 
     intervals = uv.isolate_real_roots(f)
     assert len(intervals) == 4
@@ -177,34 +173,57 @@ def _rational_sturm_chain(f):
 @given(st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)), min_size=2, max_size=7))
 @settings(max_examples=80)
 def test_sturm_members_are_positive_multiples_of_the_rational_chain(coeffs):
+    """The oracle's integer chain, from the library's primitive
+    pseudo-remainders, is the rational Sturm chain up to positive factors,
+    and `gcd_with_derivative` is its last member made monic."""
     f = uv.trim(QQ, coeffs)
     if len(f) < 2:
         return
-    chain = uv.sturm_chain(f)
+    chain = sturm_chain(f)
     want = _rational_sturm_chain(f)
     assert len(chain) == len(want)
     for member, ref in zip(chain, want):
         assert all(type(c) is int for c in member) and len(member) == len(ref)
         ratio = Fraction(member[-1]) / ref[-1]
         assert ratio > 0 and [ratio * c for c in ref] == member
+    assert uv.gcd_with_derivative(QQ, f) == uv.monic(QQ, want[-1])
+
+
+def _isolates(f, intervals, chain=None):
+    """`intervals` are disjoint, in increasing order, one per distinct real
+    root of f: exact singletons at roots, or intervals with a root inside
+    and f of opposite signs at the ends."""
+    chain = sturm_chain(f) if chain is None else chain
+    r = Fraction(uv.root_bound(chain[0]))
+    assert len(intervals) == roots_in(chain, -r, r)
+    for lo, hi in intervals:
+        if lo == hi:
+            assert uv.evaluate(QQ, f, lo) == 0
+        else:
+            assert uv._sign_at(chain[0], lo) * uv._sign_at(chain[0], hi) == -1
+            assert roots_in(chain, lo, hi) == 1
+    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
 @settings(max_examples=60)
 def test_isolation_brackets_every_root_once(roots):
-    f = _from_roots(roots)
-    intervals = uv.isolate_real_roots(f)
+    """Planted integer roots: each distinct one is bracketed once, or met
+    exactly as a singleton; with a root planted twice the input is not
+    squarefree and is refused."""
     distinct = sorted(set(roots))
+    intervals = uv.isolate_real_roots(_from_roots(distinct))
     assert len(intervals) == len(distinct)
     for (a, b), r in zip(intervals, distinct):
-        # exact hits come back as singletons, otherwise the root is interior
         if a == b:
             assert a == Fraction(r)
         else:
             assert a < Fraction(r) < b
-    # disjoint interiors, increasing order
     for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
         assert b1 <= a2
+    if len(distinct) < len(roots):
+        with pytest.raises(PrecondError, match="squarefree"):
+            uv.isolate_real_roots(_from_roots(roots))
 
 
 def test_isolation_irrational_roots():
@@ -219,34 +238,56 @@ def test_isolation_irrational_roots():
 @pytest.mark.parametrize(
     "factors, intervals",
     [
-        # t^2 (t - 3)(t + 5), from (-8, 8): the first bisection midpoint 0 is the double root
-        ([[0, 1], [0, 1], [-3, 1], [5, 1]], [(-8, -4), (0, 0), (2, 8)]),
-        # (t^2 - 2)^2 (t - 1), from (-4, 4)
-        ([[-2, 0, 1], [-2, 0, 1], [-1, 1]], [(-4, 0), (1, 1), (Fraction(5, 4), 2)]),
-        # (2t + 1)^3 (3t^2 - 7), from (-4, 4)
+        # t^2 (t - 3)(t + 5), refused at once for the double root 0; its
+        # squarefree part has the root 0 as a singleton
+        ([[0, 1], [0, 1], [-3, 1], [5, 1]], [(-8, -4), (0, 0), (2, 4)]),
+        # (t^2 - 2)^2 (t - 1), refused at the depth bound
+        ([[-2, 0, 1], [-2, 0, 1], [-1, 1]], [(-4, 0), (1, 1), (Fraction(5, 4), Fraction(3, 2))]),
+        # (2t + 1)^3 (3t^2 - 7), refused at the midpoint -1/2
         ([[1, 2], [1, 2], [1, 2], [-7, 0, 3]], [(-2, -1), (-1, 0), (0, 2)]),
-        # -(t - 1)^2 (t + 2), whose Sturm chain ends in a negative multiple of t - 1
+        # -(t - 1)^2 (t + 2), refused at the midpoint 1
         ([[-1], [-1, 1], [-1, 1], [2, 1]], [(-4, 0), (0, 4)]),
     ],
 )
 def test_isolation_of_a_polynomial_with_multiple_roots(factors, intervals):
-    """Non-squarefree input is isolated through its squarefree part; the
-    intervals are pinned to those of the gcd-first isolation."""
+    """Input with a repeated real root is refused with PrecondError (the
+    depth bound ends the bisection); its squarefree part f/gcd(f, f')
+    isolates to the pinned intervals."""
     f = [Fraction(1)]
     for factor in factors:
         f = uv.mul(QQ, f, [Fraction(c) for c in factor])
-    assert uv.isolate_real_roots(f) == [(Fraction(a), Fraction(b)) for a, b in intervals]
+    with pytest.raises(PrecondError, match="needs a squarefree polynomial"):
+        uv.isolate_real_roots(f)
+    part, rem = uv.divmod_poly(QQ, f, uv.gcd_with_derivative(QQ, f))
+    assert not rem and uv.isolate_real_roots(part) == [(Fraction(a), Fraction(b)) for a, b in intervals]
+    _isolates(part, uv.isolate_real_roots(part))
+
+
+def test_a_dropped_bisection_node_fails_the_tiling_check(monkeypatch):
+    """A bisection that drops a child still counting two roots keeps only
+    intervals that pass the sign-change and overlap checks, but its leaves
+    no longer tile the half, and that check fails."""
+    source = textwrap.dedent(inspect.getsource(uv._half_roots))
+    push = "stack += [(right, 2 * c + 1, k + 1), (left, 2 * c, k + 1)]"
+    assert source.count(push) == 1
+    namespace = dict(vars(uv))
+    exec(source.replace(push, "stack += [(right, 2 * c + 1, k + 1)] + [(left, 2 * c, k + 1)] * (_variations(left) < 2)"), namespace)
+    monkeypatch.setattr(uv, "_half_roots", namespace["_half_roots"])
+    f = _from_roots([Fraction(1, 3), Fraction(2, 5), 5])
+    with pytest.raises(InternalCheckError, match="the leaves of the bisection tile the half") as err:
+        uv.isolate_real_roots(f)
+    # the child (0, 4) holding 1/3 and 2/5 is lost: half of (0, 8) is covered
+    assert "covered = 8388608, expected = 16777216, half = (0, 8)" in str(err.value)
 
 
 def test_isolation_leaves_no_reference_cycles():
-    """The bisection keeps its intervals on a stack, not in a closure that
-    calls itself, so with the cyclic collector off, 100 isolations each of
-    (t - 1)(t - 2)(t - 3), whose midpoint 2 is a root, and of
-    t (t - 3)(t + 5), whose first midpoint 0 is a root, leave nothing for it
-    to collect."""
+    """The bisection keeps its nodes on a stack, not in a closure that calls
+    itself, so with the cyclic collector off, 100 isolations each of
+    (t - 1)(t - 2)(t - 3), whose roots are all met at midpoints, and of
+    t (t - 3)(t + 5), with the root 0, leave nothing for it to collect."""
     cases = [
-        (_from_roots([1, 2, 3]), [(0, Fraction(3, 2)), (2, 2), (Fraction(5, 2), 4)]),
-        (_from_roots([0, 3, -5]), [(-8, -4), (0, 0), (2, 8)]),
+        (_from_roots([1, 2, 3]), [(1, 1), (2, 2), (3, 3)]),
+        (_from_roots([0, 3, -5]), [(-8, -4), (0, 0), (2, 4)]),
     ]
     gc.collect()
     gc.disable()
@@ -286,8 +327,9 @@ def test_root_bound_is_the_least_dominating_power_of_two():
     and the least such R >= 1; c(±R) != 0, and every real root lies in
     (-R, R), where the Sturm count matches the count out to the Cauchy
     bound 1 + max |c_i|/|c_d|.  Isolation from (-R, R) brackets the same
-    roots, meeting dyadic roots exactly as singletons."""
-    singletons = 0
+    roots as the Sturm oracle, meeting dyadic roots exactly as singletons;
+    input with a repeated root is refused."""
+    singletons = refused = 0
     for c in _root_bound_battery():
         r = uv.root_bound(c)
         *rest, lead = [abs(x) for x in c]
@@ -297,18 +339,22 @@ def test_root_bound_is_the_least_dominating_power_of_two():
         half = Fraction(r, 2)
         assert r == 1 or lead * half**d <= sum(x * half**i for i, x in enumerate(rest)), c
         f = [Fraction(x) for x in c]
-        chain = uv.sturm_chain(f)
+        chain = sturm_chain(f)
         assert uv._sign_at(c, Fraction(r)) and uv._sign_at(c, Fraction(-r)), c
         cauchy = 1 + Fraction(max(rest), lead)
-        assert _roots_in(chain, -cauchy - 1, cauchy + 1) == _roots_in(chain, Fraction(-r), Fraction(r)), c
+        assert roots_in(chain, -cauchy - 1, cauchy + 1) == roots_in(chain, Fraction(-r), Fraction(r)), c
+        if len(chain[-1]) > 1:
+            with pytest.raises(PrecondError, match="squarefree"):
+                uv.isolate_real_roots(f)
+            refused += 1
+            continue
         intervals = uv.isolate_real_roots(f)
-        assert len(intervals) == _roots_in(chain, Fraction(-r), Fraction(r)), c
+        _isolates(f, intervals, chain)
         assert all(-r <= lo <= hi <= r for lo, hi in intervals), c
-        for lo, hi in intervals:
-            if lo == hi:
-                singletons += 1
-                assert uv.evaluate(QQ, f, lo) == 0
-    assert singletons > 100, singletons
+        oracle = cauchy_isolation(f)
+        assert len(oracle) == len(intervals), c
+        singletons += sum(lo == hi for lo, hi in intervals)
+    assert singletons > 100 and refused > 40, (singletons, refused)
 
 
 def test_sample_points_between():
